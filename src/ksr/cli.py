@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 from typing import List, Optional
@@ -47,13 +48,26 @@ _DIAGNOSTICS = {
 
 
 def _emit(payload: dict) -> None:
-    sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
+    # a nan or infinite value raises ValueError (exit 2) instead of printing
+    # the non-standard JSON constants NaN and Infinity
+    sys.stdout.write(json.dumps(payload, sort_keys=True, allow_nan=False) + "\n")
+
+
+def _finite(text: str) -> float:
+    """argparse type: a float that is neither nan nor infinite."""
+    try:
+        x = float(text)
+    except ValueError:
+        x = math.nan
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return x
 
 
 def _pair(text: str) -> tuple:
     parts = [float(x) for x in text.split(",")]
-    if len(parts) != 2:
-        raise ValueError(f"expected 'lo,hi', got {text!r}")
+    if len(parts) != 2 or not all(map(math.isfinite, parts)):
+        raise ValueError(f"expected finite 'lo,hi', got {text!r}")
     return parts[0], parts[1]
 
 
@@ -281,7 +295,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--psi2", help="right step weight")
     p.add_argument("--ab", help="first segment 'a,b'")
     p.add_argument("--cd", help="second segment 'c,d'")
-    p.add_argument("--t", type=float, default=0.0)
+    p.add_argument("--t", type=_finite, default=0.0)
     common(p, grid=False)
     p.set_defaults(func=cmd_bound)
 
@@ -291,7 +305,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--psi2")
     p.add_argument("--ab")
     p.add_argument("--cd")
-    p.add_argument("--t", type=float, default=0.0)
+    p.add_argument("--t", type=_finite, default=0.0)
     p.add_argument("--out", default=None)
     common(p)
     p.set_defaults(func=cmd_extremal)
@@ -299,7 +313,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("recover", help="optimal-recovery experiments")
     p.add_argument("kind", choices=["convexify", "integral", "identity", "derivative"])
     p.add_argument("--n", type=int, default=2)
-    p.add_argument("--h", type=float, default=0.05)
+    p.add_argument("--h", type=_finite, default=0.05)
     p.add_argument("--ab", default="0,1")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=7)
@@ -309,9 +323,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("landau", help="sharp first-order inequality constants")
     p.add_argument("--variant", choices=list(la.VARIANTS), default="e")
-    p.add_argument("--t", type=float, default=0.5)
-    p.add_argument("--h", type=float, required=True)
-    p.add_argument("--gamma", type=float, default=None)
+    p.add_argument("--t", type=_finite, default=0.5)
+    p.add_argument("--h", type=_finite, required=True)
+    p.add_argument("--gamma", type=_finite, default=None)
     p.add_argument("--ab", default="0,1")
     p.add_argument("--out", default=None)
     common(p)
@@ -319,16 +333,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stechkin", help="best approximation of unbounded operators")
     p.add_argument("--target", choices=["derivative", "divdiff"], default="derivative")
-    p.add_argument("--t", type=float, default=0.5)
-    p.add_argument("--h", type=float, required=True)
-    p.add_argument("--gamma", type=float, default=None)
+    p.add_argument("--t", type=_finite, default=0.5)
+    p.add_argument("--h", type=_finite, required=True)
+    p.add_argument("--gamma", type=_finite, default=None)
     p.add_argument("--ab", default="0,1")
     common(p, grid=False)
     p.set_defaults(func=cmd_stechkin)
 
     p = sub.add_parser("delta-recover", help="recovery of the derivative from inexact data")
-    p.add_argument("--t", type=float, default=0.5)
-    p.add_argument("--h", type=float, required=True)
+    p.add_argument("--t", type=_finite, default=0.5)
+    p.add_argument("--h", type=_finite, required=True)
     p.add_argument("--ab", default="0,1")
     common(p, grid=False)
     p.set_defaults(func=cmd_delta_recover)
@@ -343,7 +357,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="convergence table for a recovery problem")
     p.add_argument("kind", choices=["convexify", "integral", "identity", "derivative"])
     p.add_argument("--values", default="", help="comma-separated knot counts")
-    p.add_argument("--h", type=float, default=0.0, help="0 selects h = cell/20 per n")
+    p.add_argument("--h", type=_finite, default=0.0, help="0 selects h = cell/20 per n")
     p.add_argument("--ab", default="0,1")
     p.add_argument("--trials", type=int, default=50)
     p.add_argument("--seed", type=int, default=7)
@@ -379,6 +393,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return 0 if e.code in (0, None) else 1
+    except (ValueError, argparse.ArgumentTypeError) as e:  # a config value of the wrong type
+        sys.stderr.write(f"ksr: --config: {e}\n")
+        return 1
     try:
         return args.func(args)
     except KsrError as e:

@@ -349,27 +349,6 @@ def hukuhara_derivative(f: GridFunction) -> GridFunction:
     return GridFunction(f.a, f.b, ls.REAL, out_comps[0])
 
 
-def scale_fn(lam: float, f: GridFunction) -> GridFunction:
-    if f.model == ls.UNION:
-        return from_values([ls.scale(lam, v) for v in f.values()], f.a, f.b)
-    if f.model == ls.INTERVAL and lam < 0:
-        d = np.asarray(f.data, dtype=float)
-        return GridFunction(f.a, f.b, ls.INTERVAL, np.column_stack([lam * d[:, 1], lam * d[:, 0]]))
-    if f.model == ls.MAX:
-        return GridFunction(f.a, f.b, ls.MAX, abs(lam) * np.asarray(f.data, dtype=float))
-    return GridFunction(f.a, f.b, f.model, lam * np.asarray(f.data, dtype=float))
-
-
-def add_fn(f: GridFunction, g: GridFunction) -> GridFunction:
-    if f.n_cells != g.n_cells:
-        raise ValueError("grids differ")
-    if f.model == ls.UNION or g.model == ls.UNION or f.model != g.model:
-        return from_values([ls.add(x, y) for x, y in zip(f.values(), g.values())], f.a, f.b)
-    if f.model == ls.MAX:
-        return GridFunction(f.a, f.b, ls.MAX, np.maximum(f.data, g.data))
-    return GridFunction(f.a, f.b, f.model, np.asarray(f.data) + np.asarray(g.data))
-
-
 def to_csv(f: GridFunction) -> str:
     buf = io.StringIO()
     w = csv.writer(buf)

@@ -161,16 +161,6 @@ class RhoMap:
     def c(self) -> float:
         return 0.5 * (self.a1 + self.b1)
 
-    @property
-    def s_grid(self) -> np.ndarray:
-        pts = [s for s0, s1, *_ in self.segments for s in (s0, s1)]
-        pts.extend([self.a1, self.c])
-        return np.unique(np.asarray(pts))
-
-    @property
-    def rho_grid(self) -> np.ndarray:
-        return np.array([self.rho(s) for s in self.s_grid])
-
     def rho(self, s: float) -> float:
         if s > self.c + 1e-12:
             raise ValueError("rho is defined on [a, (a1+b1)/2]")
@@ -314,18 +304,8 @@ def ks_extremal(w1: StepWeight, w2: StepWeight, omega: Modulus, n: int = gf.DEFA
     (concave modulus required); vanishes at the support midpoint."""
     if not omega.concave:
         raise NonConcave("sharp extremal functions require a concave modulus")
-    rho = solve_rho(w1, w2)
     lo, hi = w1.support[0], w2.support[1]
-    rho_r = solve_rho(w2.reflect(lo, hi), w1.reflect(lo, hi))
-    ts = np.linspace(lo, hi, n + 1)
-    c = rho.c
-    vals = np.empty_like(ts)
-    left = ts <= c
-    vals[left] = _left_branch(rho.segments, rho.a1, rho.b1, omega, ts[left])
-    vals[~left] = -_left_branch(
-        rho_r.segments, rho_r.a1, rho_r.b1, omega, (lo + hi) - ts[~left]
-    )
-    return gf.GridFunction(lo, hi, ls.REAL, vals)
+    return gf.GridFunction(lo, hi, ls.REAL, _extremal_on(w1, w2, omega, np.linspace(lo, hi, n + 1)))
 
 
 # ---------------------------------------------------------------------------

@@ -74,13 +74,6 @@ class Element:
         return f"Element({self.model}, {self.payload})"
 
 
-@dataclass(frozen=True)
-class SpaceDescriptor:
-    model: str
-    isotropic: bool
-    zero: Element
-
-
 def real(v: float) -> Element:
     return Element(REAL, float(v))
 
@@ -125,14 +118,6 @@ def zero_like(x: Element) -> Element:
     if x.model == UNION:
         return union([(0.0, 0.0)])
     return maxval(0.0)
-
-
-def descriptor(x: Element) -> SpaceDescriptor:
-    return SpaceDescriptor(x.model, is_isotropic(x.model), zero_like(x))
-
-
-def is_isotropic(model: str) -> bool:
-    return model != MAX
 
 
 def _ambient(x: Element, y: Element) -> str:
@@ -264,14 +249,6 @@ def inverse(x: Element) -> Element:
     if x.payload > 0.0:
         raise NotInvertible("only 0 is invertible in max-space")
     return maxval(0.0)
-
-
-def is_invertible(x: Element) -> bool:
-    try:
-        inverse(x)
-        return True
-    except NotInvertible:
-        return False
 
 
 def hukuhara_diff(x: Element, y: Element) -> Element:

@@ -14,6 +14,7 @@ bound computations downstream carry no quadrature error.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -216,8 +217,10 @@ def validate(omega: Modulus, t_max: Optional[float] = None, grid_n: int = 64) ->
     Subadditivity is checked as w(s + t) <= w(s) + w(t) + 1e-10 over all
     grid pairs; the first violating pair is reported as a witness.
     Concave families are additionally checked for a nonincreasing
-    a.e. derivative.
+    a.e. derivative.  Every family parameter must be finite.
     """
+    if not all(map(math.isfinite, _parameters(omega))):
+        return ValidationReport(False, "modulus parameters must be finite")
     if isinstance(omega, PowerModulus) and (omega.K <= 0.0 or omega.alpha <= 0.0):
         return ValidationReport(False, "power family requires K > 0 and alpha > 0")
     if isinstance(omega, MinLinearConstant) and (omega.K <= 0.0 or omega.C <= 0.0):
@@ -260,6 +263,16 @@ def validate(omega: Modulus, t_max: Optional[float] = None, grid_n: int = 64) ->
                 False, "declared concave but derivative increases", (float(pos[i]), float(pos[i + 1]))
             )
     return ValidationReport(True)
+
+
+def _parameters(omega: Modulus) -> Tuple[float, ...]:
+    if isinstance(omega, PowerModulus):
+        return (omega.K, omega.alpha)
+    if isinstance(omega, MinLinearConstant):
+        return (omega.K, omega.C)
+    if isinstance(omega, PiecewiseLinearConcave):
+        return tuple(x for pt in omega.points for x in pt)
+    return ()
 
 
 def _default_scale(omega: Modulus) -> float:

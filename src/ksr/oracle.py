@@ -13,8 +13,6 @@ bound under test, not from an out-of-class sample.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, List, Sequence, Tuple
 
@@ -26,18 +24,11 @@ from . import landau as la
 from . import lspace as ls
 from . import ostrowski as ost
 from . import recovery as rec
-from .errors import NonIsotropic
+from .errors import NoDifference, NonIsotropic
 from .modulus import Modulus, minlin, power
 
 HOMEGA = "homega"
 W1HOMEGA = "w1homega"
-
-
-def worker_count() -> int:
-    try:
-        return max(1, int(os.environ.get("KSR_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 @dataclass(frozen=True)
@@ -168,17 +159,17 @@ def empirical_sup(
     return best, arg
 
 
-def _sharded_sup(functional, make_stream, shards: Sequence[int]) -> Tuple[float, int]:
-    """Shard-parallel sup; associative max-merge keeps the result
-    independent of the worker count."""
-    workers = worker_count()
-    if workers <= 1 or len(shards) <= 1:
-        results = [empirical_sup(functional, make_stream(s)) for s in shards]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda s: empirical_sup(functional, make_stream(s)), shards))
-    best = max(r[0] for r in results)
-    return best, int(np.argmax([r[0] for r in results]))
+MODEL_MIX = (ls.REAL, ls.INTERVAL, ls.UNION, "lifted")
+
+
+def _mixed_stream(class_tag, omega, a, b, grid, trials, seed, inject=()):
+    """The injected candidates, then ``trials // len(MODEL_MIX)`` samples
+    (at least one) of each model in ``MODEL_MIX``, model k seeded with
+    ``seed + 17 k``."""
+    per = max(1, trials // len(MODEL_MIX))
+    yield from inject
+    for k, model in enumerate(MODEL_MIX):
+        yield from sample_class(SampleSpec(class_tag, model, omega, a, b, grid, per, seed + 17 * k))
 
 
 def sweep_sup(
@@ -192,16 +183,8 @@ def sweep_sup(
     seed: int,
     inject: Sequence[gf.GridFunction] = (),
 ) -> float:
-    """Sup of the functional over a mixed-model sample sweep (one shard
-    per model; injected candidates ride in the first shard)."""
-    per = max(1, trials // len(MODEL_MIX))
-
-    def make_stream(k: int):
-        spec = SampleSpec(class_tag, MODEL_MIX[k], omega, a, b, grid, per, seed + 17 * k)
-        return sample_class(spec, inject=inject if k == 0 else ())
-
-    best, _ = _sharded_sup(functional, make_stream, list(range(len(MODEL_MIX))))
-    return best
+    """Sup of the functional over the mixed-model sample stream."""
+    return empirical_sup(functional, _mixed_stream(class_tag, omega, a, b, grid, trials, seed, inject))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -232,22 +215,6 @@ def _eq(name: str, got: float, target: float, tol: float) -> dict:
 
 def _suite(name: str, checks: List[dict]) -> dict:
     return {"suite": name, "pass": all(c["pass"] for c in checks), "checks": checks}
-
-
-MODEL_MIX = (ls.REAL, ls.INTERVAL, ls.UNION, "lifted")
-
-
-def _mixed_stream(class_tag, omega, a, b, grid, trials, seed, inject=()):
-    def gen():
-        for g in inject:
-            yield g
-        per = max(1, trials // len(MODEL_MIX))
-        for k, model in enumerate(MODEL_MIX):
-            spec = SampleSpec(class_tag, model, omega, a, b, grid, per, seed + 17 * k)
-            for f in sample_class(spec):
-                yield f
-
-    return gen()
 
 
 # ---------------------------------------------------------------------------
@@ -434,77 +401,26 @@ def _half_target_distance(core: gf.GridFunction, target: Callable) -> float:
 
 def suite_recovery(trials: int, grid: int, seed: int) -> dict:
     omega = power(1, 1)
-    eps = gf.eps_tolerance(omega, 1.0, grid)
     checks = []
-
-    # convexification from n = 2 means, h = 0.1
-    n, h = 2, 0.1
-    knots, _tau = rec.optimal_knots(n, 0.0, 1.0)
-    val = rec.error_convexify(n, h, omega, 1.0)
-    checks.append(_eq("convexify value", val, 0.25, 1e-12))
-
-    def conv_err(f: gf.GridFunction) -> float:
-        info = rec.mean_info(f, knots, h)
-        method = rec.recover_convexify(info, n=f.n_cells)
-        return gf.sup_dist(_pointwise_convexify(f), method)
-
-    core = rec.lower_extremal_mean(knots, h, omega, 0.0, 1.0, n=grid)
-    sup = sweep_sup(conv_err, HOMEGA, omega, 0, 1, grid, trials, seed, inject=[gf.lift(core, ls.interval(1, 1))])
-    checks.append(_leq("convexify method soundness", sup, val, eps))
-    lower = _half_target_distance(core, lambda fu, fd: gf.sup_dist(fu, fd))
-    info_gap = max(ls.norm(m) for m in rec.mean_info(gf.lift(core, ls.interval(1, 1)), knots, h).means)
-    checks.append(_leq("convexify pair info vanishes", info_gap, 0.0, eps))
-    checks.append(_geq("convexify pair lower bound", lower, val, eps))
-
-    # integral from n = 2 means, h = 0.05
-    n, h = 2, 0.05
-    knots, _ = rec.optimal_knots(n, 0.0, 1.0)
-    val = rec.error_integral(n, h, omega, 1.0)
-    checks.append(_eq("integral value", val, 0.1, 1e-12))
-
-    def int_err(f: gf.GridFunction) -> float:
-        info = rec.mean_info(f, knots, h)
-        return ls.dist(gf.integrate(f), rec.recover_integral(info))
-
-    core = rec.lower_extremal_integral(knots, h, omega, 0.0, 1.0, n=grid)
-    sup = sweep_sup(int_err, HOMEGA, omega, 0, 1, grid, trials, seed + 1, inject=[gf.lift(core, ls.interval(1, 1))])
-    checks.append(_leq("integral method soundness", sup, val, eps))
-    lower = _half_target_distance(core, lambda fu, fd: ls.dist(gf.integrate(fu), gf.integrate(fd)))
-    checks.append(_geq("integral pair lower bound", lower, val, eps))
-
-    # identity from n = 2 node values on the derivative-bounded class
-    n = 2
-    partition = np.linspace(0.0, 1.0, n + 1)
-    val = rec.polyline_uniform_error(n, omega, 1.0)
-    checks.append(_eq("identity value", val, 1.0 / 32.0, 1e-12))
-
-    def id_err(f: gf.GridFunction) -> float:
-        values = [f.value_at(t) for t in partition]
-        lf = rec.polyline(values, partition, n=f.n_cells)
-        return gf.sup_dist(_pointwise_convexify(f), lf)
-
-    spline = rec.omega_spline(partition, omega, n=grid)
-    sup = sweep_sup(id_err, W1HOMEGA, omega, 0, 1, grid, trials, seed + 2, inject=[gf.lift(spline, ls.interval(1, 1))])
-    checks.append(_leq("identity method soundness", sup, val, eps))
-    lower = _half_target_distance(spline, lambda fu, fd: gf.sup_dist(fu, fd))
-    checks.append(_geq("identity pair lower bound", lower, val, eps))
-
-    # derivative from n = 4 node values
-    n = 4
-    partition = np.linspace(0.0, 1.0, n + 1)
-    val = rec.derivative_recovery_value(n, omega, 1.0)
-    checks.append(_eq("derivative value", val, 0.125, 1e-12))
-
-    def deriv_err(f: gf.GridFunction) -> float:
-        values = [f.value_at(t) for t in partition]
-        lf_prime = rec.polyline_derivative(values, partition, n=f.n_cells)
-        return gf.sup_dist(gf.hukuhara_derivative(f), lf_prime)
-
-    core = rec.derivative_extremal(n, omega, 0.0, 1.0, grid_n=grid)
-    sup = sweep_sup(deriv_err, W1HOMEGA, omega, 0, 1, grid, trials, seed + 3, inject=[gf.lift(core, ls.interval(1, 1))])
-    checks.append(_leq("derivative method soundness", sup, val, 4.0 * eps))
-    slope = (core.data[1] - core.data[0]) / core.step
-    checks.append(_geq("derivative pair lower bound", abs(slope), val, eps))
+    # (problem, n, h, closed-form value, soundness tolerance in units of eps);
+    # the derivative sweep differentiates samples numerically, hence 4 eps
+    problems = (
+        ("convexify", 2, 0.1, 0.25, 1.0),
+        ("integral", 2, 0.05, 0.1, 1.0),
+        ("identity", 2, 0.0, 1.0 / 32.0, 1.0),
+        ("derivative", 4, 0.0, 0.125, 4.0),
+    )
+    for k, (kind, n, h, value, sound_tol) in enumerate(problems):
+        report = recovery_experiment(kind, n, h, omega, 0.0, 1.0, trials, grid, seed + k)
+        val, eps = report.theoretical, report.tolerance
+        checks.append(_eq(f"{kind} value", val, value, 1e-12))
+        checks.append(_leq(f"{kind} method soundness", report.empirical_upper, val, sound_tol * eps))
+        if kind == "convexify":
+            knots, _ = rec.optimal_knots(n, 0.0, 1.0)
+            core = gf.lift(recovery_extremal(kind, n, h, omega, 0.0, 1.0, grid), ls.interval(1, 1))
+            info_gap = max(ls.norm(m) for m in rec.mean_info(core, knots, h).means)
+            checks.append(_leq("convexify pair info vanishes", info_gap, 0.0, eps))
+        checks.append(_geq(f"{kind} pair lower bound", report.lower_bound, val, eps))
     return _suite("recovery", checks)
 
 
@@ -561,7 +477,7 @@ def suite_landau(trials: int, grid: int, seed: int) -> dict:
     for f in stream:
         try:
             df = gf.hukuhara_derivative(f)
-        except Exception:
+        except NoDifference:
             continue
         omega_norm = max(1.0, gf.omega_seminorm(df, omega))
         dd_gamma = la.divided_difference(f, t, wc.g1, wc.g2)
@@ -637,17 +553,15 @@ def suite_landau(trials: int, grid: int, seed: int) -> dict:
     for f in _mixed_stream(W1HOMEGA, omega, 0.0, 1.0, grid, max(10, trials // 4), seed + 7):
         try:
             df = gf.hukuhara_derivative(f)
-        except Exception:
+        except NoDifference:
             continue
         noise_nodes = np.linspace(0, 1, 9)
         noise = np.interp(f.nodes, noise_nodes, rng.uniform(-delta, delta, size=9))
         if f.model == ls.REAL:
             g = gf.GridFunction(f.a, f.b, ls.REAL, np.asarray(f.data) + noise)
-        elif f.model == ls.INTERVAL:
+        else:  # W1HOMEGA samples are REAL or INTERVAL
             d = np.asarray(f.data, dtype=float)
             g = gf.GridFunction(f.a, f.b, ls.INTERVAL, d + noise[:, None])
-        else:
-            continue
         worst = max(worst, ls.dist(df.value_at(0.5), la.divided_difference(g, 0.5, h1, h2)))
     checks.append(_leq("inexact-data recovery soundness", worst, value, 4.0 * eps))
     # adversarial perturbation of the extremal forces the value

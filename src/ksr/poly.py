@@ -10,10 +10,6 @@ from __future__ import annotations
 import numpy as np
 
 
-def poly_eval(xs: np.ndarray, ys: np.ndarray, t) -> np.ndarray:
-    return np.interp(t, xs, ys)
-
-
 def poly_integral(xs: np.ndarray, ys: np.ndarray, c: float | None = None, d: float | None = None) -> float:
     """Exact integral of the polyline over [c, d] (defaults to full range)."""
     a, b = float(xs[0]), float(xs[-1])
@@ -28,12 +24,6 @@ def poly_integral(xs: np.ndarray, ys: np.ndarray, c: float | None = None, d: flo
     pts = np.concatenate(([c], xs[inner], [d]))
     vals = np.interp(pts, xs, ys)
     return float(np.trapezoid(vals, pts))
-
-
-def poly_cumint(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Values of t -> int_{xs[0]}^t at every breakpoint."""
-    seg = 0.5 * (ys[1:] + ys[:-1]) * np.diff(xs)
-    return np.concatenate(([0.0], np.cumsum(seg)))
 
 
 def merge_breakpoints(*xss, lo: float | None = None, hi: float | None = None) -> np.ndarray:

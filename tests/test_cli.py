@@ -1,10 +1,17 @@
+import contextlib
+import hashlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ksr import cli
 from ksr import gridfn as gf
+
+# sha256 of the stdout of `verify --suite all --trials 20 --grid 128 --seed 7`
+SEED7_SMALL_SHA256 = "8ffbf4bdeb4a7d1e8be81f2e039f3e77d9468e9a02333ca16f955a72205f7c77"
 
 
 def run(capsys, *argv):
@@ -48,6 +55,10 @@ class TestExitCodes:
     def test_parse_error_is_one(self, capsys):
         assert run(capsys, "bogus")[0] == 1
         assert run(capsys, "bound", "nope")[0] == 1
+        for bad in ("nan", "inf", "-inf"):
+            assert run(capsys, "bound", "point-mean", "--cd", "0,1", "--t", bad)[:2] == (1, "")
+            assert run(capsys, "delta-recover", "--h", bad)[:2] == (1, "")
+            assert run(capsys, "landau", "--variant", "b", "--h", "0.2", "--gamma", bad)[:2] == (1, "")
 
     def test_precondition_violation_is_two(self, capsys):
         code, _, err = run(
@@ -56,6 +67,19 @@ class TestExitCodes:
         )
         assert code == 2
         assert "InvalidModulus" in err
+        for bad in ("nan", "inf", "-inf"):
+            code, out, err = run(
+                capsys, "bound", "ostrowski", "--ab", "0,1", "--cd", "0.25,0.75",
+                "--omega", f"power:K={bad},alpha=1",
+            )
+            assert (code, out) == (2, "") and "InvalidModulus" in err
+            code, out, _ = run(capsys, "bound", "ostrowski", "--ab", f"0,{bad}", "--cd", "0.25,0.75")
+            assert (code, out) == (2, "")
+            code, out, _ = run(capsys, "bound", "point-mean", f"--cd={bad},1", "--t", "0.5")
+            assert (code, out) == (2, "")
+        # finite inputs whose bound overflows: no NaN/Infinity on stdout
+        code, out, _ = run(capsys, "bound", "ostrowski", "--ab=-1e308,1e308", "--cd", "0.25,0.75")
+        assert (code, out) == (2, "")
 
     def test_nonconcave_diagnostic_names_hypothesis(self, capsys):
         code, _, err = run(
@@ -138,6 +162,9 @@ class TestVerify:
         code2, out2, _ = run(capsys, *argv)
         assert code1 == code2 == 0
         assert out1 == out2
+        # pins the sample stream; a change that moves it on purpose updates
+        # this digest and says which reported values moved
+        assert hashlib.sha256(out1.encode()).hexdigest() == SEED7_SMALL_SHA256
 
 
 class TestSweep:
@@ -171,6 +198,34 @@ class TestSweep:
         assert out.strip() == "param,theoretical,empirical,gap"
 
 
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+class TestFuzz:
+    """Any float on the command line gives a documented failure or valid JSON."""
+
+    @staticmethod
+    def check(*argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(list(argv))
+        if code == 0:
+            json.loads(out.getvalue(), parse_constant=_reject_constant)
+        else:
+            assert code in (1, 2) and out.getvalue() == "", (code, out.getvalue())
+
+    @given(st.floats(allow_nan=True, allow_infinity=True))
+    @settings(max_examples=25, deadline=None)
+    def test_point_mean_t(self, x):
+        self.check("bound", "point-mean", "--cd", "0,1", f"--t={x!r}")
+
+    @given(st.floats(allow_nan=True, allow_infinity=True))
+    @settings(max_examples=25, deadline=None)
+    def test_power_K(self, x):
+        self.check("bound", "point-mean", "--cd", "0,1", "--t", "0.5", "--omega", f"power:K={x!r},alpha=1")
+
+
 class TestConfigFile:
     def test_config_defaults_and_flag_override(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -181,6 +236,8 @@ class TestConfigFile:
         code, out, _ = run(capsys, "--config", str(cfg), "delta-recover", "--h", "0.2")
         assert code == 0
         assert json.loads(out)["value"] == pytest.approx(0.2, abs=1e-12)
+        cfg.write_text("t=nan\nh=0.1\n")
+        assert run(capsys, "--config", str(cfg), "delta-recover")[:2] == (1, "")
 
 
 class TestExtremalExport:

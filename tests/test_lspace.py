@@ -64,15 +64,21 @@ class TestDist:
         exact = ls.dist(A, B)
 
         def sample(u):
+            # spacing <= 0.01, so sampling undershoots by at most 0.005
             pts = []
             for lo, hi in u.payload:
-                pts.extend(np.linspace(lo, hi, 200) if hi > lo else [lo])
+                n = max(200, int(np.ceil((hi - lo) / 0.01)) + 1)
+                pts.extend(np.linspace(lo, hi, n) if hi > lo else [lo])
             return np.asarray(pts)
 
-        pa, pb = sample(A), sample(B)
-        one = max(np.min(np.abs(pb[None, :] - pa[:, None]), axis=1))
-        two = max(np.min(np.abs(pa[None, :] - pb[:, None]), axis=1))
-        brute = max(one, two)
+        def one_sided(u, v):
+            # sampled points of u against the exact set v: a lower bound
+            p = sample(u)[:, None]
+            lo, hi = np.asarray(v.payload, dtype=float).T
+            gap = np.maximum(np.maximum(lo - p, p - hi), 0.0)
+            return float(np.max(np.min(gap, axis=1)))
+
+        brute = max(one_sided(A, B), one_sided(B, A))
         assert abs(exact - brute) <= 2e-2 * max(1.0, brute)
         assert exact >= brute - 1e-12  # sampling can only undershoot
 

@@ -109,6 +109,19 @@ class TestValidation:
             mo.power(-1, 0.5)
         with pytest.raises(InvalidModulus):
             mo.minlin(1, -0.5)
+        for bad in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(InvalidModulus):
+                mo.power(bad, 1)
+            with pytest.raises(InvalidModulus):
+                mo.power(1, bad)
+            with pytest.raises(InvalidModulus):
+                mo.minlin(bad, 0.5)
+            with pytest.raises(InvalidModulus):
+                mo.minlin(1, bad)
+            with pytest.raises(InvalidModulus):
+                mo.plconcave([(0, 0), (0.5, bad), (1, 0.6)])
+            with pytest.raises(InvalidModulus):
+                mo.plconcave([(0, 0), (bad, 0.4)])
 
     @pytest.mark.parametrize("w", [mo.power(1, 1), mo.power(3, 0.3), mo.minlin(2, 0.5),
                                    mo.plconcave([(0, 0), (0.5, 0.4), (1, 0.6)])])

@@ -107,28 +107,6 @@ class TestSuites:
         for c in suite["checks"]:
             assert set(c) == {"name", "pass", "got", "target", "tol"}
 
-    def test_worker_env_override(self, monkeypatch):
-        monkeypatch.setenv("KSR_THREADS", "3")
-        assert orc.worker_count() == 3
-        monkeypatch.setenv("KSR_THREADS", "junk")
-        assert orc.worker_count() == 1
-
-    def test_sharded_sup_thread_invariant(self, monkeypatch):
-        w1 = ks.indicator_weight(0, 0.25, 1.0, domain=(0, 1))
-        w2 = ks.indicator_weight(0.75, 1.0, 1.0, domain=(0, 1))
-
-        def run():
-            return orc.sweep_sup(
-                lambda f: ks.functional_S(f, w1, w2),
-                orc.HOMEGA, wid, 0.0, 1.0, 128, 16, 3,
-            )
-
-        monkeypatch.setenv("KSR_THREADS", "1")
-        seq = run()
-        monkeypatch.setenv("KSR_THREADS", "4")
-        par = run()
-        assert seq == par
-
 
 class TestRecoveryExperiment:
     @pytest.mark.parametrize("kind,n,h", [
