@@ -44,6 +44,8 @@ _DIAGNOSTICS = {
     "CannotCertify": "extremal candidate could not be certified as a class member",
     "SearchFailed": "bounded numeric search did not converge",
     "InvalidModulus": "candidate modulus failed validation",
+    "RepairFailed": "a class sample could not be repaired into the class",
+    "PeelingFailed": "hat decomposition did not terminate",
 }
 
 
@@ -173,8 +175,7 @@ def cmd_recover(args) -> int:
     payload = report.as_dict()
     payload["gap"] = payload["theoretical"] - payload["lower_bound"]
     if args.out:
-        core = orc.recovery_extremal(args.kind, args.n, args.h, omega, a, b, args.grid)
-        _write_csv(core, args.out)
+        _write_csv(report.extremal, args.out)
         payload["extremal_csv"] = args.out
     _emit(payload)
     return 0

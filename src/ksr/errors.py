@@ -59,3 +59,11 @@ class WindowViolation(KsrError):
 
 class SearchFailed(KsrError):
     """Bounded numeric search did not converge."""
+
+
+class RepairFailed(KsrError):
+    """A class sample could not be shrunk into the oscillation class."""
+
+
+class PeelingFailed(KsrError):
+    """Hat peeling exceeded its iteration guard."""

@@ -13,6 +13,7 @@ import io
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -35,7 +36,10 @@ class GridFunction:
     """Uniform-grid representation of f: [a, b] -> X.
 
     ``data`` layout: real/max -> (n+1,), vector -> (n+1, d),
-    interval -> (n+1, 2), union -> tuple of union payloads.
+    interval -> (n+1, 2), union -> (n+1, k, 2) float array whose row i
+    holds the sorted disjoint components (lo, hi) of the value at node i.
+    A node with fewer than k components repeats its last one; the set is
+    the same, and ``value(i)`` merges the repeats away.
     """
 
     a: float
@@ -52,18 +56,18 @@ class GridFunction:
             d = np.asarray(self.data)
             if np.any(d[:, 0] > d[:, 1] + 1e-12):
                 raise ValueError("interval payloads require lo <= hi")
+        elif self.model == ls.UNION and np.ndim(self.data) != 3:
+            raise ValueError("union payloads need an (n+1, k, 2) array")
 
     @property
     def n_cells(self) -> int:
-        if self.model == ls.UNION:
-            return len(self.data) - 1
-        return np.asarray(self.data).shape[0] - 1
+        return np.shape(self.data)[0] - 1
 
     @property
     def step(self) -> float:
         return (self.b - self.a) / self.n_cells
 
-    @property
+    @cached_property
     def nodes(self) -> np.ndarray:
         return np.linspace(self.a, self.b, self.n_cells + 1)
 
@@ -76,7 +80,7 @@ class GridFunction:
             return ls.vector(*self.data[i])
         if self.model == ls.INTERVAL:
             return ls.interval(float(self.data[i, 0]), float(self.data[i, 1]))
-        return ls.Element(ls.UNION, self.data[i])
+        return ls.union(self.data[i])
 
     def values(self) -> List[ls.Element]:
         return [self.value(i) for i in range(self.n_cells + 1)]
@@ -93,18 +97,22 @@ class GridFunction:
         return self.value(min(max(i, 0), self.n_cells))
 
 
-def from_values(values: Sequence[ls.Element], a: float, b: float) -> GridFunction:
+def stack_payloads(values: Sequence[ls.Element]) -> Tuple[str, np.ndarray]:
+    """The common model of ``values`` and their payloads as one array, in
+    the ``GridFunction.data`` layout (unions padded to a common count)."""
     model = values[0].model
     if any(v.model != model for v in values):
         raise ModelMismatch("all node values must share one model")
-    if model in (ls.REAL, ls.MAX):
-        data = np.array([v.payload for v in values], dtype=float)
-    elif model == ls.VECTOR:
-        data = np.array([v.payload for v in values], dtype=float)
-    elif model == ls.INTERVAL:
-        data = np.array([[v.payload[0], v.payload[1]] for v in values], dtype=float)
-    else:
-        data = tuple(v.payload for v in values)
+    if model == ls.UNION:
+        k = max(len(v.payload) for v in values)
+        return model, np.array(
+            [v.payload + v.payload[-1:] * (k - len(v.payload)) for v in values], dtype=float
+        )
+    return model, np.array([v.payload for v in values], dtype=float)
+
+
+def from_values(values: Sequence[ls.Element], a: float, b: float) -> GridFunction:
+    model, data = stack_payloads(values)
     return GridFunction(float(a), float(b), model, data)
 
 
@@ -144,11 +152,43 @@ def _component_arrays(f: GridFunction) -> List[np.ndarray]:
     raise ModelMismatch("union-valued functions have no fixed component arrays")
 
 
+def _one_sided_hausdorff(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """sup over p in x[i] of dist(p, y[i]), node by node, for unions stored
+    as (m, k, 2) arrays.  The candidates are those of
+    ``lspace._one_sided_hausdorff``: the component endpoints of x[i] and
+    the gap midpoints of y[i] that lie in x[i]."""
+    mids = 0.5 * (y[:, :-1, 1] + y[:, 1:, 0])
+    m = mids[:, :, None]
+    inside = np.any((x[:, None, :, 0] <= m) & (m <= x[:, None, :, 1]), axis=2)
+    p = np.concatenate([x[:, :, 0], x[:, :, 1], mids], axis=1)[:, :, None]
+    lo, hi = y[:, None, :, 0], y[:, None, :, 1]
+    d = np.where((lo <= p) & (p <= hi), 0.0, np.minimum(np.abs(p - lo), np.abs(p - hi)))
+    d = d.min(axis=2)
+    # a gap midpoint outside x[i] is no candidate; 0 never raises the max
+    gaps = d[:, d.shape[1] - mids.shape[1]:]
+    gaps[~inside] = 0.0
+    return d.max(axis=1)
+
+
+def _union_dist(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Node-wise Hausdorff distance between two (m, k, 2) union arrays;
+    equals ``lspace.dist`` of the node values bit for bit."""
+    return np.maximum(_one_sided_hausdorff(x, y), _one_sided_hausdorff(y, x))
+
+
+def _set_array(f: GridFunction) -> np.ndarray:
+    """Union or interval data as an (n+1, k, 2) array."""
+    if f.model == ls.UNION:
+        return f.data
+    if f.model == ls.INTERVAL:
+        return np.asarray(f.data, dtype=float)[:, None, :]
+    raise ModelMismatch(f"cannot compare {f.model} with a union")
+
+
 def _pair_dist(f: GridFunction, k: int) -> np.ndarray:
     """Distances dist(f(t_i), f(t_{i+k})) for all i, vectorized per model."""
     if f.model == ls.UNION:
-        vals = f.values()
-        return np.array([ls.dist(vals[i], vals[i + k]) for i in range(len(vals) - k)])
+        return _union_dist(f.data[:-k], f.data[k:])
     comps = _component_arrays(f)
     diffs = [np.abs(c[k:] - c[:-k]) for c in comps]
     if f.model == ls.VECTOR:
@@ -212,10 +252,9 @@ def omega_seminorm(f: GridFunction, omega: Modulus) -> float:
 def sup_norm(f: GridFunction) -> float:
     """Max over nodes of dist(f(t), 0)."""
     if f.model == ls.UNION:
-        worst = 0.0
-        for comps in f.data:
-            worst = max(worst, max(abs(comps[0][0]), abs(comps[-1][1])))
-        return worst
+        # the Hausdorff distance of a union to {0} is attained at a hull end
+        lo, hi = _convexified_arrays(f)
+        return float(np.max(np.maximum(np.abs(lo), np.abs(hi))))
     comps = _component_arrays(f)
     if f.model == ls.VECTOR:
         return float(np.max(np.sqrt(sum(c * c for c in comps))))
@@ -227,7 +266,7 @@ def sup_dist(f: GridFunction, g: GridFunction) -> float:
     if f.n_cells != g.n_cells or abs(f.a - g.a) > 1e-12 or abs(f.b - g.b) > 1e-12:
         raise ValueError("grids differ")
     if f.model == ls.UNION or g.model == ls.UNION:
-        return max(ls.dist(x, y) for x, y in zip(f.values(), g.values()))
+        return float(np.max(_union_dist(_set_array(f), _set_array(g))))
     fc, gc = _component_arrays(f), _component_arrays(g)
     if f.model != g.model:
         if {f.model, g.model} == {ls.INTERVAL, ls.REAL}:
@@ -247,9 +286,7 @@ def sup_dist(f: GridFunction, g: GridFunction) -> float:
 def _convexified_arrays(f: GridFunction) -> List[np.ndarray]:
     """Component arrays after applying the convexifying operator nodewise."""
     if f.model == ls.UNION:
-        lo = np.array([comps[0][0] for comps in f.data])
-        hi = np.array([comps[-1][1] for comps in f.data])
-        return [lo, hi]
+        return [f.data[:, 0, 0], f.data[:, -1, 1]]
     if f.model == ls.MAX:
         return [np.zeros(f.n_cells + 1)]
     return _component_arrays(f)
@@ -295,9 +332,8 @@ def lift(f: GridFunction, x: ls.Element) -> GridFunction:
         v = x.payload[0]  # invertible intervals are degenerate
         return GridFunction(f.a, f.b, ls.INTERVAL, np.column_stack([r * v, r * v]))
     if x.model == ls.UNION:
-        v = x.payload[0][0]
-        data = tuple(((ri * v, ri * v),) for ri in r)
-        return GridFunction(f.a, f.b, ls.UNION, data)
+        rv = r * x.payload[0][0]
+        return GridFunction(f.a, f.b, ls.UNION, np.stack([rv, rv], axis=1)[:, None, :])
     raise NonIsotropic("max-space admits no nontrivial lift")
 
 

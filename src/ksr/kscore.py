@@ -26,6 +26,7 @@ from .errors import (
     MassMismatch,
     NonConcave,
     NonzeroBoundary,
+    PeelingFailed,
 )
 from .modulus import Modulus
 from .poly import (
@@ -126,6 +127,8 @@ def indicator_weight(u: float, v: float, height: float = 1.0, domain=None) -> St
 
 def parse_step_weight(text: str) -> StepWeight:
     """Parse ``a,b; u1,v1,w1; u2,v2,w2; ...``."""
+    if not text:
+        raise ValueError("missing weight spec")
     chunks = [c.strip() for c in text.split(";") if c.strip()]
     if len(chunks) < 2:
         raise ValueError(f"malformed weight spec {text!r}")
@@ -134,6 +137,8 @@ def parse_step_weight(text: str) -> StepWeight:
     for c in chunks[1:]:
         u, v, w = (float(x) for x in c.split(","))
         pieces.append((u, v, w))
+    if not np.all(np.isfinite([a, b, *(x for p in pieces for x in p)])):
+        raise ValueError(f"weight spec {text!r} has a non-finite number")
     return step_weight((a, b), pieces)
 
 
@@ -467,11 +472,14 @@ def _peel_hats(xs: np.ndarray, ys: np.ndarray, tol: float) -> Tuple[np.ndarray, 
     y = np.abs(ys).astype(float)
     src = ys.astype(float)
     hats: List[Hat] = []
+    # fixed up front: a pass may insert breakpoints, so a limit read off
+    # the growing arrays could recede forever
+    limit = 10 * len(y) + 100
     guard = 0
     while True:
         guard += 1
-        if guard > 10 * len(y) + 100:
-            raise RuntimeError("peeling failed to terminate")
+        if guard > limit:
+            raise PeelingFailed("peeling failed to terminate")
         peaks = _find_peaks(y, tol)
         if not peaks:
             break

@@ -24,7 +24,7 @@ from . import landau as la
 from . import lspace as ls
 from . import ostrowski as ost
 from . import recovery as rec
-from .errors import NoDifference, NonIsotropic
+from .errors import NoDifference, NonIsotropic, RepairFailed
 from .modulus import Modulus, minlin, power
 
 HOMEGA = "homega"
@@ -82,7 +82,7 @@ def _repair(values, omega: Modulus, a: float, b: float, model: str):
         data = np.asarray(fn.data, dtype=float)
         center = data.mean(axis=0, keepdims=True)
         fn = gf.GridFunction(a, b, model, center + (data - center) * (1.0 - 1e-9))
-    raise RuntimeError("sample repair failed")
+    raise RepairFailed("sample repair failed")
 
 
 def sample_class(spec: SampleSpec, inject: Sequence[gf.GridFunction] = ()) -> Iterator[gf.GridFunction]:
@@ -116,11 +116,7 @@ def _one_sample(rng: np.random.Generator, spec: SampleSpec, ts: np.ndarray) -> g
             # between unions equals the single-component distance
             d = np.asarray(core.data, dtype=float)
             offset = float(np.max(d[:, 1]) - np.min(d[:, 0])) + 1.0
-            data = tuple(
-                ((float(lo_), float(hi_)), (float(lo_) + offset, float(hi_) + offset))
-                for lo_, hi_ in d
-            )
-            return gf.GridFunction(a, b, ls.UNION, data)
+            return gf.GridFunction(a, b, ls.UNION, np.stack([d, d + offset], axis=1))
         raise ValueError(f"unknown sample model {spec.model!r}")
     if spec.class_tag == W1HOMEGA:
         deriv = _one_sample(rng, SampleSpec(HOMEGA, spec.model, omega, a, b, spec.grid, 1, 0), ts)
@@ -417,7 +413,7 @@ def suite_recovery(trials: int, grid: int, seed: int) -> dict:
         checks.append(_leq(f"{kind} method soundness", report.empirical_upper, val, sound_tol * eps))
         if kind == "convexify":
             knots, _ = rec.optimal_knots(n, 0.0, 1.0)
-            core = gf.lift(recovery_extremal(kind, n, h, omega, 0.0, 1.0, grid), ls.interval(1, 1))
+            core = gf.lift(report.extremal, ls.interval(1, 1))
             info_gap = max(ls.norm(m) for m in rec.mean_info(core, knots, h).means)
             checks.append(_leq("convexify pair info vanishes", info_gap, 0.0, eps))
         checks.append(_geq(f"{kind} pair lower bound", report.lower_bound, val, eps))
@@ -655,7 +651,7 @@ def recovery_experiment(
         err, class_tag, omega, a, b, grid, trials, seed,
         inject=[gf.lift(core, ls.interval(1.0, 1.0))],
     )
-    return rec.RecoveryReport(kind, theoretical, sup, lower, trials, eps)
+    return rec.RecoveryReport(kind, theoretical, sup, lower, trials, eps, extremal=core)
 
 
 SUITES = {

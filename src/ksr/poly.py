@@ -20,9 +20,12 @@ def poly_integral(xs: np.ndarray, ys: np.ndarray, c: float | None = None, d: flo
     c, d = max(c, a), min(d, b)
     if d <= c:
         return 0.0
-    inner = (xs > c) & (xs < d)
-    pts = np.concatenate(([c], xs[inner], [d]))
-    vals = np.interp(pts, xs, ys)
+    # xs[lo:hi] are the breakpoints strictly inside (c, d); the slice one
+    # wider on each side holds the segments that contain c and d
+    lo = int(np.searchsorted(xs, c, side="right"))
+    hi = int(np.searchsorted(xs, d, side="left"))
+    pts = np.concatenate(([c], xs[lo:hi], [d]))
+    vals = np.interp(pts, xs[lo - 1 : hi + 1], ys[lo - 1 : hi + 1])
     return float(np.trapezoid(vals, pts))
 
 

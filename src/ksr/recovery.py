@@ -10,8 +10,8 @@ functions whose cell means (resp. node values) vanish.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -104,7 +104,8 @@ def recover_convexify(info: MeanInfo, n: int = gf.DEFAULT_GRID) -> gf.GridFuncti
     tau = tau_of(info.knots, info.a, info.b)
     ts = np.linspace(info.a, info.b, n + 1)
     idx = np.clip(np.searchsorted(tau, ts, side="right") - 1, 0, len(info.knots) - 1)
-    return gf.from_values([info.means[i] for i in idx], info.a, info.b)
+    model, means = gf.stack_payloads(info.means)
+    return gf.GridFunction(info.a, info.b, model, means[idx])
 
 
 def error_convexify(n: int, h: float, omega: Modulus, length: float) -> float:
@@ -165,45 +166,46 @@ def lower_extremal_mean(
             best = (right_len, "right", i)
     d, side, istar = best
     p = tau[istar] if side == "left" else tau[istar + 1]
-    C = omega.primitive(d - h, d + h) / (2.0 * h)
-
-    def raw(u):
-        return C - np.asarray(omega(np.abs(np.asarray(u) - p)), dtype=float)
+    # h may exceed the half cell d by round-off (windows that fill it)
+    C = omega.primitive(max(d - h, 0.0), d + h) / (2.0 * h)
 
     # windows covered by the raw profile (those adjacent to p)
     if side == "left":
-        covered = [istar] if istar == 0 else [istar - 1, istar]
+        first, last = (istar, istar) if istar == 0 else (istar - 1, istar)
     else:
-        covered = [istar] if istar == nk - 1 else [istar, istar + 1]
+        first, last = (istar, istar) if istar == nk - 1 else (istar, istar + 1)
+    lo_raw = a if (side == "left" and istar == 0) else knots[first] - h
+    hi_raw = b if (side == "right" and istar == nk - 1) else knots[last] + h
 
-    window_fn: dict = {k: raw for k in covered}
-    for k in range(covered[-1] + 1, nk):
-        prev = window_fn[k - 1]
-        t_prev, t_k = knots[k - 1], knots[k]
-        window_fn[k] = (lambda f, s: (lambda u: f(s - np.asarray(u))))(prev, t_prev + t_k)
-    for k in range(covered[0] - 1, -1, -1):
-        nxt = window_fn[k + 1]
-        t_k, t_next = knots[k], knots[k + 1]
-        window_fn[k] = (lambda f, s: (lambda u: f(s - np.asarray(u))))(nxt, t_k + t_next)
-
-    lo_raw = a if (side == "left" and istar == 0) else knots[covered[0]] - h
-    hi_raw = b if (side == "right" and istar == nk - 1) else knots[covered[-1]] + h
-
+    # Each node u gets an evaluation point x and a window w.  Inside window
+    # w (nearest knot, ties to the lower index) x = u.  Between windows the
+    # profile is held at the edge of the window on the left (x = t_w + h);
+    # before the first and after the last window, at their outer edges.
+    # Nodes of the raw region that lie in no window take x = u and a
+    # covered window, whose profile is raw itself.
     ts = np.linspace(a, b, n + 1)
-    vals = np.empty_like(ts)
-    for j, u in enumerate(ts):
-        k = int(np.argmin(np.abs(knots - u)))
-        if knots[k] - h <= u <= knots[k] + h:
-            vals[j] = window_fn[k](u)
-        elif lo_raw <= u <= hi_raw:
-            vals[j] = raw(u)
-        elif u < knots[0] - h:
-            vals[j] = window_fn[0](knots[0] - h)
-        elif u > knots[-1] + h:
-            vals[j] = window_fn[nk - 1](knots[-1] + h)
-        else:
-            k = int(np.searchsorted(knots, u)) - 1  # gap between windows k, k+1
-            vals[j] = window_fn[k](knots[k] + h)
+    right = np.searchsorted(knots, ts)
+    below = np.maximum(right - 1, 0)
+    above = np.minimum(right, nk - 1)
+    near = np.where(np.abs(knots[below] - ts) <= np.abs(knots[above] - ts), below, above)
+    in_win = (knots[near] - h <= ts) & (ts <= knots[near] + h)
+    in_raw = ~in_win & (lo_raw <= ts) & (ts <= hi_raw)
+    x = np.where(in_win | in_raw, ts, knots[below] + h)
+    w = np.where(in_win, near, np.where(in_raw, first, below))
+    before = ~(in_win | in_raw) & (ts < knots[0] - h)
+    x[before], w[before] = knots[0] - h, 0
+    after = ~(in_win | in_raw | before) & (ts > knots[-1] + h)
+    x[after], w[after] = knots[-1] + h, nk - 1
+
+    # Window k > last mirrors window k-1 across (t_{k-1} + t_k)/2, and
+    # window k < first mirrors window k+1; unfold each chain down to raw.
+    for k in range(nk - 1, last, -1):
+        sel = w >= k
+        x[sel] = (knots[k - 1] + knots[k]) - x[sel]
+    for k in range(first):
+        sel = w <= k
+        x[sel] = (knots[k] + knots[k + 1]) - x[sel]
+    vals = C - np.asarray(omega(np.abs(x - p)), dtype=float)
     return gf.GridFunction(a, b, ls.REAL, vals)
 
 
@@ -308,17 +310,6 @@ def chain_bound(t: float, a: float, b: float, omega: Modulus) -> float:
 # the node-vanishing slope construction (omega-spline)
 
 
-def _spline_slope_fn(etas: np.ndarray, signs: np.ndarray, omega: Modulus) -> Callable:
-    def g(u):
-        u = np.asarray(u, dtype=float)
-        d = np.min(np.abs(u[..., None] - etas[None, :]), axis=-1)
-        idx = np.searchsorted(etas, u, side="left")
-        s = signs[np.clip(idx, 0, len(signs) - 1)]
-        return s * 0.5 * np.asarray(omega(2.0 * d), dtype=float)
-
-    return g
-
-
 def _spline_G(etas: np.ndarray, signs: np.ndarray, omega: Modulus, pts: np.ndarray, a: float) -> np.ndarray:
     """Exact cumulative integral of the slope function at given points."""
 
@@ -327,18 +318,21 @@ def _spline_G(etas: np.ndarray, signs: np.ndarray, omega: Modulus, pts: np.ndarr
 
     mids = 0.5 * (etas[:-1] + etas[1:])
     breaks = np.unique(np.concatenate(([a], etas, mids, pts)))
-    cum = 0.0
-    table_x = [breaks[0]]
-    table_v = [0.0]
-    for x0, x1 in zip(breaks, breaks[1:]):
-        mid = 0.5 * (x0 + x1)
-        j = int(np.argmin(np.abs(etas - mid)))
-        idx = int(np.searchsorted(etas, mid, side="left"))
-        s = signs[min(max(idx, 0), len(signs) - 1)]
-        cum += s * (hprim(x1 - etas[j]) - hprim(x0 - etas[j]))
-        table_x.append(x1)
-        table_v.append(cum)
-    return np.interp(pts, np.asarray(table_x), np.asarray(table_v))
+    x0, x1 = breaks[:-1], breaks[1:]
+    mid = 0.5 * (x0 + x1)
+    # nearest break position eta (ties to the lower index) and the sign
+    idx = np.searchsorted(etas, mid, side="left")
+    below = np.maximum(idx - 1, 0)
+    above = np.minimum(idx, len(etas) - 1)
+    eta = etas[np.where(np.abs(etas[below] - mid) <= np.abs(etas[above] - mid), below, above)]
+    s = signs[np.minimum(idx, len(signs) - 1)]
+    # the primitive stays scalar (array powers differ in the last bits);
+    # consecutive pieces about one eta share an end, so evaluate each once
+    z, inv = np.unique(np.concatenate((x1 - eta, x0 - eta)), return_inverse=True)
+    hz = np.array([hprim(zi) for zi in z])[inv]
+    m = len(x0)
+    table_v = np.cumsum(np.concatenate(([0.0], s * (hz[:m] - hz[m:]))))
+    return np.interp(pts, breaks, table_v)
 
 
 def omega_spline(
@@ -438,7 +432,8 @@ def polyline_derivative(
     a, b = float(partition[0]), float(partition[-1])
     ts = np.linspace(a, b, n + 1)
     idx = np.clip(np.searchsorted(partition, ts, side="right") - 1, 0, len(quotients) - 1)
-    return gf.from_values([quotients[i] for i in idx], a, b)
+    model, data = gf.stack_payloads(quotients)
+    return gf.GridFunction(a, b, model, data[idx])
 
 
 def derivative_error_bound(t: float, t_lo: float, t_hi: float, omega: Modulus) -> float:
@@ -477,7 +472,8 @@ def derivative_extremal(n: int, omega: Modulus, a: float, b: float, grid_n: int 
 
 @dataclass(frozen=True)
 class RecoveryReport:
-    """Certification summary for one recovery problem."""
+    """Certification summary for one recovery problem.  ``extremal`` is
+    the real lower-bound profile the certification was built on."""
 
     problem: str
     theoretical: float
@@ -485,6 +481,7 @@ class RecoveryReport:
     lower_bound: float
     trials: int
     tolerance: float
+    extremal: Optional[gf.GridFunction] = field(default=None, repr=False, compare=False)
 
     @property
     def sound(self) -> bool:

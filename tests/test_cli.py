@@ -12,6 +12,13 @@ from ksr import gridfn as gf
 
 # sha256 of the stdout of `verify --suite all --trials 20 --grid 128 --seed 7`
 SEED7_SMALL_SHA256 = "8ffbf4bdeb4a7d1e8be81f2e039f3e77d9468e9a02333ca16f955a72205f7c77"
+# sha256 of the stdout of `recover KIND --n 16 --h 0 --grid 1024 --trials 8 --seed 3`,
+# computed with the per-node union and extremal code these digests guard
+RECOVER_SHA256 = {
+    "convexify": "3bebdf3cb2c9392975fe8c2ba73b134a1a8578af0f3c0be6f4648ed4e814fa01",
+    "integral": "e0a1356935e97b0f8fc09e43641c2be5da1edefdf7711a11484f109cab3cc59f",
+    "identity": "851b4991d8b9183210126bb775e36307afd6176e734a0edf5ad31d44803cd4c8",
+}
 
 
 def run(capsys, *argv):
@@ -91,6 +98,33 @@ class TestExitCodes:
         code, _, err = run(capsys, "recover", "integral", "--omega", "power:K=1,alpha=1.5")
         assert code == 2
 
+    def test_nonfinite_step_weights_are_two(self, capsys):
+        code, out, err = run(
+            capsys, "bound", "general", "--psi1", "0,1; 0,0.25,inf", "--psi2", "0,1; 0.75,1,inf",
+        )
+        assert (code, out) == (2, "") and "non-finite" in err
+        code, out, _ = run(capsys, "bound", "ks", "--psi1", "0,1; 0,0.25,1", "--psi2", "0,inf; 0.75,1,1")
+        assert (code, out) == (2, "")
+        code, out, _ = run(capsys, "bound", "ks", "--psi1", "0,1; nan,0.25,1", "--psi2", "0,1; 0.75,1,1")
+        assert (code, out) == (2, "")
+        code, out, _ = run(capsys, "bound", "ks", "--psi2", "0,1; 0.75,1,1")  # no --psi1
+        assert (code, out) == (2, "")
+
+    def test_sample_repair_failure_is_two(self, capsys, monkeypatch):
+        never = gf.MembershipReport(False, 1.0, (0.0, 0.0))
+        monkeypatch.setattr(gf, "check_Homega", lambda f, omega, strict=False: never)
+        code, out, err = run(capsys, "recover", "convexify", "--h", "0.1", "--trials", "1", "--grid", "64")
+        assert (code, out) == (2, "") and "RepairFailed" in err
+
+    def test_peeling_failure_is_two(self, capsys, monkeypatch):
+        from ksr import kscore as ks
+
+        monkeypatch.setattr(ks, "_find_peaks", lambda y, tol: [(1, 1)])
+        code, out, err = run(
+            capsys, "bound", "general", "--psi1", "0,1; 0,0.25,1", "--psi2", "0,1; 0.75,1,1",
+        )
+        assert (code, out) == (2, "") and "PeelingFailed" in err
+
     def test_verify_failure_is_three(self, capsys, monkeypatch):
         from ksr import oracle as orc
 
@@ -123,6 +157,26 @@ class TestRecover:
         assert code == 0
         g = gf.from_csv(out_csv.read_text())
         assert float(np.max(np.abs(g.data))) == pytest.approx(1 / 32, abs=1e-9)
+
+    def test_extremal_csv_with_default_width(self, capsys, tmp_path):
+        # --h 0 picks the width inside the experiment; the CSV is the
+        # profile that experiment certified
+        out_csv = tmp_path / "mean.csv"
+        code, out, _ = run(
+            capsys, "recover", "convexify", "--n", "4", "--h", "0", "--trials", "2",
+            "--grid", "256", "--out", str(out_csv),
+        )
+        assert code == 0
+        g = gf.from_csv(out_csv.read_text())
+        # the lower bound is half the distance between the lifted +/- profiles
+        assert float(np.max(np.abs(g.data))) == pytest.approx(json.loads(out)["lower_bound"], abs=1e-9)
+
+    @pytest.mark.parametrize("kind", sorted(RECOVER_SHA256))
+    def test_pinned_digest(self, capsys, kind):
+        argv = ["recover", kind, "--n", "16", "--h", "0", "--grid", "1024", "--trials", "8", "--seed", "3"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == RECOVER_SHA256[kind]
 
 
 class TestLandauFamily:
@@ -224,6 +278,12 @@ class TestFuzz:
     @settings(max_examples=25, deadline=None)
     def test_power_K(self, x):
         self.check("bound", "point-mean", "--cd", "0,1", "--t", "0.5", "--omega", f"power:K={x!r},alpha=1")
+
+    @given(st.floats(allow_nan=True, allow_infinity=True))
+    @settings(max_examples=25, deadline=None)
+    def test_psi_heights(self, x):
+        for kind in ("ks", "general"):
+            self.check("bound", kind, "--psi1", f"0,1; 0,0.25,{x!r}", "--psi2", f"0,1; 0.75,1,{x!r}")
 
 
 class TestConfigFile:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ksr import gridfn as gf
 from ksr import lspace as ls
@@ -196,3 +197,51 @@ class TestHelpers:
         s = gf.omega_seminorm(f, wsq)
         assert s <= 1 + 1e-9
         assert s >= 0.9
+
+
+finite = st.floats(-10, 10, allow_nan=False, allow_infinity=False)
+# a union value: 1-3 (possibly overlapping) components, merged by ls.union
+union_value = st.lists(st.tuples(finite, finite), min_size=1, max_size=3).map(
+    lambda comps: ls.union([(min(p), max(p)) for p in comps])
+)
+
+
+class TestUnionArrays:
+    """Union payloads as (n+1, k, 2) arrays, padded when counts differ."""
+
+    @given(st.integers(3, 6).flatmap(
+        lambda m: st.tuples(st.lists(union_value, min_size=m, max_size=m),
+                            st.lists(union_value, min_size=m, max_size=m))))
+    @settings(max_examples=60, deadline=None)
+    def test_nodewise_hausdorff_equals_dist(self, pair):
+        xs, ys = pair
+        f, g = gf.from_values(xs, 0, 1), gf.from_values(ys, 0, 1)
+        want = [ls.dist(x, y) for x, y in zip(xs, ys)]
+        assert gf._union_dist(f.data, g.data).tolist() == want
+        # gap midpoints outside the other set are no candidates: a union
+        # with gaps is at distance 0 from itself
+        assert gf._union_dist(f.data, f.data).tolist() == [0.0] * len(xs)
+        assert gf.sup_dist(f, g) == max(want)
+        assert gf._pair_dist(f, 1).tolist() == [ls.dist(x, y) for x, y in zip(xs, xs[1:])]
+        assert [f.value(i) for i in range(len(xs))] == xs
+        assert gf.sup_norm(f) == max(ls.norm(x) for x in xs)
+
+    def test_padding_repeats_last_component(self):
+        vals = [ls.union([(0, 1)]), ls.union([(0, 1), (3, 4)]), ls.union([(5, 6)])]
+        f = gf.from_values(vals, 0, 1)
+        assert f.data.shape == (3, 2, 2)
+        assert f.data[0].tolist() == [[0, 1], [0, 1]]
+        assert f.data[2].tolist() == [[5, 6], [5, 6]]
+        assert f.values() == vals
+
+    def test_interval_against_union(self):
+        iv = gf.interval_grid(lambda t: -t, lambda t: 1 + t, 0, 1, 16)
+        un = gf.constant_grid(ls.union([(0, 0.5), (2, 3)]), 0, 1, 16)
+        want = max(ls.dist(x, y) for x, y in zip(iv.values(), un.values()))
+        assert gf.sup_dist(iv, un) == want == gf.sup_dist(un, iv)
+        with pytest.raises(ModelMismatch):
+            gf.sup_dist(gf.real_grid(np.zeros(17), 0, 1, 16), un)
+
+    def test_union_payload_must_be_an_array_of_pairs(self):
+        with pytest.raises(ValueError):
+            gf.GridFunction(0, 1, ls.UNION, np.zeros((5, 2)))

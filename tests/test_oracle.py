@@ -120,6 +120,12 @@ class TestRecoveryExperiment:
         assert report.sound, report.as_dict()
         assert report.attained, report.as_dict()
 
+    def test_report_carries_its_extremal(self):
+        report = orc.recovery_experiment("convexify", 2, 0.1, wid, 0.0, 1.0, 2, 256, 7)
+        core = orc.recovery_extremal("convexify", 2, 0.1, wid, 0.0, 1.0, 256)
+        assert np.array_equal(report.extremal.data, core.data)
+        assert "extremal" not in report.as_dict()
+
     def test_extremal_export(self):
         core = orc.recovery_extremal("identity", 2, 0.0, wid, 0.0, 1.0, 256)
         assert core.model == ls.REAL

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -96,6 +98,15 @@ class TestLowerExtremalMean:
         assert f.data[0] == pytest.approx(float(np.max(f.data)), abs=1e-12)
         mean = ls.scale(1 / 0.2, gf.integrate(f, knots[0] - 0.1, knots[0] + 0.1))
         assert ls.norm(mean) <= 1e-7
+
+    def test_windows_filling_the_cells(self):
+        # 1/6 rounded up: validate_knots admits it, and d - h is -6e-17
+        knots, _ = rec.optimal_knots(3, 0, 1)
+        h = 0.1666666666666667
+        f = rec.lower_extremal_mean(knots, h, wid, 0, 1, n=3072)
+        for t in knots:
+            assert ls.norm(ls.scale(1 / (2 * h), gf.integrate(f, t - h, t + h))) <= 1e-9
+        assert float(np.max(np.abs(f.data))) == pytest.approx(rec.error_convexify(3, h, wid, 1.0), abs=1e-9)
 
     def test_nonuniform_knots(self):
         knots = np.array([0.2, 0.8])
@@ -266,3 +277,131 @@ class TestReport:
         assert r.sound and r.attained
         d = r.as_dict()
         assert d["problem"] == "integral" and d["sound"] and d["attained"]
+
+
+# ---------------------------------------------------------------------------
+# the array kernels against the per-node loops they replaced
+
+
+def _ref_lower_extremal_mean(knots, h, omega, a, b, n):
+    """Per-node reference: nearest knot by argmin, window profiles as a
+    chain of mirrored closures."""
+    knots = np.asarray(knots, dtype=float)
+    nk = len(knots)
+    tau = rec.tau_of(knots, a, b)
+    best = None
+    for i in range(nk):
+        left_len = knots[i] - tau[i]
+        right_len = tau[i + 1] - knots[i]
+        if best is None or left_len > best[0] + 1e-15:
+            best = (left_len, "left", i)
+        if right_len > best[0] + 1e-15:
+            best = (right_len, "right", i)
+    d, side, istar = best
+    p = tau[istar] if side == "left" else tau[istar + 1]
+    C = omega.primitive(d - h, d + h) / (2.0 * h)
+
+    def raw(u):
+        return C - np.asarray(omega(np.abs(np.asarray(u) - p)), dtype=float)
+
+    if side == "left":
+        covered = [istar] if istar == 0 else [istar - 1, istar]
+    else:
+        covered = [istar] if istar == nk - 1 else [istar, istar + 1]
+    window_fn = {k: raw for k in covered}
+    for k in range(covered[-1] + 1, nk):
+        window_fn[k] = (lambda f, s: (lambda u: f(s - np.asarray(u))))(window_fn[k - 1], knots[k - 1] + knots[k])
+    for k in range(covered[0] - 1, -1, -1):
+        window_fn[k] = (lambda f, s: (lambda u: f(s - np.asarray(u))))(window_fn[k + 1], knots[k] + knots[k + 1])
+    lo_raw = a if (side == "left" and istar == 0) else knots[covered[0]] - h
+    hi_raw = b if (side == "right" and istar == nk - 1) else knots[covered[-1]] + h
+    ts = np.linspace(a, b, n + 1)
+    vals = np.empty_like(ts)
+    for j, u in enumerate(ts):
+        k = int(np.argmin(np.abs(knots - u)))
+        if knots[k] - h <= u <= knots[k] + h:
+            vals[j] = window_fn[k](u)
+        elif lo_raw <= u <= hi_raw:
+            vals[j] = raw(u)
+        elif u < knots[0] - h:
+            vals[j] = window_fn[0](knots[0] - h)
+        elif u > knots[-1] + h:
+            vals[j] = window_fn[nk - 1](knots[-1] + h)
+        else:
+            k = int(np.searchsorted(knots, u)) - 1
+            vals[j] = window_fn[k](knots[k] + h)
+    return vals
+
+
+def _ref_spline_G(etas, signs, omega, pts, a):
+    """Per-break reference: a running sum over the break intervals."""
+
+    def hprim(z):
+        return math.copysign(0.25 * omega.primitive(0.0, 2.0 * abs(z)), z)
+
+    mids = 0.5 * (etas[:-1] + etas[1:])
+    breaks = np.unique(np.concatenate(([a], etas, mids, pts)))
+    cum = 0.0
+    table_x, table_v = [breaks[0]], [0.0]
+    for x0, x1 in zip(breaks, breaks[1:]):
+        mid = 0.5 * (x0 + x1)
+        j = int(np.argmin(np.abs(etas - mid)))
+        idx = int(np.searchsorted(etas, mid, side="left"))
+        s = signs[min(max(idx, 0), len(signs) - 1)]
+        cum += s * (hprim(x1 - etas[j]) - hprim(x0 - etas[j]))
+        table_x.append(x1)
+        table_v.append(cum)
+    return np.interp(pts, np.asarray(table_x), np.asarray(table_v))
+
+
+KERNEL_MODULI = [wid, wsq, mo.power(2, 0.7), mo.minlin(1, 0.3), mo.plconcave([(0, 0), (0.2, 0.5), (1, 0.9)])]
+KERNEL_NS = [1, 2, 3, 7, 16]
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.uint64)
+
+
+class TestArrayKernels:
+    @pytest.mark.parametrize("n", KERNEL_NS)
+    @pytest.mark.parametrize("omega", KERNEL_MODULI, ids=lambda w: w.spec())
+    @pytest.mark.parametrize("frac", [0.05, 0.5, 1.0])
+    def test_lower_extremal_mean_matches_node_loop(self, n, omega, frac):
+        # frac = 1 makes neighbouring windows touch, where the nearest-knot
+        # tie rule decides which mirrored profile applies
+        knots, _ = rec.optimal_knots(n, 0.0, 1.0)
+        h = frac / (2 * n)
+        got = rec.lower_extremal_mean(knots, h, omega, 0.0, 1.0, n=512).data
+        want = _ref_lower_extremal_mean(knots, h, omega, 0.0, 1.0, 512)
+        assert np.array_equal(_bits(got), _bits(want))
+
+    @pytest.mark.parametrize("n", [2, 3, 7])
+    def test_lower_extremal_mean_nonuniform_knots(self, n):
+        rng = np.random.default_rng(n)
+        knots = np.sort(rng.uniform(0.3, 2.7, size=n))
+        gaps = np.diff(np.concatenate(([0.3], knots, [2.7])))
+        h = 0.4 * float(np.min(gaps))
+        got = rec.lower_extremal_mean(knots, h, wsq, 0.0, 3.0, n=512).data
+        want = _ref_lower_extremal_mean(knots, h, wsq, 0.0, 3.0, 512)
+        assert np.array_equal(_bits(got), _bits(want))
+
+    @pytest.mark.parametrize("n", KERNEL_NS)
+    @pytest.mark.parametrize("omega", KERNEL_MODULI, ids=lambda w: w.spec())
+    def test_omega_spline_matches_break_loop(self, n, omega):
+        partition = np.linspace(0.0, 1.0, n + 1)
+        etas = 0.5 * (partition[:-1] + partition[1:])
+        signs = np.array([(-1.0) ** i for i in range(n + 1)])
+        got = rec.omega_spline(partition, omega, n=512).data
+        want = _ref_spline_G(etas, signs, omega, np.linspace(0.0, 1.0, 513), 0.0)
+        assert np.array_equal(_bits(got), _bits(want))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_spline_G_random_breaks(self, seed):
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(1, 8))
+        etas = np.sort(rng.uniform(0.0, 1.0, size=m))
+        signs = np.array([(-1.0) ** i for i in range(m + 1)])
+        pts = np.sort(rng.uniform(0.0, 1.0, size=40))
+        for omega in (wsq, mo.minlin(1, 0.3)):
+            got = rec._spline_G(etas, signs, omega, pts, 0.0)
+            assert np.array_equal(_bits(got), _bits(_ref_spline_G(etas, signs, omega, pts, 0.0)))
