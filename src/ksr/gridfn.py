@@ -1,9 +1,10 @@
 """Functions [a, b] -> X on a uniform grid.
 
-Real (and vector) payloads carry piecewise-linear semantics between
-nodes; set payloads (interval, union, max) use per-node step semantics.
-Integration always uses the trapezoid rule on convexified endpoint
-payloads, which is exact for piecewise-linear real data.
+A grid function carries real, interval or union values.  Real payloads
+carry piecewise-linear semantics between nodes; set payloads (interval,
+union) use per-node step semantics.  Integration always uses the
+trapezoid rule on convexified endpoint payloads, which is exact for
+piecewise-linear real data.
 """
 
 from __future__ import annotations
@@ -25,6 +26,15 @@ from .poly import poly_integral
 
 DEFAULT_GRID = 4096
 
+#: the value models a grid function carries
+GRID_MODELS = (ls.REAL, ls.INTERVAL, ls.UNION)
+
+
+def _grid_model(model: str) -> str:
+    if model not in GRID_MODELS:
+        raise ModelMismatch(f"grid functions carry real, interval or union values, not {model}")
+    return model
+
 
 def eps_tolerance(omega: Modulus, length: float, n_cells: int) -> float:
     """Grid-scaled tolerance for bound-vs-oracle comparisons."""
@@ -33,35 +43,43 @@ def eps_tolerance(omega: Modulus, length: float, n_cells: int) -> float:
 
 @dataclass(frozen=True, eq=False)
 class GridFunction:
-    """Uniform-grid representation of f: [a, b] -> X.
+    """Uniform-grid representation of f: [a, b] -> X, for X the real line
+    or the compact subsets of R.
 
-    ``data`` layout: real/max -> (n+1,), vector -> (n+1, d),
-    interval -> (n+1, 2), union -> (n+1, k, 2) float array whose row i
-    holds the sorted disjoint components (lo, hi) of the value at node i.
+    ``data`` layout: real -> (n+1,) float array; interval and union share
+    one (n+1, k, 2) set array whose row i holds the sorted disjoint
+    components (lo, hi) of the value at node i, with k = 1 for intervals.
     A node with fewer than k components repeats its last one; the set is
-    the same, and ``value(i)`` merges the repeats away.
+    the same, and ``value(i)`` merges the repeats away.  The interval and
+    union tags only select the ``Element`` rule of ``value(i)`` and
+    ``hukuhara_derivative``.
     """
 
     a: float
     b: float
     model: str
-    data: object
+    data: np.ndarray
 
     def __post_init__(self):
+        _grid_model(self.model)
+        d = np.asarray(self.data, dtype=float)
+        object.__setattr__(self, "data", d)
         if self.b <= self.a:
             raise ValueError("domain must satisfy a < b")
+        if self.model == ls.REAL:
+            if d.ndim != 1:
+                raise ValueError("real payloads need an (n+1,) array")
+        elif d.ndim != 3 or d.shape[2] != 2 or (self.model == ls.INTERVAL and d.shape[1] != 1):
+            k = 1 if self.model == ls.INTERVAL else "k"
+            raise ValueError(f"{self.model} payloads need an (n+1, {k}, 2) array")
+        elif np.any(d[..., 0] > d[..., 1] + 1e-12):
+            raise ValueError("set payloads require lo <= hi")
         if self.n_cells < 2:
             raise ValueError("grid needs at least 2 cells")
-        if self.model == ls.INTERVAL:
-            d = np.asarray(self.data)
-            if np.any(d[:, 0] > d[:, 1] + 1e-12):
-                raise ValueError("interval payloads require lo <= hi")
-        elif self.model == ls.UNION and np.ndim(self.data) != 3:
-            raise ValueError("union payloads need an (n+1, k, 2) array")
 
     @property
     def n_cells(self) -> int:
-        return np.shape(self.data)[0] - 1
+        return self.data.shape[0] - 1
 
     @property
     def step(self) -> float:
@@ -73,26 +91,19 @@ class GridFunction:
 
     def value(self, i: int) -> ls.Element:
         if self.model == ls.REAL:
-            return ls.real(float(self.data[i]))
-        if self.model == ls.MAX:
-            return ls.maxval(float(self.data[i]))
-        if self.model == ls.VECTOR:
-            return ls.vector(*self.data[i])
+            return ls.real(self.data[i])
         if self.model == ls.INTERVAL:
-            return ls.interval(float(self.data[i, 0]), float(self.data[i, 1]))
+            return ls.interval(*self.data[i, 0])
         return ls.union(self.data[i])
 
     def values(self) -> List[ls.Element]:
         return [self.value(i) for i in range(self.n_cells + 1)]
 
     def value_at(self, t: float) -> ls.Element:
-        """Piecewise-linear evaluation for real/vector; nearest node otherwise."""
+        """Piecewise-linear evaluation for real values; nearest node otherwise."""
         t = float(min(max(t, self.a), self.b))
         if self.model == ls.REAL:
             return ls.real(float(np.interp(t, self.nodes, self.data)))
-        if self.model == ls.VECTOR:
-            comps = [float(np.interp(t, self.nodes, self.data[:, j])) for j in range(self.data.shape[1])]
-            return ls.vector(*comps)
         i = int(round((t - self.a) / self.step))
         return self.value(min(max(i, 0), self.n_cells))
 
@@ -103,12 +114,13 @@ def stack_payloads(values: Sequence[ls.Element]) -> Tuple[str, np.ndarray]:
     model = values[0].model
     if any(v.model != model for v in values):
         raise ModelMismatch("all node values must share one model")
-    if model == ls.UNION:
+    if _grid_model(model) == ls.UNION:
         k = max(len(v.payload) for v in values)
         return model, np.array(
             [v.payload + v.payload[-1:] * (k - len(v.payload)) for v in values], dtype=float
         )
-    return model, np.array([v.payload for v in values], dtype=float)
+    data = np.array([v.payload for v in values], dtype=float)
+    return model, data[:, None, :] if model == ls.INTERVAL else data
 
 
 def from_values(values: Sequence[ls.Element], a: float, b: float) -> GridFunction:
@@ -132,24 +144,16 @@ def interval_grid(lo, hi, a: float, b: float, n: int = DEFAULT_GRID) -> GridFunc
     ts = np.linspace(a, b, n + 1)
     lo_v = np.array([float(lo(t)) for t in ts]) if callable(lo) else np.asarray(lo, dtype=float)
     hi_v = np.array([float(hi(t)) for t in ts]) if callable(hi) else np.asarray(hi, dtype=float)
-    return GridFunction(float(a), float(b), ls.INTERVAL, np.column_stack([lo_v, hi_v]))
+    return GridFunction(float(a), float(b), ls.INTERVAL, interval_array(lo_v, hi_v))
 
 
 def constant_grid(x: ls.Element, a: float, b: float, n: int = DEFAULT_GRID) -> GridFunction:
     return from_values([x] * (n + 1), a, b)
 
 
-def _component_arrays(f: GridFunction) -> List[np.ndarray]:
-    """Endpoint/coordinate arrays driving vectorized code paths."""
-    if f.model in (ls.REAL, ls.MAX):
-        return [np.asarray(f.data, dtype=float)]
-    if f.model == ls.VECTOR:
-        d = np.asarray(f.data, dtype=float)
-        return [d[:, j] for j in range(d.shape[1])]
-    if f.model == ls.INTERVAL:
-        d = np.asarray(f.data, dtype=float)
-        return [d[:, 0], d[:, 1]]
-    raise ModelMismatch("union-valued functions have no fixed component arrays")
+def interval_array(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The (m, 1, 2) set array of the intervals [lo[i], hi[i]]."""
+    return np.stack([lo, hi], axis=1)[:, None, :]
 
 
 def _one_sided_hausdorff(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -170,30 +174,20 @@ def _one_sided_hausdorff(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return d.max(axis=1)
 
 
-def _union_dist(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Node-wise Hausdorff distance between two (m, k, 2) union arrays;
-    equals ``lspace.dist`` of the node values bit for bit."""
+def _set_dist(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Node-wise Hausdorff distance between two (m, k, 2) set arrays;
+    equals ``lspace.dist`` of the node values bit for bit.  Two interval
+    arrays (k = 1) take the closed form max(|lo - lo'|, |hi - hi'|)."""
+    if x.shape[1] == y.shape[1] == 1:
+        return np.maximum(np.abs(x[:, 0, 0] - y[:, 0, 0]), np.abs(x[:, 0, 1] - y[:, 0, 1]))
     return np.maximum(_one_sided_hausdorff(x, y), _one_sided_hausdorff(y, x))
 
 
-def _set_array(f: GridFunction) -> np.ndarray:
-    """Union or interval data as an (n+1, k, 2) array."""
-    if f.model == ls.UNION:
-        return f.data
-    if f.model == ls.INTERVAL:
-        return np.asarray(f.data, dtype=float)[:, None, :]
-    raise ModelMismatch(f"cannot compare {f.model} with a union")
-
-
 def _pair_dist(f: GridFunction, k: int) -> np.ndarray:
-    """Distances dist(f(t_i), f(t_{i+k})) for all i, vectorized per model."""
-    if f.model == ls.UNION:
-        return _union_dist(f.data[:-k], f.data[k:])
-    comps = _component_arrays(f)
-    diffs = [np.abs(c[k:] - c[:-k]) for c in comps]
-    if f.model == ls.VECTOR:
-        return np.sqrt(sum(d * d for d in diffs))
-    return np.maximum.reduce(diffs) if len(diffs) > 1 else diffs[0]
+    """Distances dist(f(t_i), f(t_{i+k})) for all i."""
+    if f.model == ls.REAL:
+        return np.abs(f.data[k:] - f.data[:-k])
+    return _set_dist(f.data[:-k], f.data[k:])
 
 
 @dataclass(frozen=True)
@@ -251,54 +245,34 @@ def omega_seminorm(f: GridFunction, omega: Modulus) -> float:
 
 def sup_norm(f: GridFunction) -> float:
     """Max over nodes of dist(f(t), 0)."""
-    if f.model == ls.UNION:
-        # the Hausdorff distance of a union to {0} is attained at a hull end
-        lo, hi = _convexified_arrays(f)
-        return float(np.max(np.maximum(np.abs(lo), np.abs(hi))))
-    comps = _component_arrays(f)
-    if f.model == ls.VECTOR:
-        return float(np.max(np.sqrt(sum(c * c for c in comps))))
-    return float(np.max(np.maximum.reduce([np.abs(c) for c in comps])))
+    if f.model == ls.REAL:
+        return float(np.max(np.abs(f.data)))
+    # the Hausdorff distance of a set to {0} is attained at a hull end
+    lo, hi = _convexified_arrays(f)
+    return float(np.max(np.maximum(np.abs(lo), np.abs(hi))))
 
 
 def sup_dist(f: GridFunction, g: GridFunction) -> float:
     """C-metric (max over nodes) between two grid functions on one grid."""
     if f.n_cells != g.n_cells or abs(f.a - g.a) > 1e-12 or abs(f.b - g.b) > 1e-12:
         raise ValueError("grids differ")
-    if f.model == ls.UNION or g.model == ls.UNION:
-        return float(np.max(_union_dist(_set_array(f), _set_array(g))))
-    fc, gc = _component_arrays(f), _component_arrays(g)
-    if f.model != g.model:
-        if {f.model, g.model} == {ls.INTERVAL, ls.REAL}:
-            # promote the real function to degenerate intervals
-            if f.model == ls.REAL:
-                fc = [fc[0], fc[0]]
-            else:
-                gc = [gc[0], gc[0]]
-        else:
-            raise ModelMismatch(f"cannot compare {f.model} with {g.model}")
-    diffs = [np.abs(a - b) for a, b in zip(fc, gc)]
-    if f.model == ls.VECTOR:
-        return float(np.max(np.sqrt(sum(d * d for d in diffs))))
-    return float(np.max(np.maximum.reduce(diffs) if len(diffs) > 1 else diffs[0]))
+    if f.model == g.model == ls.REAL:
+        return float(np.max(np.abs(f.data - g.data)))
+    if ls.REAL in (f.model, g.model):
+        raise ModelMismatch(f"cannot compare {f.model} with {g.model}")
+    return float(np.max(_set_dist(f.data, g.data)))
 
 
 def _convexified_arrays(f: GridFunction) -> List[np.ndarray]:
-    """Component arrays after applying the convexifying operator nodewise."""
-    if f.model == ls.UNION:
-        return [f.data[:, 0, 0], f.data[:, -1, 1]]
-    if f.model == ls.MAX:
-        return [np.zeros(f.n_cells + 1)]
-    return _component_arrays(f)
+    """Endpoint arrays after applying the convexifying operator nodewise."""
+    if f.model == ls.REAL:
+        return [f.data]
+    return [f.data[:, 0, 0], f.data[:, -1, 1]]
 
 
 def _integral_element(f: GridFunction, vals: List[float]) -> ls.Element:
     if f.model == ls.REAL:
         return ls.real(vals[0])
-    if f.model == ls.MAX:
-        return ls.maxval(0.0)
-    if f.model == ls.VECTOR:
-        return ls.vector(*vals)
     return ls.interval(vals[0], vals[1])
 
 
@@ -319,22 +293,16 @@ def lift(f: GridFunction, x: ls.Element) -> GridFunction:
     element: t -> f(t)_+ x + f(t)_- x'."""
     if f.model != ls.REAL:
         raise ModelMismatch("lift expects a real grid function")
+    if x.model == ls.MAX:
+        raise NonIsotropic("max-space admits no nontrivial lift")
+    _grid_model(x.model)
     if not ls.is_convex(x):
         raise NotInvertible("lift requires a convex element")
     ls.inverse(x)  # raises NotInvertible when x' does not exist
-    r = np.asarray(f.data, dtype=float)
     if x.model == ls.REAL:
-        return GridFunction(f.a, f.b, ls.REAL, r * x.payload)
-    if x.model == ls.VECTOR:
-        xv = np.asarray(x.payload)
-        return GridFunction(f.a, f.b, ls.VECTOR, np.outer(r, xv))
-    if x.model == ls.INTERVAL:
-        v = x.payload[0]  # invertible intervals are degenerate
-        return GridFunction(f.a, f.b, ls.INTERVAL, np.column_stack([r * v, r * v]))
-    if x.model == ls.UNION:
-        rv = r * x.payload[0][0]
-        return GridFunction(f.a, f.b, ls.UNION, np.stack([rv, rv], axis=1)[:, None, :])
-    raise NonIsotropic("max-space admits no nontrivial lift")
+        return GridFunction(f.a, f.b, ls.REAL, f.data * x.payload)
+    rv = f.data * ls.convexify(x).payload[0]  # invertible sets are points
+    return GridFunction(f.a, f.b, x.model, interval_array(rv, rv))
 
 
 def hukuhara_derivative(f: GridFunction) -> GridFunction:
@@ -344,8 +312,6 @@ def hukuhara_derivative(f: GridFunction) -> GridFunction:
     quotient for endpoint-linear payloads); endpoints use the one-sided
     quotient.  Raises NoDifference when a required difference is missing.
     """
-    if f.model == ls.MAX:
-        raise NonIsotropic("Hukuhara derivative requires an isotropic model")
     step = f.step
     if f.model == ls.UNION:
         vals = f.values()
@@ -362,27 +328,18 @@ def hukuhara_derivative(f: GridFunction) -> GridFunction:
                 bwd = ls.hukuhara_diff(vals[i], vals[i - 1])
                 out.append(ls.scale(0.5 / step, ls.add(fwd, bwd)))
         return from_values(out, f.a, f.b)
+    c = f.data
     if f.model == ls.INTERVAL:
-        d = np.asarray(f.data, dtype=float)
-        widths = d[:, 1] - d[:, 0]
-        if np.any(np.diff(widths) < -1e-9):
-            i = int(np.argmax(np.diff(widths) < -1e-9))
-            raise NoDifference(f"interval width decreases across node {i}")
-    comps = _component_arrays(f)
-    out_comps = []
-    for c in comps:
-        dc = np.empty_like(c)
-        dc[1:-1] = (c[2:] - c[:-2]) / (2.0 * step)
-        dc[0] = (c[1] - c[0]) / step
-        dc[-1] = (c[-1] - c[-2]) / step
-        out_comps.append(dc)
+        shrinks = np.diff(c[:, 0, 1] - c[:, 0, 0]) < -1e-9
+        if np.any(shrinks):
+            raise NoDifference(f"interval width decreases across node {int(np.argmax(shrinks))}")
+    dc = np.empty_like(c)
+    dc[1:-1] = (c[2:] - c[:-2]) / (2.0 * step)
+    dc[0] = (c[1] - c[0]) / step
+    dc[-1] = (c[-1] - c[-2]) / step
     if f.model == ls.INTERVAL:
-        lo, hi = out_comps
-        hi = np.maximum(lo, hi)  # clamp float noise on equal widths
-        return GridFunction(f.a, f.b, ls.INTERVAL, np.column_stack([lo, hi]))
-    if f.model == ls.VECTOR:
-        return GridFunction(f.a, f.b, ls.VECTOR, np.column_stack(out_comps))
-    return GridFunction(f.a, f.b, ls.REAL, out_comps[0])
+        np.maximum(dc[:, 0, 0], dc[:, 0, 1], out=dc[:, 0, 1])  # clamp float noise on equal widths
+    return GridFunction(f.a, f.b, f.model, dc)
 
 
 def to_csv(f: GridFunction) -> str:
@@ -394,7 +351,7 @@ def to_csv(f: GridFunction) -> str:
             w.writerow([f"{t:.12g}", f"{v:.12g}"])
     elif f.model == ls.INTERVAL:
         w.writerow(["t", "lo", "hi"])
-        for t, (lo, hi) in zip(f.nodes, np.asarray(f.data)):
+        for t, (lo, hi) in zip(f.nodes, f.data[:, 0]):
             w.writerow([f"{t:.12g}", f"{lo:.12g}", f"{hi:.12g}"])
     else:
         raise ModelMismatch("CSV export supports real and interval models")
@@ -410,7 +367,7 @@ def from_csv(text: str) -> GridFunction:
         return GridFunction(float(ts[0]), float(ts[-1]), ls.REAL, data)
     if header[:3] == ["t", "lo", "hi"]:
         data = np.array([[float(r[1]), float(r[2])] for r in body])
-        return GridFunction(float(ts[0]), float(ts[-1]), ls.INTERVAL, data)
+        return GridFunction(float(ts[0]), float(ts[-1]), ls.INTERVAL, data[:, None, :])
     raise ValueError(f"unrecognized CSV header {header}")
 
 

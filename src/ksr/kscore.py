@@ -350,7 +350,7 @@ def hardy_rearrangement(f: gf.GridFunction) -> gf.GridFunction:
     """
     if f.model != ls.REAL:
         raise ValueError("rearrangement expects a real grid function")
-    y = np.asarray(f.data, dtype=float)
+    y = f.data
     if np.any(y < -1e-12):
         raise ValueError("rearrangement requires nonnegative values")
     y = np.maximum(y, 0.0)
@@ -531,7 +531,7 @@ def sigma_decompose(f: gf.GridFunction, boundary_tol: float = 1e-9) -> HatDecomp
     """
     if f.model != ls.REAL:
         raise ValueError("decomposition expects a real grid function")
-    ys = np.asarray(f.data, dtype=float).copy()
+    ys = f.data.copy()
     if abs(ys[0]) > boundary_tol or abs(ys[-1]) > boundary_tol:
         raise NonzeroBoundary(f"boundary values ({ys[0]}, {ys[-1]}) must vanish")
     return _decompose_polyline(f.nodes, ys, (f.a, f.b))

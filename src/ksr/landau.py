@@ -167,7 +167,7 @@ def _oriented_window_slope(w: WindowConfig, omega: Modulus, n: int) -> np.ndarra
     decomp = ks.decompose_weights(outer_w, inner_w)
     glued = ks.glue_extremal(decomp, omega, n=n)
     diff = ks.integrate_weighted(glued, inner_w).payload - ks.integrate_weighted(glued, outer_w).payload
-    vals = np.asarray(glued.data, dtype=float)
+    vals = glued.data
     if diff < 0.0:
         vals = -vals
     return vals

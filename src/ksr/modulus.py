@@ -91,7 +91,7 @@ class PowerModulus(Modulus):
         return self.K * self.alpha * t ** (self.alpha - 1.0)
 
     def primitive(self, alpha: float, beta: float) -> float:
-        _check_range(alpha, beta)
+        alpha, beta = _check_range(alpha, beta)
         p = self.alpha + 1.0
         return self.K * (beta ** p - alpha ** p) / p
 
@@ -137,7 +137,7 @@ class PiecewiseLinearConcave(Modulus):
         return slopes[-1]
 
     def primitive(self, alpha: float, beta: float) -> float:
-        _check_range(alpha, beta)
+        alpha, beta = _check_range(alpha, beta)
 
         def antider(t: float) -> float:
             acc = 0.0
@@ -182,7 +182,7 @@ class MinLinearConstant(Modulus):
         return self.K if t < self.knee else 0.0
 
     def primitive(self, alpha: float, beta: float) -> float:
-        _check_range(alpha, beta)
+        alpha, beta = _check_range(alpha, beta)
 
         def antider(t: float) -> float:
             if t <= self.knee:
@@ -195,9 +195,11 @@ class MinLinearConstant(Modulus):
         return f"minlin:K={_fmt(self.K)},C={_fmt(self.C)}"
 
 
-def _check_range(alpha: float, beta: float):
-    if alpha < 0.0 or beta < alpha:
+def _check_range(alpha: float, beta: float) -> Tuple[float, float]:
+    """Validate primitive bounds; float dust barely below zero is clamped."""
+    if alpha < -1e-12 or beta < alpha:
         raise ValueError(f"primitive requires 0 <= alpha <= beta, got ({alpha}, {beta})")
+    return max(alpha, 0.0), max(beta, 0.0)
 
 
 def _fmt(x: float) -> str:
@@ -214,8 +216,10 @@ class ValidationReport:
 def validate(omega: Modulus, t_max: Optional[float] = None, grid_n: int = 64) -> ValidationReport:
     """Check w(0) = 0, monotonicity and subadditivity on a validation grid.
 
-    Subadditivity is checked as w(s + t) <= w(s) + w(t) + 1e-10 over all
-    grid pairs; the first violating pair is reported as a witness.
+    Monotonicity and subadditivity are checked up to
+    tol = max(1e-10, 1e-14 max|w|) over the grid, subadditivity as
+    w(s + t) <= w(s) + w(t) + tol over all grid pairs; the first
+    violating pair is reported as a witness.
     Concave families are additionally checked for a nonincreasing
     a.e. derivative.  Every family parameter must be finite.
     """
@@ -238,18 +242,22 @@ def validate(omega: Modulus, t_max: Optional[float] = None, grid_n: int = 64) ->
         t_max = _default_scale(omega)
     ts = np.linspace(0.0, t_max, grid_n)
     vals = np.asarray(omega(ts), dtype=float)
+    if not np.all(np.isfinite(vals)):
+        return ValidationReport(False, "modulus values overflow on the validation grid")
+    # absolute for moduli up to 1e4, relative to the largest value above
+    tol = max(1e-10, 1e-14 * float(np.max(np.abs(vals))))
 
     if abs(float(omega(0.0))) > 1e-12:
         return ValidationReport(False, "w(0) != 0")
-    if np.any(np.diff(vals) < -1e-10):
-        i = int(np.argmax(np.diff(vals) < -1e-10))
+    if np.any(np.diff(vals) < -tol):
+        i = int(np.argmax(np.diff(vals) < -tol))
         return ValidationReport(False, "not nondecreasing", (float(ts[i]), float(ts[i + 1])))
 
     half = ts[ts <= t_max / 2.0 + 1e-15]
     vh = np.asarray(omega(half), dtype=float)
     sums = vh[:, None] + vh[None, :]
     direct = np.asarray(omega(half[:, None] + half[None, :]), dtype=float)
-    bad = direct > sums + 1e-10
+    bad = direct > sums + tol
     if np.any(bad):
         i, j = map(int, np.argwhere(bad)[0])
         return ValidationReport(False, "not subadditive", (float(half[i]), float(half[j])))

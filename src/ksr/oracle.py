@@ -79,7 +79,7 @@ def _repair(values, omega: Modulus, a: float, b: float, model: str):
         rep = gf.check_Homega(fn, omega)
         if rep.defect <= 0.0:
             return fn
-        data = np.asarray(fn.data, dtype=float)
+        data = fn.data
         center = data.mean(axis=0, keepdims=True)
         fn = gf.GridFunction(a, b, model, center + (data - center) * (1.0 - 1e-9))
     raise RepairFailed("sample repair failed")
@@ -108,15 +108,15 @@ def _one_sample(rng: np.random.Generator, spec: SampleSpec, ts: np.ndarray) -> g
         g2 = _real_member_values(rng, omega, ts)
         lo = np.minimum(g1, g2)
         hi = np.maximum(g1, g2) + float(rng.uniform(0.0, 1.0))
-        core = _repair(np.column_stack([lo, hi]), omega, a, b, ls.INTERVAL)
+        core = _repair(gf.interval_array(lo, hi), omega, a, b, ls.INTERVAL)
         if spec.model == ls.INTERVAL:
             return core
         if spec.model == ls.UNION:
             # two parallel translates; far apart, so the Hausdorff distance
             # between unions equals the single-component distance
-            d = np.asarray(core.data, dtype=float)
-            offset = float(np.max(d[:, 1]) - np.min(d[:, 0])) + 1.0
-            return gf.GridFunction(a, b, ls.UNION, np.stack([d, d + offset], axis=1))
+            d = core.data
+            offset = float(np.max(d[:, 0, 1]) - np.min(d[:, 0, 0])) + 1.0
+            return gf.GridFunction(a, b, ls.UNION, np.concatenate([d, d + offset], axis=1))
         raise ValueError(f"unknown sample model {spec.model!r}")
     if spec.class_tag == W1HOMEGA:
         deriv = _one_sample(rng, SampleSpec(HOMEGA, spec.model, omega, a, b, spec.grid, 1, 0), ts)
@@ -127,19 +127,15 @@ def _one_sample(rng: np.random.Generator, spec: SampleSpec, ts: np.ndarray) -> g
 def _antiderivative(rng: np.random.Generator, deriv: gf.GridFunction) -> gf.GridFunction:
     step = deriv.step
     if deriv.model == ls.REAL:
-        d = np.asarray(deriv.data, dtype=float)
+        d = deriv.data
         vals = np.concatenate(([0.0], np.cumsum(0.5 * (d[1:] + d[:-1]) * step)))
         return gf.GridFunction(deriv.a, deriv.b, ls.REAL, vals + float(rng.uniform(-1, 1)))
-    if deriv.model in (ls.INTERVAL, ls.UNION):
-        arrs = gf._convexified_arrays(deriv)
-        lo = np.concatenate(([0.0], np.cumsum(0.5 * (arrs[0][1:] + arrs[0][:-1]) * step)))
-        hi = np.concatenate(([0.0], np.cumsum(0.5 * (arrs[1][1:] + arrs[1][:-1]) * step)))
-        base_lo = float(rng.uniform(-1, 0))
-        base_hi = base_lo + float(rng.uniform(0, 1))
-        return gf.GridFunction(
-            deriv.a, deriv.b, ls.INTERVAL, np.column_stack([lo + base_lo, hi + base_hi])
-        )
-    raise ValueError(f"cannot integrate model {deriv.model!r}")
+    arrs = gf._convexified_arrays(deriv)
+    lo = np.concatenate(([0.0], np.cumsum(0.5 * (arrs[0][1:] + arrs[0][:-1]) * step)))
+    hi = np.concatenate(([0.0], np.cumsum(0.5 * (arrs[1][1:] + arrs[1][:-1]) * step)))
+    base_lo = float(rng.uniform(-1, 0))
+    base_hi = base_lo + float(rng.uniform(0, 1))
+    return gf.GridFunction(deriv.a, deriv.b, ls.INTERVAL, gf.interval_array(lo + base_lo, hi + base_hi))
 
 
 def empirical_sup(
@@ -421,12 +417,9 @@ def suite_recovery(trials: int, grid: int, seed: int) -> dict:
 
 
 def _pointwise_convexify(f: gf.GridFunction) -> gf.GridFunction:
-    if f.model in (ls.REAL, ls.VECTOR, ls.INTERVAL):
+    if f.model != ls.UNION:
         return f
-    if f.model == ls.UNION:
-        arrs = gf._convexified_arrays(f)
-        return gf.GridFunction(f.a, f.b, ls.INTERVAL, np.column_stack(arrs))
-    return gf.GridFunction(f.a, f.b, ls.MAX, np.zeros(f.n_cells + 1))
+    return gf.GridFunction(f.a, f.b, ls.INTERVAL, gf.interval_array(*gf._convexified_arrays(f)))
 
 
 def suite_spline(trials: int, grid: int, seed: int) -> dict:
@@ -499,7 +492,7 @@ def suite_landau(trials: int, grid: int, seed: int) -> dict:
         df = gf.hukuhara_derivative(f)
         omega_norm = gf.omega_seminorm(df, omega)
         d_h = ls.norm(la.divided_difference(f, wconf.t, wconf.h1, wconf.h2))
-        sup_f = float(np.max(np.abs(np.asarray(f.data))))
+        sup_f = float(np.max(np.abs(f.data)))
         if variant in ("b", "d"):
             lhs = ls.norm(la.divided_difference(f, wconf.t, wconf.g1, wconf.g2))
         else:
@@ -554,16 +547,15 @@ def suite_landau(trials: int, grid: int, seed: int) -> dict:
         noise_nodes = np.linspace(0, 1, 9)
         noise = np.interp(f.nodes, noise_nodes, rng.uniform(-delta, delta, size=9))
         if f.model == ls.REAL:
-            g = gf.GridFunction(f.a, f.b, ls.REAL, np.asarray(f.data) + noise)
+            g = gf.GridFunction(f.a, f.b, ls.REAL, f.data + noise)
         else:  # W1HOMEGA samples are REAL or INTERVAL
-            d = np.asarray(f.data, dtype=float)
-            g = gf.GridFunction(f.a, f.b, ls.INTERVAL, d + noise[:, None])
+            g = gf.GridFunction(f.a, f.b, ls.INTERVAL, f.data + noise[:, None, None])
         worst = max(worst, ls.dist(df.value_at(0.5), la.divided_difference(g, 0.5, h1, h2)))
     checks.append(_leq("inexact-data recovery soundness", worst, value, 4.0 * eps))
     # adversarial perturbation of the extremal forces the value
     fband = la.landau_extremal("e", la.WindowConfig(0.5, 0, 0, h1, h2, 0, 1), omega, n=grid)
     ramp = np.interp(fband.nodes, [0.0, 0.5 - h1, 0.5 + h2, 1.0], [delta, delta, -delta, -delta])
-    g = gf.GridFunction(0.0, 1.0, ls.REAL, np.asarray(fband.data) + ramp)
+    g = gf.GridFunction(0.0, 1.0, ls.REAL, fband.data + ramp)
     dfb = gf.hukuhara_derivative(fband)
     got = ls.dist(dfb.value_at(0.5), la.divided_difference(g, 0.5, h1, h2))
     checks.append(_geq("perturbed extremal reaches the value", got, value, 4.0 * eps))
@@ -644,7 +636,7 @@ def recovery_experiment(
             lf_prime = rec.polyline_derivative(values, partition, n=f.n_cells)
             return gf.sup_dist(gf.hukuhara_derivative(f), lf_prime)
 
-        lower = abs((core.data[1] - core.data[0]) / core.step)
+        lower = float(abs((core.data[1] - core.data[0]) / core.step))
     else:
         raise ValueError(f"unknown recovery problem {kind!r}")
     sup = sweep_sup(

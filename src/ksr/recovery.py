@@ -166,8 +166,7 @@ def lower_extremal_mean(
             best = (right_len, "right", i)
     d, side, istar = best
     p = tau[istar] if side == "left" else tau[istar + 1]
-    # h may exceed the half cell d by round-off (windows that fill it)
-    C = omega.primitive(max(d - h, 0.0), d + h) / (2.0 * h)
+    C = omega.primitive(d - h, d + h) / (2.0 * h)
 
     # windows covered by the raw profile (those adjacent to p)
     if side == "left":
@@ -269,23 +268,14 @@ def polyline(values: Sequence[ls.Element], partition: Sequence[float], n: int = 
     for v in values:
         if not ls.is_convex(v):
             raise ValueError("polyline interpolation requires convex node values")
-    model = values[0].model
+    model, ys = gf.stack_payloads(values)
     a, b = float(partition[0]), float(partition[-1])
     ts = np.linspace(a, b, n + 1)
     if model == ls.REAL:
-        ys = np.array([v.payload for v in values], dtype=float)
         return gf.GridFunction(a, b, ls.REAL, np.interp(ts, partition, ys))
-    if model == ls.VECTOR:
-        ys = np.array([v.payload for v in values], dtype=float)
-        cols = [np.interp(ts, partition, ys[:, j]) for j in range(ys.shape[1])]
-        return gf.GridFunction(a, b, ls.VECTOR, np.column_stack(cols))
-    if model == ls.INTERVAL or model == ls.UNION:
-        los = np.array([v.payload[0] if model == ls.INTERVAL else v.payload[0][0] for v in values])
-        his = np.array([v.payload[1] if model == ls.INTERVAL else v.payload[0][1] for v in values])
-        lo = np.interp(ts, partition, los)
-        hi = np.interp(ts, partition, his)
-        return gf.GridFunction(a, b, ls.INTERVAL, np.column_stack([lo, hi]))
-    raise ValueError("max-space values are not convex")
+    lo = np.interp(ts, partition, ys[:, 0, 0])
+    hi = np.interp(ts, partition, ys[:, 0, 1])
+    return gf.GridFunction(a, b, ls.INTERVAL, gf.interval_array(lo, hi))
 
 
 def polyline_error(t: float, t_lo: float, t_hi: float, omega: Modulus) -> float:

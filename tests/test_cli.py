@@ -51,6 +51,15 @@ class TestBound:
         _, out2, _ = run(capsys, "bound", "general", *args)
         assert json.loads(out1)["bound"] == pytest.approx(json.loads(out2)["bound"], abs=1e-10)
 
+    def test_ks_on_touching_supports_matches_general(self, capsys):
+        # the last paired segment gets a gap of -5.6e-17 from round-off
+        args = ["--psi1", "0,1; 0.1,0.3,0.7", "--psi2", "0,1; 0.3,0.9,0.23333333333333328",
+                "--omega", "power:K=1,alpha=0.5"]
+        code, out1, _ = run(capsys, "bound", "ks", *args)
+        assert code == 0
+        _, out2, _ = run(capsys, "bound", "general", *args)
+        assert json.loads(out1)["bound"] == pytest.approx(json.loads(out2)["bound"], abs=1e-7)
+
     def test_point_mean_and_pair(self, capsys):
         code, out, _ = run(capsys, "bound", "point-mean", "--t", "0.5", "--cd", "0,1")
         assert code == 0 and json.loads(out)["bound"] == 0.25
@@ -170,6 +179,12 @@ class TestRecover:
         g = gf.from_csv(out_csv.read_text())
         # the lower bound is half the distance between the lifted +/- profiles
         assert float(np.max(np.abs(g.data))) == pytest.approx(json.loads(out)["lower_bound"], abs=1e-9)
+
+    def test_derivative_report(self, capsys):
+        code, out, _ = run(capsys, "recover", "derivative", "--n", "4", "--grid", "512", "--trials", "8")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["sound"] is True and payload["attained"] is True
 
     @pytest.mark.parametrize("kind", sorted(RECOVER_SHA256))
     def test_pinned_digest(self, capsys, kind):

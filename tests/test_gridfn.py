@@ -84,10 +84,6 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             gf.integrate(f, -0.5, 0.5)
 
-    def test_maxspace_integral_is_zero_element(self):
-        f = gf.constant_grid(ls.maxval(3), 0, 1, 32)
-        assert gf.integrate(f).payload == 0.0
-
 
 class TestLift:
     def test_odd_function_integrates_to_zero(self):
@@ -153,11 +149,6 @@ class TestDerivative:
         with pytest.raises(NoDifference):
             gf.hukuhara_derivative(f)
 
-    def test_maxspace_rejected(self):
-        f = gf.constant_grid(ls.maxval(1), 0, 1, 32)
-        with pytest.raises(NonIsotropic):
-            gf.hukuhara_derivative(f)
-
 
 class TestSerialization:
     def test_csv_round_trip_real(self):
@@ -206,25 +197,38 @@ union_value = st.lists(st.tuples(finite, finite), min_size=1, max_size=3).map(
 )
 
 
+interval_value = st.tuples(finite, finite).map(lambda p: ls.interval(min(p), max(p)))
+
+
 class TestUnionArrays:
-    """Union payloads as (n+1, k, 2) arrays, padded when counts differ."""
+    """Set payloads as (n+1, k, 2) arrays: k = 1 for intervals, unions
+    padded when counts differ."""
 
     @given(st.integers(3, 6).flatmap(
-        lambda m: st.tuples(st.lists(union_value, min_size=m, max_size=m),
-                            st.lists(union_value, min_size=m, max_size=m))))
-    @settings(max_examples=60, deadline=None)
+        lambda m: st.tuples(*[st.one_of(st.lists(union_value, min_size=m, max_size=m),
+                                        st.lists(interval_value, min_size=m, max_size=m))] * 2)))
+    @settings(max_examples=80, deadline=None)
     def test_nodewise_hausdorff_equals_dist(self, pair):
         xs, ys = pair
         f, g = gf.from_values(xs, 0, 1), gf.from_values(ys, 0, 1)
         want = [ls.dist(x, y) for x, y in zip(xs, ys)]
-        assert gf._union_dist(f.data, g.data).tolist() == want
+        assert gf._set_dist(f.data, g.data).tolist() == want
+        assert gf._set_dist(g.data, f.data).tolist() == want
         # gap midpoints outside the other set are no candidates: a union
         # with gaps is at distance 0 from itself
-        assert gf._union_dist(f.data, f.data).tolist() == [0.0] * len(xs)
+        assert gf._set_dist(f.data, f.data).tolist() == [0.0] * len(xs)
         assert gf.sup_dist(f, g) == max(want)
         assert gf._pair_dist(f, 1).tolist() == [ls.dist(x, y) for x, y in zip(xs, xs[1:])]
         assert [f.value(i) for i in range(len(xs))] == xs
         assert gf.sup_norm(f) == max(ls.norm(x) for x in xs)
+        if f.model == ls.INTERVAL:
+            # the k = 1 closed form against a padded union, and against
+            # the same sets stored as one-component unions
+            assert f.data.shape == (len(xs), 1, 2)
+            as_unions = [ls.union([x.payload]) for x in xs]
+            u = gf.from_values(as_unions, 0, 1)
+            assert gf._set_dist(f.data, u.data).tolist() == [0.0] * len(xs)
+            assert gf._set_dist(f.data, g.data).tolist() == [ls.dist(x, y) for x, y in zip(as_unions, ys)]
 
     def test_padding_repeats_last_component(self):
         vals = [ls.union([(0, 1)]), ls.union([(0, 1), (3, 4)]), ls.union([(5, 6)])]
@@ -245,3 +249,31 @@ class TestUnionArrays:
     def test_union_payload_must_be_an_array_of_pairs(self):
         with pytest.raises(ValueError):
             gf.GridFunction(0, 1, ls.UNION, np.zeros((5, 2)))
+        with pytest.raises(ValueError):
+            gf.GridFunction(0, 1, ls.UNION, np.array([[[0.0, 1.0]], [[2.0, 1.0]], [[0.0, 0.0]]]))
+
+
+class TestGridModels:
+    """Grid functions carry real, interval and union values only."""
+
+    def test_other_models_and_layouts_rejected(self):
+        with pytest.raises(ModelMismatch):
+            gf.constant_grid(ls.maxval(1), 0, 1, 32)
+        with pytest.raises(ModelMismatch):
+            gf.constant_grid(ls.vector(1, 2), 0, 1, 32)
+        core = gf.real_grid(lambda t: t, 0, 1, 32)
+        with pytest.raises(ModelMismatch):
+            gf.lift(core, ls.vector(1, 0))
+        with pytest.raises(NonIsotropic):
+            gf.lift(core, ls.maxval(0))
+        with pytest.raises(ValueError):
+            gf.GridFunction(0, 1, ls.INTERVAL, np.zeros((33, 2)))
+        with pytest.raises(ValueError):
+            gf.GridFunction(0, 1, ls.INTERVAL, np.zeros((33, 2, 2)))
+
+    def test_interval_grid_is_a_one_component_set_array(self):
+        f = gf.interval_grid(lambda t: -t, lambda t: t, 0, 1, 16)
+        assert f.data.shape == (17, 1, 2)
+        assert f.value(16) == ls.interval(-1, 1)
+        with pytest.raises(ValueError):
+            gf.interval_grid(np.ones(17), np.zeros(17), 0, 1, 16)

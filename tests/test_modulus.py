@@ -71,6 +71,15 @@ class TestPrimitive:
         with pytest.raises(ValueError):
             mo.power(1, 1).primitive(1.0, 0.5)
 
+    @pytest.mark.parametrize("w", [mo.power(1, 0.5), mo.minlin(1, 0.4),
+                                   mo.plconcave([(0, 0), (0.5, 0.4), (1, 0.6)])])
+    def test_float_dust_below_zero_is_clamped(self, w):
+        # (-5e-17) ** 1.5 would be complex
+        assert w.primitive(-5.551115123125783e-17, 0.8) == w.primitive(0.0, 0.8)
+        assert w.primitive(-1e-12, -1e-13) == 0.0
+        with pytest.raises(ValueError):
+            w.primitive(-1e-9, 0.8)
+
     @pytest.mark.parametrize("w", [mo.power(1.3, 0.6), mo.minlin(2, 0.7),
                                    mo.plconcave([(0, 0), (0.3, 0.45), (1.1, 0.8)])])
     def test_matches_quadrature(self, w):
@@ -122,6 +131,21 @@ class TestValidation:
                 mo.plconcave([(0, 0), (0.5, bad), (1, 0.6)])
             with pytest.raises(InvalidModulus):
                 mo.plconcave([(0, 0), (bad, 0.4)])
+
+    @pytest.mark.parametrize("K", [1e12, 1e300])
+    def test_accepts_large_linear_moduli(self, K):
+        assert mo.validate(mo.PowerModulus(K, 1.0)).ok
+        assert mo.power(K, 1).K == K
+
+    @pytest.mark.parametrize("K", [1.0, 1e12])
+    def test_rejects_superlinear_at_any_scale(self, K):
+        report = mo.validate(mo.PowerModulus(K, 1.01))
+        assert not report.ok and report.reason == "not subadditive"
+
+    def test_rejects_overflowing_values(self):
+        with np.errstate(over="ignore"):
+            report = mo.validate(mo.PowerModulus(1e308, 1.0))
+        assert not report.ok and "overflow" in report.reason
 
     @pytest.mark.parametrize("w", [mo.power(1, 1), mo.power(3, 0.3), mo.minlin(2, 0.5),
                                    mo.plconcave([(0, 0), (0.5, 0.4), (1, 0.6)])])

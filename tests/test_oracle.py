@@ -22,10 +22,7 @@ class TestSampling:
         assert len(a) == len(b)
         for fa, fb in zip(a, b):
             assert fa.model == fb.model
-            if fa.model == ls.UNION:
-                assert fa.data == fb.data
-            else:
-                assert np.array_equal(np.asarray(fa.data), np.asarray(fb.data))
+            assert np.array_equal(fa.data, fb.data)
 
     @pytest.mark.parametrize("model", ["real", "interval", "lifted"])
     @pytest.mark.parametrize("omega", [wid, wsq])
