@@ -66,6 +66,17 @@ def _finite(text: str) -> float:
     return x
 
 
+def _positive_int(text: str) -> int:
+    """argparse type: an integer >= 1 (trial counts and grid sizes)."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return n
+
+
 def _pair(text: str) -> tuple:
     parts = [float(x) for x in text.split(",")]
     if len(parts) != 2 or not all(map(math.isfinite, parts)):
@@ -288,7 +299,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if omega:
             p.add_argument("--omega", default="power:K=1,alpha=1")
         if grid:
-            p.add_argument("--grid", type=int, default=gf.DEFAULT_GRID)
+            p.add_argument("--grid", type=_positive_int, default=gf.DEFAULT_GRID)
 
     p = sub.add_parser("bound", help="closed-form sharp bounds")
     p.add_argument("kind", choices=["ks", "general", "ostrowski", "symmetric", "point-mean", "pair"])
@@ -316,7 +327,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--h", type=_finite, default=0.05)
     p.add_argument("--ab", default="0,1")
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=_positive_int, default=100)
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--out", default=None)
     common(p)
@@ -350,8 +361,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the certification suites")
     p.add_argument("--suite", default="all")
-    p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--grid", type=int, default=gf.DEFAULT_GRID)
+    p.add_argument("--trials", type=_positive_int, default=1000)
+    p.add_argument("--grid", type=_positive_int, default=gf.DEFAULT_GRID)
     p.add_argument("--seed", type=int, default=7)
     p.set_defaults(func=cmd_verify)
 
@@ -360,7 +371,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--values", default="", help="comma-separated knot counts")
     p.add_argument("--h", type=_finite, default=0.0, help="0 selects h = cell/20 per n")
     p.add_argument("--ab", default="0,1")
-    p.add_argument("--trials", type=int, default=50)
+    p.add_argument("--trials", type=_positive_int, default=50)
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--out", default=None)
     common(p)

@@ -14,7 +14,7 @@ import io
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -212,17 +212,22 @@ def _span_set(n: int, strict: bool) -> List[int]:
     return spans
 
 
+@lru_cache(maxsize=256)
+def _span_thresholds(omega: Modulus, n: int, step: float, strict: bool) -> Tuple[Tuple[int, float], ...]:
+    """The spans of ``_span_set`` with their thresholds omega(k * step);
+    moduli are frozen dataclasses, so they key the cache by value."""
+    return tuple((k, float(omega(k * step))) for k in _span_set(n, strict))
+
+
 def check_Homega(f: GridFunction, omega: Modulus, strict: bool = False) -> MembershipReport:
     """Membership test for the class of functions with oscillation bounded
     by ``omega``: exhaustive over adjacent and dyadic node spans, all spans
     under ``strict``."""
-    n = f.n_cells
     step = f.step
     worst = -math.inf
     witness = (f.a, f.a)
-    for k in _span_set(n, strict):
-        dists = _pair_dist(f, k)
-        defects = dists - float(omega(k * step))
+    for k, w in _span_thresholds(omega, f.n_cells, step, strict):
+        defects = _pair_dist(f, k) - w
         i = int(np.argmax(defects))
         if defects[i] > worst:
             worst = float(defects[i])
@@ -233,10 +238,8 @@ def check_Homega(f: GridFunction, omega: Modulus, strict: bool = False) -> Membe
 def omega_seminorm(f: GridFunction, omega: Modulus) -> float:
     """sup of dist(f(t'), f(t'')) / omega(|t' - t''|) over the same pair set
     as ``check_Homega``."""
-    n = f.n_cells
     best = 0.0
-    for k in _span_set(n, strict=False):
-        w = float(omega(k * f.step))
+    for k, w in _span_thresholds(omega, f.n_cells, f.step, False):
         if w <= 0.0:
             continue
         best = max(best, float(np.max(_pair_dist(f, k))) / w)

@@ -275,32 +275,43 @@ def ks_bound(w1: StepWeight, w2: StepWeight, omega: Modulus) -> float:
 
 def _left_branch(segments, a1: float, b1: float, omega: Modulus, ts: np.ndarray) -> np.ndarray:
     """Values of the nondecreasing extremal on [a, c]:
-    g(t) = -int_t^c w'(rho(s) - s) ds, evaluated in closed form."""
+    g(t) = -int_t^c w'(rho(s) - s) ds, evaluated in closed form.
+
+    A node t < a1 lies in segment j, the first with t < s1.  It takes
+    -(base + suffix[j]) at or before that segment's start, and
+    -((base + partial term of j) + suffix[j+1]) inside it; a node past
+    every segment takes -base.
+    """
     base = 0.5 * float(omega(b1 - a1))
-    dws = []
+    coef, w_end, dws = [], [], []
     for s0, s1, r0, r1, _ in segments:
         v0, v1 = r0 - s0, r1 - s1
-        dws.append((s1 - s0) / (v0 - v1) * (float(omega(v0)) - float(omega(v1))))
+        coef.append((s1 - s0) / (v0 - v1))
+        w_end.append(float(omega(v1)))
+        dws.append(coef[-1] * (float(omega(v0)) - w_end[-1]))
     suffix = np.concatenate((np.cumsum(dws[::-1])[::-1], [0.0])) if dws else np.array([0.0])
     c = 0.5 * (a1 + b1)
     out = np.empty_like(ts, dtype=float)
-    for i, t in enumerate(ts):
-        if t >= a1:
-            out[i] = -0.5 * float(omega(max(a1 + b1 - 2.0 * min(t, c), 0.0)))
-            continue
-        acc = base
-        for j, (s0, s1, r0, r1, _) in enumerate(segments):
-            if t <= s0:
-                acc += suffix[j]
-                break
-            if t < s1:
-                v0, v1 = r0 - s0, r1 - s1
-                lam = (t - s0) / (s1 - s0)
-                vt = v0 + lam * (v1 - v0)
-                acc += (s1 - s0) / (v0 - v1) * (float(omega(vt)) - float(omega(v1)))
-                acc += suffix[j + 1]
-                break
-        out[i] = -acc
+    right = ts >= a1
+    out[right] = -0.5 * omega(np.maximum(a1 + b1 - 2.0 * np.minimum(ts[right], c), 0.0))
+    t = ts[~right]
+    acc = np.full(t.shape, base)
+    if segments:
+        s0, s1, r0, r1, _ = np.array(segments, dtype=float).T
+        v0, v1 = r0 - s0, r1 - s1
+        # the running max makes the search exact even if s1 were unsorted
+        j = np.searchsorted(np.maximum.accumulate(s1), t, side="right")
+        hit = j < len(segments)
+        jh, th = j[hit], t[hit]
+        acc_hit = base + suffix[jh]
+        inside = th > s0[jh]
+        k = jh[inside]
+        lam = (th[inside] - s0[k]) / (s1[k] - s0[k])
+        vt = v0[k] + lam * (v1[k] - v0[k])
+        term = np.array(coef)[k] * (omega(vt) - np.array(w_end)[k])
+        acc_hit[inside] = (base + term) + suffix[k + 1]
+        acc[hit] = acc_hit
+    out[~right] = -acc
     return out
 
 

@@ -37,7 +37,17 @@ __all__ = [
 
 
 def _nonneg(t):
-    """Validate arguments; float dust barely below zero is clamped."""
+    """Validate arguments; float dust barely below zero is clamped.
+
+    A Python or NumPy scalar skips the array reductions and comes back as
+    an ``np.float64``, so the families still evaluate it with the same
+    ufuncs as an array; ``0.0 if x <= 0.0`` maps -0.0 to +0.0 and keeps nan,
+    as ``np.maximum(x, 0.0)`` does."""
+    if isinstance(t, (float, int)):
+        x = float(t)
+        if x < -1e-12:
+            raise ValueError("modulus arguments must be >= 0")
+        return np.float64(0.0 if x <= 0.0 else x)
     t = np.asarray(t, dtype=float)
     if np.any(t < -1e-12):
         raise ValueError("modulus arguments must be >= 0")

@@ -59,10 +59,11 @@ def _real_member_values(rng: np.random.Generator, omega: Modulus, ts: np.ndarray
         m = int(rng.integers(2, 9))
         centers = rng.uniform(a, b, size=m)
         levels = np.cumsum(rng.uniform(-scale / 2, scale / 2, size=m))
-        cones = levels[None, :] + sign * np.asarray(
-            omega(np.abs(ts[:, None] - centers[None, :])), dtype=float
+        # cone-major (m, N+1): the reduction runs over contiguous rows
+        cones = levels[:, None] + sign * np.asarray(
+            omega(np.abs(ts[None, :] - centers[:, None])), dtype=float
         )
-        return cones.min(axis=1) if sign > 0 else cones.max(axis=1)
+        return cones.min(axis=0) if sign > 0 else cones.max(axis=0)
 
     if kind == 1:
         return envelope(+1.0)

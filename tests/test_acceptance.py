@@ -8,6 +8,7 @@ criterion); individual tests then assert the named checks.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import time
@@ -19,6 +20,8 @@ from ksr import cli
 TRIALS = 1000
 GRID = 4096
 SEED = 7
+# sha256 of the stdout of `verify --suite all --trials 1000 --grid 4096 --seed 7`
+SEED7_SHA256 = "f44767763dddfb6a958848e83a88849cf511c74ea04337885b516d0b997145fe"
 
 
 @pytest.fixture(scope="module")
@@ -163,6 +166,13 @@ def test_criterion_10_determinism(verify_runs, capsys):
         and len(verify_runs["outputs"][0]) > 0
     )
     _announce(capsys, 10, ok, "verify --suite all --seed 7 twice: exit 0, byte-identical reports")
+
+
+def test_report_digest_is_pinned(verify_runs):
+    # a change that moves the sample stream or a reported value on purpose
+    # updates this digest and says which values moved
+    digest = hashlib.sha256(verify_runs["outputs"][0].encode()).hexdigest()
+    assert digest == SEED7_SHA256
 
 
 def test_suite_runtime_budget(verify_runs, capsys):

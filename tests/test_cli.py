@@ -76,6 +76,23 @@ class TestExitCodes:
             assert run(capsys, "delta-recover", "--h", bad)[:2] == (1, "")
             assert run(capsys, "landau", "--variant", "b", "--h", "0.2", "--gamma", bad)[:2] == (1, "")
 
+    def test_nonpositive_trials_and_grid_are_parse_errors(self, capsys, tmp_path):
+        for argv in (
+            ["recover", "integral", "--trials", "-5"],
+            ["recover", "integral", "--trials", "0"],
+            ["recover", "integral", "--grid", "0"],
+            ["verify", "--grid", "0"],
+            ["verify", "--trials", "-1"],
+            ["verify", "--trials", "1.5"],
+            ["sweep", "integral", "--values", "1", "--trials", "0"],
+            ["sweep", "integral", "--values", "1", "--grid", "-4"],
+        ):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (1, "") and "expected a positive integer" in err
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("trials=-5\n")
+        assert run(capsys, "--config", str(cfg), "recover", "integral")[:2] == (1, "")
+
     def test_precondition_violation_is_two(self, capsys):
         code, _, err = run(
             capsys, "bound", "ostrowski", "--ab", "0,1", "--cd", "0.25,0.75",

@@ -38,6 +38,67 @@ class TestMembership:
         assert strict.defect >= loose.defect - 1e-15
 
 
+def _check_Homega_loop(f, omega, strict):
+    """``check_Homega`` without the threshold cache: omega is evaluated on
+    every span of every call.  Kept as the bit-for-bit reference."""
+    worst, witness = -np.inf, (f.a, f.a)
+    for k in gf._span_set(f.n_cells, strict):
+        defects = gf._pair_dist(f, k) - float(omega(k * f.step))
+        i = int(np.argmax(defects))
+        if defects[i] > worst:
+            worst = float(defects[i])
+            witness = (f.a + i * f.step, f.a + (i + k) * f.step)
+    return worst <= gf.MembershipReport.SLACK, worst, witness
+
+
+def _membership_inputs():
+    rng = np.random.default_rng(11)
+    out = []
+    for n in (16, 64, 100):
+        # a ramp of slope 4 over 3 cells: its worst span, 3, is not dyadic
+        out.append(gf.real_grid(np.clip(np.arange(n + 1) - 5, 0, 3) * (4.0 / n), 0.0, 1.0, n))
+        walk = np.cumsum(rng.normal(0.0, 1.0 / n, n + 1))
+        out.append(gf.real_grid(walk, 0.0, 1.0, n))
+        out.append(gf.real_grid(0.3 * walk, -1.0, 2.0, n))
+        lo = np.cumsum(rng.normal(0.0, 0.5 / n, n + 1))
+        hi = lo + rng.uniform(0.0, 0.2, n + 1)
+        out.append(gf.GridFunction(0.0, 1.0, ls.INTERVAL, gf.interval_array(lo, hi)))
+        d = gf.interval_array(lo, hi)
+        out.append(gf.GridFunction(0.0, 1.0, ls.UNION, np.concatenate([d, d + 3.0], axis=1)))
+    return out
+
+
+class TestThresholdCache:
+    @pytest.mark.parametrize("strict", [False, True])
+    @pytest.mark.parametrize("omega", [wid, wsq, mo.power(2, 0.7), mo.minlin(1, 0.3),
+                                       mo.plconcave([(0, 0), (0.5, 0.4), (1, 0.6)])])
+    def test_matches_uncached_loop(self, omega, strict):
+        for f in _membership_inputs():
+            want = _check_Homega_loop(f, omega, strict)
+            for _ in range(2):  # the second call reads the cache
+                rep = gf.check_Homega(f, omega, strict=strict)
+                assert (rep.member, rep.defect, rep.witness) == want
+                assert np.float64(rep.defect).tobytes() == np.float64(want[1]).tobytes()
+
+    def test_seminorm_matches_uncached_loop(self):
+        for omega in (wid, wsq, mo.minlin(1, 0.3)):
+            for f in _membership_inputs():
+                want = 0.0
+                for k in gf._span_set(f.n_cells, False):
+                    w = float(omega(k * f.step))
+                    want = max(want, float(np.max(gf._pair_dist(f, k))) / w)
+                assert gf.omega_seminorm(f, omega) == want
+
+    def test_equal_moduli_share_an_entry(self):
+        f = gf.real_grid(lambda t: t, 0, 1, 37)
+        gf.check_Homega(f, mo.power(1, 0.5))
+        before = gf._span_thresholds.cache_info()
+        gf.check_Homega(f, mo.power(1, 0.5))  # a new, equal modulus
+        after = gf._span_thresholds.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+        assert after.maxsize is not None
+
+
 class TestIntegrate:
     def test_constant_interval(self):
         f = gf.constant_grid(ls.interval(0, 1), 0, 2, 64)

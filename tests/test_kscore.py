@@ -5,6 +5,7 @@ from ksr import gridfn as gf
 from ksr import kscore as ks
 from ksr import lspace as ls
 from ksr import modulus as mo
+from ksr import ostrowski as ost
 from ksr.errors import (
     BadSupportOrder,
     CannotCertify,
@@ -156,6 +157,95 @@ class TestExtremal:
             assert gf.check_Homega(g, omega).member
             eps = gf.eps_tolerance(omega, 1.0, 2048)
             assert ks.functional_S(g, w1, w2) >= bound - eps
+
+
+def _left_branch_loop(segments, a1, b1, omega, ts):
+    """The per-node loop that ``ks._left_branch`` vectorises, with scalar
+    omega calls.  Kept as the bit-for-bit reference."""
+    base = 0.5 * float(omega(b1 - a1))
+    dws = []
+    for s0, s1, r0, r1, _ in segments:
+        v0, v1 = r0 - s0, r1 - s1
+        dws.append((s1 - s0) / (v0 - v1) * (float(omega(v0)) - float(omega(v1))))
+    suffix = np.concatenate((np.cumsum(dws[::-1])[::-1], [0.0])) if dws else np.array([0.0])
+    c = 0.5 * (a1 + b1)
+    out = np.empty_like(ts, dtype=float)
+    for i, t in enumerate(ts):
+        if t >= a1:
+            out[i] = -0.5 * float(omega(max(a1 + b1 - 2.0 * min(t, c), 0.0)))
+            continue
+        acc = base
+        for j, (s0, s1, r0, r1, _) in enumerate(segments):
+            if t <= s0:
+                acc += suffix[j]
+                break
+            if t < s1:
+                v0, v1 = r0 - s0, r1 - s1
+                lam = (t - s0) / (s1 - s0)
+                vt = v0 + lam * (v1 - v0)
+                acc += (s1 - s0) / (v0 - v1) * (float(omega(vt)) - float(omega(v1)))
+                acc += suffix[j + 1]
+                break
+        out[i] = -acc
+    return out
+
+
+def _branch_weight_pairs():
+    """The weight pairs of the ks, eq12 and general suites: the ks pair
+    (also eq12 configs 0 and 1), eq12 configs 2-4, and the hat pairs
+    glued for the general suite."""
+    pairs = {"ks": (W1, W2)}
+    eq12 = [
+        (ks.step_weight((0, 1), [(0.0, 0.1, 2.0), (0.1, 0.3, 0.5)]), ks.indicator_weight(0.8, 1.0, 1.5, domain=(0, 1))),
+        (ks.indicator_weight(0, 0.5, 1, domain=(0, 1)), ks.indicator_weight(0.5, 1, 1, domain=(0, 1))),
+        (ks.step_weight((0, 2), [(0.0, 0.4, 1.0), (0.5, 0.7, 3.0)]),
+         ks.step_weight((0, 2), [(1.2, 1.4, 2.0), (1.6, 1.9, 2.0)])),
+    ]
+    pairs.update({f"eq12-{i}": p for i, p in enumerate(eq12, start=2)})
+    w1, w2 = ost.two_interval_weights(ost.two_interval_config(0, 1, 0.25, 0.75))
+    for i, hat in enumerate(ks.decompose_weights(w1, w2).hats):
+        pairs[f"general-hat{i}"] = ks._hat_weight_pair(hat)
+    return pairs
+
+
+BRANCH_PAIRS = _branch_weight_pairs()
+BRANCH_MODULI = {
+    "power(1,1)": wid, "power(1,0.5)": wsq, "power(2,0.7)": mo.power(2, 0.7),
+    "minlin": mo.minlin(1, 0.3), "plconcave": mo.plconcave([(0, 0), (0.5, 0.4), (1, 0.6)]),
+}
+
+
+class TestLeftBranch:
+    @pytest.mark.parametrize("omega", BRANCH_MODULI.values(), ids=BRANCH_MODULI.keys())
+    @pytest.mark.parametrize("pair", BRANCH_PAIRS.values(), ids=BRANCH_PAIRS.keys())
+    def test_matches_per_node_loop(self, pair, omega):
+        w1, w2 = pair
+        lo, hi = w1.support[0], w2.support[1]
+        # both orientations, as _extremal_on evaluates them
+        for rho in (ks.solve_rho(w1, w2), ks.solve_rho(w2.reflect(lo, hi), w1.reflect(lo, hi))):
+            grid = np.linspace(rho.a, rho.c, 1001)
+            # nodes exactly at every segment end, at a1 and at c
+            exact = [x for s0, s1, *_ in rho.segments for x in (s0, s1)] + [rho.a1, rho.c]
+            ts = np.sort(np.concatenate([grid, exact]))
+            want = _left_branch_loop(rho.segments, rho.a1, rho.b1, omega, ts)
+            got = ks._left_branch(rho.segments, rho.a1, rho.b1, omega, ts)
+            assert got.tobytes() == want.tobytes()
+
+    def test_hand_made_segments(self):
+        # a support gap (0.7, 0.8), nodes past every segment (0.9 < t < a1),
+        # and a first segment whose end interpolates inexactly: at t = s1,
+        # v0 + 1 * (v1 - v0) != v1
+        segments = ((0.0, 0.7, 1.9, 0.9, 1.0), (0.8, 0.9, 1.2, 1.1, 1.0))
+        ts = np.array([0.0, 0.35, 0.7, 0.75, 0.8, 0.85, 0.9, 0.92, 0.95, 0.97, 1.0])
+        for omega in BRANCH_MODULI.values():
+            want = _left_branch_loop(segments, 0.95, 1.05, omega, ts)
+            assert ks._left_branch(segments, 0.95, 1.05, omega, ts).tobytes() == want.tobytes()
+
+    def test_empty_and_single_node(self):
+        rho = ks.solve_rho(W1, W2)
+        for ts in (np.array([]), np.array([0.1]), np.array([rho.a1])):
+            got = ks._left_branch(rho.segments, rho.a1, rho.b1, wsq, ts)
+            assert got.tobytes() == _left_branch_loop(rho.segments, rho.a1, rho.b1, wsq, ts).tobytes()
 
 
 class TestHardy:

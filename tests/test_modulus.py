@@ -29,6 +29,47 @@ class TestEval:
         assert w(-1e-14) == 0.0  # float dust is clamped, not rejected
 
 
+FAMILIES = [mo.power(1, 1), mo.power(1, 0.5), mo.power(2, 0.7), mo.minlin(1, 0.3),
+            mo.plconcave([(0, 0), (0.5, 0.4), (1, 0.6)])]
+
+
+def _bits(x) -> bytes:
+    return np.float64(x).tobytes()
+
+
+class TestScalarPath:
+    """A Python or NumPy scalar argument skips the array validation of
+    ``_nonneg``; the result must equal the 0-d and 1-d array results bit
+    for bit (signed zeros included)."""
+
+    @pytest.mark.parametrize("w", FAMILIES)
+    @pytest.mark.parametrize("t", [-0.0, 0.0, -1e-13, 1e-300, 0.3, 0.5, 1.0, 1.7, 2, 0, True,
+                                   np.float64(0.45), np.float64(-0.0)])
+    def test_scalar_equals_array(self, w, t):
+        got = w(t)
+        assert type(got) is float
+        assert _bits(got) == _bits(w(np.asarray(t, dtype=float)))
+        assert _bits(got) == _bits(w(np.array([t], dtype=float))[0])
+
+    @pytest.mark.parametrize("w", FAMILIES)
+    def test_clamped_zeros_are_positive(self, w):
+        for t in (-0.0, -1e-13, np.float64(-1e-13)):
+            assert _bits(w(t)) == _bits(0.0)
+
+    @pytest.mark.parametrize("w", FAMILIES)
+    def test_below_dust_raises(self, w):
+        for t in (-1e-11, np.float64(-1e-11), -1):
+            with pytest.raises(ValueError):
+                w(t)
+
+    @pytest.mark.parametrize("w", FAMILIES)
+    def test_random_draws(self, w):
+        # Python's ** differs from np.power in the last bit on many of these
+        ts = np.random.default_rng(5).uniform(0.0, 2.0, 2000)
+        scalar = np.array([w(float(t)) for t in ts])
+        assert scalar.tobytes() == np.asarray(w(ts), dtype=float).tobytes()
+
+
 class TestDerivative:
     def test_linear(self):
         assert mo.power(1, 1).derivative(0.42) == 1.0
