@@ -37,7 +37,6 @@ _DIAGNOSTICS = {
     "BadSupportOrder": "weight supports are not ordered left before right",
     "KnotViolation": "knot/half-width configuration violates the admissibility constraints",
     "WindowViolation": "difference windows violate the nesting constraints",
-    "NonzeroBoundary": "profile does not vanish at the domain endpoints",
     "NonIsotropic": "operation requires an isotropic model",
     "NoDifference": "required Hukuhara difference does not exist",
     "NotInvertible": "element has no additive inverse",
@@ -75,6 +74,12 @@ def _positive_int(text: str) -> int:
     if n < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     return n
+
+
+def _positive_ints(text: str) -> List[int]:
+    """argparse type: a comma-separated list of positive integers (knot
+    counts); empty entries are skipped."""
+    return [_positive_int(v) for v in text.split(",") if v.strip()]
 
 
 def _pair(text: str) -> tuple:
@@ -262,9 +267,8 @@ def cmd_verify(args) -> int:
 def cmd_sweep(args) -> int:
     omega = parse_modulus(args.omega)
     a, b = _pair(args.ab)
-    values = [int(v) for v in args.values.split(",") if v.strip()] if args.values else []
     lines = ["param,theoretical,empirical,gap"]
-    for n in values:
+    for n in args.values:
         report = orc.recovery_experiment(
             args.kind, n, args.h, omega, a, b, args.trials, args.grid, args.seed
         )
@@ -324,7 +328,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("recover", help="optimal-recovery experiments")
     p.add_argument("kind", choices=["convexify", "integral", "identity", "derivative"])
-    p.add_argument("--n", type=int, default=2)
+    p.add_argument("--n", type=_positive_int, default=2)
     p.add_argument("--h", type=_finite, default=0.05)
     p.add_argument("--ab", default="0,1")
     p.add_argument("--trials", type=_positive_int, default=100)
@@ -368,7 +372,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="convergence table for a recovery problem")
     p.add_argument("kind", choices=["convexify", "integral", "identity", "derivative"])
-    p.add_argument("--values", default="", help="comma-separated knot counts")
+    p.add_argument("--values", type=_positive_ints, default="", help="comma-separated knot counts")
     p.add_argument("--h", type=_finite, default=0.0, help="0 selects h = cell/20 per n")
     p.add_argument("--ab", default="0,1")
     p.add_argument("--trials", type=_positive_int, default=50)

@@ -41,10 +41,6 @@ class BadSupportOrder(KsrError):
     """Weight supports are not ordered left-support < right-support."""
 
 
-class NonzeroBoundary(KsrError):
-    """Function does not vanish at both endpoints of its domain."""
-
-
 class CannotCertify(KsrError):
     """A candidate extremal function could not be certified as a class member."""
 

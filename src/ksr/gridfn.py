@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -138,17 +137,6 @@ def real_grid(f, a: float, b: float, n: int = DEFAULT_GRID) -> GridFunction:
         if data.shape != ts.shape:
             raise ValueError("array length must be n + 1")
     return GridFunction(float(a), float(b), ls.REAL, data)
-
-
-def interval_grid(lo, hi, a: float, b: float, n: int = DEFAULT_GRID) -> GridFunction:
-    ts = np.linspace(a, b, n + 1)
-    lo_v = np.array([float(lo(t)) for t in ts]) if callable(lo) else np.asarray(lo, dtype=float)
-    hi_v = np.array([float(hi(t)) for t in ts]) if callable(hi) else np.asarray(hi, dtype=float)
-    return GridFunction(float(a), float(b), ls.INTERVAL, interval_array(lo_v, hi_v))
-
-
-def constant_grid(x: ls.Element, a: float, b: float, n: int = DEFAULT_GRID) -> GridFunction:
-    return from_values([x] * (n + 1), a, b)
 
 
 def interval_array(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -359,33 +347,3 @@ def to_csv(f: GridFunction) -> str:
     else:
         raise ModelMismatch("CSV export supports real and interval models")
     return buf.getvalue()
-
-
-def from_csv(text: str) -> GridFunction:
-    rows = list(csv.reader(io.StringIO(text.strip())))
-    header, body = rows[0], rows[1:]
-    ts = np.array([float(r[0]) for r in body])
-    if header[:2] == ["t", "v"]:
-        data = np.array([float(r[1]) for r in body])
-        return GridFunction(float(ts[0]), float(ts[-1]), ls.REAL, data)
-    if header[:3] == ["t", "lo", "hi"]:
-        data = np.array([[float(r[1]), float(r[2])] for r in body])
-        return GridFunction(float(ts[0]), float(ts[-1]), ls.INTERVAL, data[:, None, :])
-    raise ValueError(f"unrecognized CSV header {header}")
-
-
-def to_json(f: GridFunction) -> str:
-    return json.dumps(
-        {
-            "a": f.a,
-            "b": f.b,
-            "model": f.model,
-            "values": [ls.to_json(v)["payload"] for v in f.values()],
-        }
-    )
-
-
-def from_json(text: str) -> GridFunction:
-    obj = json.loads(text)
-    vals = [ls.from_json({"model": obj["model"], "payload": p}) for p in obj["values"]]
-    return from_values(vals, obj["a"], obj["b"])

@@ -2,8 +2,8 @@
 
 Core objects: piecewise-constant weights, the mass-pairing map rho
 (equal mass to the left of s and to the right of rho(s)), the sharp
-comparison bound with its extremal functions, Hardy and hat-sum
-rearrangements, and the general rearrangement-based estimate for
+comparison bound with its extremal functions, the hat decomposition
+and hat-sum rearrangement, and the general rearrangement-based estimate for
 weight pairs with common support.
 
 Weights are piecewise constant by design: the pairing map is then
@@ -25,7 +25,6 @@ from .errors import (
     CannotCertify,
     MassMismatch,
     NonConcave,
-    NonzeroBoundary,
     PeelingFailed,
 )
 from .modulus import Modulus
@@ -165,31 +164,6 @@ class RhoMap:
     @property
     def c(self) -> float:
         return 0.5 * (self.a1 + self.b1)
-
-    def rho(self, s: float) -> float:
-        if s > self.c + 1e-12:
-            raise ValueError("rho is defined on [a, (a1+b1)/2]")
-        if s >= self.a1:
-            return self.a1 + self.b1 - min(s, self.c)
-        for s0, s1, r0, r1, _ in self.segments:
-            if s0 - 1e-12 <= s <= s1 + 1e-12:
-                if s1 == s0:
-                    return r0
-                lam = (s - s0) / (s1 - s0)
-                return r0 + lam * (r1 - r0)
-        raise ValueError(f"s = {s} outside [{self.a}, {self.a1}]")
-
-    def rho_inv(self, t: float) -> float:
-        if t < self.c - 1e-12:
-            raise ValueError("rho^{-1} is defined on [(a1+b1)/2, b]")
-        if t <= self.b1:
-            return self.a1 + self.b1 - max(t, self.c)
-        for s0, s1, r0, r1, _ in self.segments:
-            lo, hi = min(r0, r1), max(r0, r1)
-            if lo - 1e-12 <= t <= hi + 1e-12 and r0 != r1:
-                lam = (t - r0) / (r1 - r0)
-                return s0 + lam * (s1 - s0)
-        raise ValueError(f"t = {t} outside [{self.b1}, {self.b}]")
 
 
 def _mass_refined_segments(w1: StepWeight, w2: StepWeight) -> List[Tuple[float, float, float, float, float]]:
@@ -349,31 +323,6 @@ def functional_S(f: gf.GridFunction, w1: StepWeight, w2: StepWeight) -> float:
 
 
 # ---------------------------------------------------------------------------
-# rearrangements
-
-
-def hardy_rearrangement(f: gf.GridFunction) -> gf.GridFunction:
-    """Nonincreasing rearrangement of a nonnegative real grid function,
-    by sorting cell means weighted by cell length.
-
-    The trapezoid integral is preserved exactly: node values are the
-    running two-cell averages of the sorted means.
-    """
-    if f.model != ls.REAL:
-        raise ValueError("rearrangement expects a real grid function")
-    y = f.data
-    if np.any(y < -1e-12):
-        raise ValueError("rearrangement requires nonnegative values")
-    y = np.maximum(y, 0.0)
-    mu = np.sort(0.5 * (y[1:] + y[:-1]))[::-1]
-    r = np.empty(len(y))
-    r[0] = mu[0]
-    r[-1] = mu[-1]
-    r[1:-1] = 0.5 * (mu[:-1] + mu[1:])
-    return gf.GridFunction(0.0, f.b - f.a, ls.REAL, r)
-
-
-# ---------------------------------------------------------------------------
 # hat decomposition (persistence peeling)
 
 
@@ -390,46 +339,12 @@ class Hat:
     def support(self) -> Tuple[float, float]:
         return (float(self.xs[0]), float(self.xs[-1]))
 
-    @property
-    def length(self) -> float:
-        return float(self.xs[-1] - self.xs[0])
-
-    @property
-    def height(self) -> float:
-        return float(np.max(self.mag))
-
-    def magnitude_at(self, t) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        out = np.where(
-            (t < self.xs[0]) | (t > self.xs[-1]), 0.0, np.interp(t, self.xs, self.mag)
-        )
-        return out
-
-    def monotone_intervals(self) -> List[Tuple[float, float]]:
-        """Maximal intervals of strict monotonicity."""
-        out = []
-        start = None
-        direction = 0
-        for i in range(len(self.xs) - 1):
-            d = np.sign(self.mag[i + 1] - self.mag[i])
-            if d != 0 and d == direction:
-                continue
-            if direction != 0:
-                out.append((float(self.xs[start]), float(self.xs[i])))
-            direction = int(d)
-            start = i if d != 0 else None
-        if direction != 0:
-            out.append((float(self.xs[start]), float(self.xs[-1])))
-        return out
-
 
 @dataclass(frozen=True)
 class HatDecomposition:
     domain: Tuple[float, float]
     xs: np.ndarray
     hats: Tuple[Hat, ...]
-    source_xs: np.ndarray
-    source_ys: np.ndarray
 
 
 def _find_peaks(y: np.ndarray, tol: float) -> List[Tuple[int, int]]:
@@ -531,23 +446,6 @@ def _peel_hats(xs: np.ndarray, ys: np.ndarray, tol: float) -> Tuple[np.ndarray, 
     return xs, hats
 
 
-def sigma_decompose(f: gf.GridFunction, boundary_tol: float = 1e-9) -> HatDecomposition:
-    """Decompose a real grid function vanishing at both endpoints into a
-    sum of hat functions.
-
-    Post-conditions (asserted by the test suite, not assumed): the
-    magnitudes add up to |f| at shared breakpoints, strict-monotonicity
-    intervals are pairwise disjoint, and both the integral of the
-    absolute value and the total variation are additive over hats.
-    """
-    if f.model != ls.REAL:
-        raise ValueError("decomposition expects a real grid function")
-    ys = f.data.copy()
-    if abs(ys[0]) > boundary_tol or abs(ys[-1]) > boundary_tol:
-        raise NonzeroBoundary(f"boundary values ({ys[0]}, {ys[-1]}) must vanish")
-    return _decompose_polyline(f.nodes, ys, (f.a, f.b))
-
-
 def _decompose_polyline(xs: np.ndarray, ys: np.ndarray, domain: Tuple[float, float]) -> HatDecomposition:
     ys = ys.copy()
     ys[0] = 0.0
@@ -556,7 +454,7 @@ def _decompose_polyline(xs: np.ndarray, ys: np.ndarray, domain: Tuple[float, flo
     scale = max(1.0, float(np.max(np.abs(ys2))))
     xs3, hats = _peel_hats(xs2, ys2, tol=1e-12 * scale)
     hats = sorted(hats, key=lambda h: h.support[0])
-    return HatDecomposition(domain, xs3, tuple(hats), xs2, ys2)
+    return HatDecomposition(domain, xs3, tuple(hats))
 
 
 def decompose_weights(w1: StepWeight, w2: StepWeight) -> HatDecomposition:
@@ -571,39 +469,6 @@ def decompose_weights(w1: StepWeight, w2: StepWeight) -> HatDecomposition:
     if abs(ys[-1]) > 1e-9:
         raise MassMismatch(f"weights do not balance: residue {ys[-1]}")
     return _decompose_polyline(xs, ys, (lo, hi))
-
-
-def sigma_rearrangement(f: gf.GridFunction) -> gf.GridFunction:
-    """Sum of the nonincreasing rearrangements of the hats of f, sampled
-    on a uniform grid over [0, b - a]."""
-    decomp = sigma_decompose(f)
-    length = f.b - f.a
-    ts = np.linspace(0.0, length, f.n_cells + 1)
-    total = np.zeros_like(ts)
-    for hat in decomp.hats:
-        rx, ry = decreasing_rearrangement(hat.xs, hat.mag)
-        total += np.where(ts <= rx[-1], np.interp(ts, rx, ry), 0.0)
-    return gf.GridFunction(0.0, length, ls.REAL, total)
-
-
-def decomposition_defects(decomp: HatDecomposition) -> dict:
-    """Deviations from the decomposition identities, for verification."""
-    xs, ys = decomp.source_xs, decomp.source_ys
-    total = np.zeros_like(xs)
-    for hat in decomp.hats:
-        total += hat.magnitude_at(xs)
-    prop1 = float(np.max(np.abs(total - np.abs(ys)))) if len(xs) else 0.0
-    intervals = [iv for hat in decomp.hats for iv in hat.monotone_intervals()]
-    intervals.sort()
-    prop2 = 0.0
-    for (a1, b1), (a2, b2) in zip(intervals, intervals[1:]):
-        prop2 = max(prop2, b1 - a2)
-    abs_int = sum(poly_integral(h.xs, h.mag) for h in decomp.hats)
-    zx, zy = insert_zero_crossings(xs, ys)
-    prop3 = abs(abs_int - poly_integral(zx, np.abs(zy)))
-    var_sum = sum(float(np.sum(np.abs(np.diff(h.mag)))) for h in decomp.hats)
-    prop4 = abs(var_sum - float(np.sum(np.abs(np.diff(ys)))))
-    return {"abs_sum": prop1, "overlap": prop2, "abs_integral": prop3, "variation": prop4}
 
 
 # ---------------------------------------------------------------------------
@@ -666,17 +531,6 @@ def rearrangement_forms(w1: StepWeight, w2: StepWeight, omega: Modulus) -> Tuple
 
 # ---------------------------------------------------------------------------
 # gluing per-hat extremals
-
-
-def lengths_unimodal(decomp: HatDecomposition) -> bool:
-    """Sufficient condition for gluing: support lengths rise then fall."""
-    lens = [h.length for h in decomp.hats]
-    if len(lens) <= 2:
-        return True
-    m = int(np.argmax(lens))
-    head = all(l1 <= l2 + 1e-12 for l1, l2 in zip(lens[: m + 1], lens[1 : m + 1]))
-    tail = all(l1 >= l2 - 1e-12 for l1, l2 in zip(lens[m:], lens[m + 1 :]))
-    return head and tail
 
 
 def _hat_weight_pair(hat: Hat) -> Tuple[StepWeight, StepWeight]:

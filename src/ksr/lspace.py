@@ -286,18 +286,6 @@ def hukuhara_diff(x: Element, y: Element) -> Element:
     return z
 
 
-def lift_real(r: float, x: Element) -> Element:
-    """Lift a real number through a convex invertible element:
-    r -> r_+ * x + r_- * x'."""
-    if not is_convex(x):
-        raise NotInvertible("lift requires a convex element")
-    xp = inverse(x)  # raises NotInvertible when x' does not exist
-    r = float(r)
-    if r >= 0.0:
-        return scale(r, x)
-    return scale(-r, xp)
-
-
 def close(x: Element, y: Element, tol: float = EQ_TOL) -> bool:
     """Payload-wise comparison with absolute tolerance."""
     try:
@@ -318,30 +306,3 @@ def close(x: Element, y: Element, tol: float = EQ_TOL) -> bool:
     return all(
         abs(l1 - l2) <= tol and abs(h1 - h2) <= tol for (l1, h1), (l2, h2) in zip(a, b)
     )
-
-
-def to_json(x: Element) -> dict:
-    if x.model in (REAL, MAX):
-        payload = x.payload
-    elif x.model == VECTOR:
-        payload = list(x.payload)
-    elif x.model == INTERVAL:
-        payload = [x.payload[0], x.payload[1]]
-    else:
-        payload = [[lo, hi] for lo, hi in x.payload]
-    return {"model": x.model, "payload": payload}
-
-
-def from_json(obj: dict) -> Element:
-    model, payload = obj["model"], obj["payload"]
-    if model == REAL:
-        return real(payload)
-    if model == MAX:
-        return maxval(payload)
-    if model == VECTOR:
-        return vector(*payload)
-    if model == INTERVAL:
-        return interval(payload[0], payload[1])
-    if model == UNION:
-        return union([(lo, hi) for lo, hi in payload])
-    raise ValueError(f"unknown model {model!r}")

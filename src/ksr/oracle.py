@@ -155,11 +155,16 @@ def empirical_sup(
 MODEL_MIX = (ls.REAL, ls.INTERVAL, ls.UNION, "lifted")
 
 
+def _per_model(trials: int) -> int:
+    """Samples of each model in ``MODEL_MIX`` that a stream asked for
+    ``trials`` draws: ``trials // len(MODEL_MIX)``, at least one."""
+    return max(1, trials // len(MODEL_MIX))
+
+
 def _mixed_stream(class_tag, omega, a, b, grid, trials, seed, inject=()):
-    """The injected candidates, then ``trials // len(MODEL_MIX)`` samples
-    (at least one) of each model in ``MODEL_MIX``, model k seeded with
-    ``seed + 17 k``."""
-    per = max(1, trials // len(MODEL_MIX))
+    """The injected candidates, then ``_per_model(trials)`` samples of
+    each model in ``MODEL_MIX``, model k seeded with ``seed + 17 k``."""
+    per = _per_model(trials)
     yield from inject
     for k, model in enumerate(MODEL_MIX):
         yield from sample_class(SampleSpec(class_tag, model, omega, a, b, grid, per, seed + 17 * k))
@@ -644,7 +649,8 @@ def recovery_experiment(
         err, class_tag, omega, a, b, grid, trials, seed,
         inject=[gf.lift(core, ls.interval(1.0, 1.0))],
     )
-    return rec.RecoveryReport(kind, theoretical, sup, lower, trials, eps, extremal=core)
+    drawn = len(MODEL_MIX) * _per_model(trials)  # the injected extremal is not counted
+    return rec.RecoveryReport(kind, theoretical, sup, lower, drawn, eps, extremal=core)
 
 
 SUITES = {

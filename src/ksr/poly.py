@@ -29,12 +29,8 @@ def poly_integral(xs: np.ndarray, ys: np.ndarray, c: float | None = None, d: flo
     return float(np.trapezoid(vals, pts))
 
 
-def merge_breakpoints(*xss, lo: float | None = None, hi: float | None = None) -> np.ndarray:
+def merge_breakpoints(*xss) -> np.ndarray:
     allx = np.unique(np.concatenate([np.asarray(x, dtype=float) for x in xss]))
-    if lo is not None or hi is not None:
-        lo = allx[0] if lo is None else lo
-        hi = allx[-1] if hi is None else hi
-        allx = allx[(allx >= lo - 1e-15) & (allx <= hi + 1e-15)]
     # collapse breakpoints closer than float noise
     keep = [0]
     for i in range(1, len(allx)):

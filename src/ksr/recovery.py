@@ -19,7 +19,6 @@ from . import gridfn as gf
 from . import lspace as ls
 from .errors import KnotViolation, NonConcave, SearchFailed
 from .modulus import Modulus
-from .ostrowski import point_vs_mean_bound
 
 __all__ = [
     "optimal_knots",
@@ -34,12 +33,9 @@ __all__ = [
     "lower_extremal_mean",
     "lower_extremal_integral",
     "polyline",
-    "polyline_error",
     "polyline_uniform_error",
-    "chain_bound",
     "omega_spline",
     "polyline_derivative",
-    "derivative_error_bound",
     "derivative_recovery_value",
     "derivative_extremal",
     "RecoveryReport",
@@ -278,22 +274,9 @@ def polyline(values: Sequence[ls.Element], partition: Sequence[float], n: int = 
     return gf.GridFunction(a, b, ls.INTERVAL, gf.interval_array(lo, hi))
 
 
-def polyline_error(t: float, t_lo: float, t_hi: float, omega: Modulus) -> float:
-    """Pointwise deviation bound at t inside the segment [t_lo, t_hi]."""
-    if not (t_lo <= t <= t_hi):
-        raise ValueError("t must lie in the segment")
-    d = t_hi - t_lo
-    return (t_hi - t) * (t - t_lo) / d ** 2 * omega.primitive(0.0, d)
-
-
 def polyline_uniform_error(n: int, omega: Modulus, length: float) -> float:
     """Optimal identity-recovery error from n+1 uniform node values."""
     return 0.25 * omega.primitive(0.0, length / n)
-
-
-def chain_bound(t: float, a: float, b: float, omega: Modulus) -> float:
-    """Deviation bound of f(t) from the linear blend of f(a), f(b)."""
-    return (b - t) * (t - a) / (b - a) ** 2 * omega.primitive(0.0, b - a)
 
 
 # ---------------------------------------------------------------------------
@@ -426,11 +409,6 @@ def polyline_derivative(
     return gf.GridFunction(a, b, model, data[idx])
 
 
-def derivative_error_bound(t: float, t_lo: float, t_hi: float, omega: Modulus) -> float:
-    """Deviation bound of the derivative from the segment quotient at t."""
-    return point_vs_mean_bound(t, t_lo, t_hi, omega)
-
-
 def derivative_recovery_value(n: int, omega: Modulus, length: float) -> float:
     return n / length * omega.primitive(0.0, length / n)
 
@@ -462,8 +440,9 @@ def derivative_extremal(n: int, omega: Modulus, a: float, b: float, grid_n: int 
 
 @dataclass(frozen=True)
 class RecoveryReport:
-    """Certification summary for one recovery problem.  ``extremal`` is
-    the real lower-bound profile the certification was built on."""
+    """Certification summary for one recovery problem.  ``trials`` is the
+    number of class samples the sweep drew, and ``extremal`` is the real
+    lower-bound profile the certification was built on."""
 
     problem: str
     theoretical: float

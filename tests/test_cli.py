@@ -86,6 +86,11 @@ class TestExitCodes:
             ["verify", "--trials", "1.5"],
             ["sweep", "integral", "--values", "1", "--trials", "0"],
             ["sweep", "integral", "--values", "1", "--grid", "-4"],
+            ["recover", "identity", "--n", "0"],
+            ["recover", "derivative", "--n", "0"],
+            ["recover", "integral", "--n", "-2"],
+            ["sweep", "integral", "--values", "0,-1"],
+            ["sweep", "integral", "--values", "2,abc"],
         ):
             code, out, err = run(capsys, *argv)
             assert (code, out) == (1, "") and "expected a positive integer" in err
@@ -181,8 +186,8 @@ class TestRecover:
             "--trials", "5", "--grid", "256", "--out", str(out_csv),
         )
         assert code == 0
-        g = gf.from_csv(out_csv.read_text())
-        assert float(np.max(np.abs(g.data))) == pytest.approx(1 / 32, abs=1e-9)
+        _, v = np.loadtxt(out_csv, delimiter=",", skiprows=1, unpack=True)
+        assert float(np.max(np.abs(v))) == pytest.approx(1 / 32, abs=1e-9)
 
     def test_extremal_csv_with_default_width(self, capsys, tmp_path):
         # --h 0 picks the width inside the experiment; the CSV is the
@@ -193,15 +198,32 @@ class TestRecover:
             "--grid", "256", "--out", str(out_csv),
         )
         assert code == 0
-        g = gf.from_csv(out_csv.read_text())
+        _, v = np.loadtxt(out_csv, delimiter=",", skiprows=1, unpack=True)
         # the lower bound is half the distance between the lifted +/- profiles
-        assert float(np.max(np.abs(g.data))) == pytest.approx(json.loads(out)["lower_bound"], abs=1e-9)
+        assert float(np.max(np.abs(v))) == pytest.approx(json.loads(out)["lower_bound"], abs=1e-9)
 
     def test_derivative_report(self, capsys):
         code, out, _ = run(capsys, "recover", "derivative", "--n", "4", "--grid", "512", "--trials", "8")
         assert code == 0
         payload = json.loads(out)
         assert payload["sound"] is True and payload["attained"] is True
+
+    @pytest.mark.parametrize("trials,drawn", [(5, 4), (1, 4), (8, 8)])
+    def test_trials_field_counts_samples_drawn(self, capsys, monkeypatch, trials, drawn):
+        from ksr import oracle as orc
+
+        sample_class, seen = orc.sample_class, []
+
+        def counting(spec):
+            for f in sample_class(spec):
+                seen.append(f)
+                yield f
+
+        monkeypatch.setattr(orc, "sample_class", counting)
+        code, out, _ = run(capsys, "recover", "integral", "--trials", str(trials), "--grid", "64")
+        assert code == 0
+        # the injected extremal is not a class sample and is not counted
+        assert json.loads(out)["trials"] == len(seen) == drawn
 
     @pytest.mark.parametrize("kind", sorted(RECOVER_SHA256))
     def test_pinned_digest(self, capsys, kind):
@@ -342,5 +364,6 @@ class TestExtremalExport:
         assert code == 0
         payload = json.loads(out)
         assert payload["attained"] == pytest.approx(payload["target"], abs=1e-9)
-        g = gf.from_csv(path.read_text())
-        assert np.max(np.abs(np.asarray(g.data) - (g.nodes - 0.5))) <= 1e-12
+        t, v = np.loadtxt(path, delimiter=",", skiprows=1, unpack=True)
+        assert len(t) == 257 and path.read_text().startswith("t,v\n")
+        assert np.max(np.abs(v - (t - 0.5))) <= 1e-12

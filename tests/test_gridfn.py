@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,13 +9,15 @@ from ksr import lspace as ls
 from ksr import modulus as mo
 from ksr.errors import ModelMismatch, NoDifference, NonIsotropic, NotInvertible
 
+from grid_fixtures import constant_grid, interval_grid
+
 wid = mo.power(1, 1)
 wsq = mo.power(1, 0.5)
 
 
 class TestMembership:
     def test_constant_is_member(self):
-        f = gf.constant_grid(ls.interval(1, 2), 0, 1, 128)
+        f = constant_grid(ls.interval(1, 2), 0, 1, 128)
         rep = gf.check_Homega(f, wid)
         assert rep.member
         assert rep.defect == pytest.approx(-wid(f.step), abs=1e-12)
@@ -101,11 +105,11 @@ class TestThresholdCache:
 
 class TestIntegrate:
     def test_constant_interval(self):
-        f = gf.constant_grid(ls.interval(0, 1), 0, 2, 64)
+        f = constant_grid(ls.interval(0, 1), 0, 2, 64)
         assert ls.close(gf.integrate(f), ls.interval(0, 2))
 
     def test_union_convexified_first(self):
-        f = gf.constant_grid(ls.union([(0, 0), (1, 1)]), 0, 1, 64)
+        f = constant_grid(ls.union([(0, 0), (1, 1)]), 0, 1, 64)
         assert ls.close(gf.integrate(f), ls.interval(0, 1))
 
     def test_trapezoid_exact_for_linear(self):
@@ -113,13 +117,13 @@ class TestIntegrate:
         assert gf.integrate(f).payload == pytest.approx(0.5, abs=1e-12)
 
     def test_additivity_over_disjoint_subintervals(self):
-        f = gf.interval_grid(lambda t: np.sin(t), lambda t: np.sin(t) + 1 + t, 0, 2, 512)
+        f = interval_grid(lambda t: np.sin(t), lambda t: np.sin(t) + 1 + t, 0, 2, 512)
         whole = gf.integrate(f)
         parts = ls.add(gf.integrate(f, 0, 0.7321), gf.integrate(f, 0.7321, 2))
         assert ls.close(whole, parts, tol=1e-10)
 
     def test_result_is_convexify_fixed(self):
-        f = gf.constant_grid(ls.union([(0, 1), (2, 3)]), 0, 1, 32)
+        f = constant_grid(ls.union([(0, 1), (2, 3)]), 0, 1, 32)
         out = gf.integrate(f)
         assert ls.close(out, ls.convexify(out))
 
@@ -169,8 +173,26 @@ class TestLift:
     def test_integral_commutes_with_lift(self):
         f = gf.real_grid(lambda t: np.cos(3 * t), 0, 1, 2048)
         lifted = gf.lift(f, ls.interval(1, 1))
-        expect = ls.lift_real(gf.integrate(f).payload, ls.interval(1, 1))
-        assert ls.close(gf.integrate(lifted), expect, tol=1e-9)
+        r = gf.integrate(f).payload
+        assert ls.close(gf.integrate(lifted), ls.interval(r, r), tol=1e-9)
+
+    def test_negative_values_use_the_inverse(self):
+        # r -> r x for r >= 0 and |r| x' for r < 0, with x' = [-1, -1]
+        f = gf.real_grid(np.array([2.0, -3.0, 0.0]), 0, 1, 2)
+        for x in (ls.interval(1, 1), ls.union([(1, 1)])):
+            lifted = gf.lift(f, x)
+            assert lifted.model == x.model
+            for i, r in enumerate((2.0, -3.0, 0.0)):
+                assert ls.close(lifted.value(i), ls.scale(r, x))
+            assert ls.close(lifted.value(1), ls.scale(3.0, ls.inverse(x)))
+
+    @given(st.floats(-50, 50), st.floats(-50, 50))
+    @settings(max_examples=80, deadline=None)
+    def test_lift_distance_scaling(self, r, s):
+        x = ls.interval(1, 1)
+        lifted = gf.lift(gf.real_grid(np.array([r, s, 0.0]), 0, 1, 2), x)
+        lhs = ls.dist(lifted.value(0), lifted.value(1))
+        assert abs(lhs - abs(r - s) * ls.norm(x)) <= 1e-9
 
     def test_requires_invertible(self):
         f = gf.real_grid(lambda t: t, 0, 1, 32)
@@ -180,7 +202,7 @@ class TestLift:
 
 class TestDerivative:
     def test_growing_interval(self):
-        f = gf.interval_grid(lambda t: 0.0, lambda t: t, 0, 1, 128)
+        f = interval_grid(lambda t: 0.0, lambda t: t, 0, 1, 128)
         d = gf.hukuhara_derivative(f)
         for i in (0, 64, 128):
             assert ls.close(d.value(i), ls.interval(0, 1), tol=1e-9)
@@ -193,7 +215,7 @@ class TestDerivative:
         assert ls.dist(mid, ls.interval(1, 1)) <= 2 * f.step
 
     def test_constant_gives_zero(self):
-        f = gf.constant_grid(ls.interval(1, 2), 0, 1, 64)
+        f = constant_grid(ls.interval(1, 2), 0, 1, 64)
         d = gf.hukuhara_derivative(f)
         assert all(ls.norm(v) <= 1e-12 for v in d.values())
 
@@ -206,38 +228,39 @@ class TestDerivative:
         assert gf.sup_dist(d, expect) <= 10.0 / n
 
     def test_shrinking_widths_rejected(self):
-        f = gf.interval_grid(lambda t: 0.0, lambda t: 1 - t, 0, 1, 64)
+        f = interval_grid(lambda t: 0.0, lambda t: 1 - t, 0, 1, 64)
         with pytest.raises(NoDifference):
             gf.hukuhara_derivative(f)
+
+
+def _read_csv(text):
+    return text.splitlines()[0], np.loadtxt(io.StringIO(text), delimiter=",", skiprows=1)
 
 
 class TestSerialization:
     def test_csv_round_trip_real(self):
         f = gf.real_grid(lambda t: t * t, 0, 1, 32)
-        g = gf.from_csv(gf.to_csv(f))
-        assert g.model == ls.REAL
-        assert np.allclose(g.data, f.data)
+        header, rows = _read_csv(gf.to_csv(f))
+        assert header == "t,v"
+        assert np.allclose(rows[:, 0], f.nodes)
+        assert np.allclose(rows[:, 1], f.data)
 
     def test_csv_round_trip_interval(self):
-        f = gf.interval_grid(lambda t: -t, lambda t: t, 0, 1, 32)
-        g = gf.from_csv(gf.to_csv(f))
-        assert np.allclose(np.asarray(g.data), np.asarray(f.data))
+        f = interval_grid(lambda t: -t, lambda t: t, 0, 1, 32)
+        header, rows = _read_csv(gf.to_csv(f))
+        assert header == "t,lo,hi"
+        assert np.allclose(rows[:, 0], f.nodes)
+        assert np.allclose(rows[:, 1:], f.data[:, 0])
 
     def test_csv_rejects_union(self):
-        f = gf.constant_grid(ls.union([(0, 1), (2, 3)]), 0, 1, 32)
+        f = constant_grid(ls.union([(0, 1), (2, 3)]), 0, 1, 32)
         with pytest.raises(ModelMismatch):
             gf.to_csv(f)
-
-    def test_json_round_trip(self):
-        f = gf.constant_grid(ls.union([(0, 1), (2, 3)]), 0, 1, 8)
-        g = gf.from_json(gf.to_json(f))
-        assert g.model == ls.UNION
-        assert g.value(3) == f.value(3)
 
 
 class TestHelpers:
     def test_sup_norm_matches_pointwise(self):
-        f = gf.interval_grid(lambda t: -1 - t, lambda t: t, 0, 1, 64)
+        f = interval_grid(lambda t: -1 - t, lambda t: t, 0, 1, 64)
         brute = max(ls.norm(v) for v in f.values())
         assert gf.sup_norm(f) == pytest.approx(brute, abs=1e-15)
 
@@ -300,8 +323,8 @@ class TestUnionArrays:
         assert f.values() == vals
 
     def test_interval_against_union(self):
-        iv = gf.interval_grid(lambda t: -t, lambda t: 1 + t, 0, 1, 16)
-        un = gf.constant_grid(ls.union([(0, 0.5), (2, 3)]), 0, 1, 16)
+        iv = interval_grid(lambda t: -t, lambda t: 1 + t, 0, 1, 16)
+        un = constant_grid(ls.union([(0, 0.5), (2, 3)]), 0, 1, 16)
         want = max(ls.dist(x, y) for x, y in zip(iv.values(), un.values()))
         assert gf.sup_dist(iv, un) == want == gf.sup_dist(un, iv)
         with pytest.raises(ModelMismatch):
@@ -319,9 +342,9 @@ class TestGridModels:
 
     def test_other_models_and_layouts_rejected(self):
         with pytest.raises(ModelMismatch):
-            gf.constant_grid(ls.maxval(1), 0, 1, 32)
+            constant_grid(ls.maxval(1), 0, 1, 32)
         with pytest.raises(ModelMismatch):
-            gf.constant_grid(ls.vector(1, 2), 0, 1, 32)
+            constant_grid(ls.vector(1, 2), 0, 1, 32)
         core = gf.real_grid(lambda t: t, 0, 1, 32)
         with pytest.raises(ModelMismatch):
             gf.lift(core, ls.vector(1, 0))
@@ -333,8 +356,8 @@ class TestGridModels:
             gf.GridFunction(0, 1, ls.INTERVAL, np.zeros((33, 2, 2)))
 
     def test_interval_grid_is_a_one_component_set_array(self):
-        f = gf.interval_grid(lambda t: -t, lambda t: t, 0, 1, 16)
+        f = interval_grid(lambda t: -t, lambda t: t, 0, 1, 16)
         assert f.data.shape == (17, 1, 2)
         assert f.value(16) == ls.interval(-1, 1)
         with pytest.raises(ValueError):
-            gf.interval_grid(np.ones(17), np.zeros(17), 0, 1, 16)
+            interval_grid(np.ones(17), np.zeros(17), 0, 1, 16)

@@ -11,8 +11,8 @@ from ksr.errors import (
     CannotCertify,
     MassMismatch,
     NonConcave,
-    NonzeroBoundary,
 )
+from ksr.poly import decreasing_rearrangement, insert_zero_crossings, poly_integral
 
 wid = mo.power(1, 1)
 wsq = mo.power(1, 0.5)
@@ -47,29 +47,46 @@ class TestStepWeight:
 class TestRhoMap:
     def test_unit_weights_give_reflection(self):
         rho = ks.solve_rho(W1, W2)
-        for s in (0.0, 0.1, 0.25, 0.3, 0.5):
-            assert rho.rho(s) == pytest.approx(1.0 - s, abs=1e-12)
+        assert rho.segments
+        for s0, s1, r0, r1, w in rho.segments:
+            assert r0 == pytest.approx(1.0 - s0, abs=1e-12)
+            assert r1 == pytest.approx(1.0 - s1, abs=1e-12)
+            assert w == 1.0
+        # on [a1, c] the map is a1 + b1 - s, the same reflection
+        assert rho.a1 + rho.b1 == pytest.approx(1.0, abs=1e-12)
 
     def test_boundary_values(self):
         rho = ks.solve_rho(W1, W2)
-        assert rho.rho(0.0) == pytest.approx(1.0)
-        assert rho.rho(0.25) == pytest.approx(0.75)
+        s0, _, r0, _, _ = rho.segments[0]
+        _, s1, _, r1, _ = rho.segments[-1]
+        assert (s0, r0) == pytest.approx((0.0, 1.0))  # rho(a) = b
+        assert (s1, r1) == pytest.approx((0.25, 0.75))  # rho(a1) = b1
         assert rho.c == pytest.approx(0.5)
 
-    def test_inverse(self):
-        rho = ks.solve_rho(W1, W2)
-        for t in (0.6, 0.75, 0.9, 1.0):
-            assert rho.rho_inv(t) == pytest.approx(1.0 - t, abs=1e-12)
+    def test_segments_pair_equal_masses(self):
+        # each segment carries the left mass over [s0, s1] and the right
+        # mass over [r1, r0]; together the segments tile [a, a1] and [b1, b]
+        w1 = ks.step_weight((0, 1), [(0.0, 0.1, 3.0), (0.1, 0.3, 0.25)])
+        w2 = ks.step_weight((0, 1), [(0.6, 0.9, 1.0), (0.9, 1.0, 0.5)])
+        rho = ks.solve_rho(w1, w2)
+        assert len(rho.segments) > 1
+        for s0, s1, r0, r1, w in rho.segments:
+            left = w1.primitive(s1) - w1.primitive(s0)
+            assert left == pytest.approx(w * (s1 - s0), abs=1e-12)
+            assert w2.primitive(r0) - w2.primitive(r1) == pytest.approx(left, abs=1e-12)
+        for (_, s1, _, r1, _), (s0, _, r0, _, _) in zip(rho.segments, rho.segments[1:]):
+            assert (s0, r0) == pytest.approx((s1, r1), abs=1e-12)
 
     def test_strictly_decreasing_on_positive_support(self):
         w1 = ks.step_weight((0, 1), [(0.0, 0.1, 3.0), (0.1, 0.3, 0.25)])
         w2 = ks.step_weight((0, 1), [(0.6, 0.9, 1.0), (0.9, 1.0, 0.5)])
         rho = ks.solve_rho(w1, w2)
-        ss = np.linspace(0, rho.c, 200)
-        vals = [rho.rho(float(s)) for s in ss]
-        assert all(v1 > v2 - 1e-12 for v1, v2 in zip(vals, vals[1:]))
-        assert rho.rho(0.0) == pytest.approx(1.0)
-        assert rho.rho(0.3) == pytest.approx(0.6)
+        s0s, s1s, r0s, r1s, _ = np.array(rho.segments).T
+        assert np.all(s1s > s0s) and np.all(r0s > r1s)
+        assert np.all(r0s[1:] <= r1s[:-1] + 1e-12)
+        assert (s0s[0], r0s[0]) == pytest.approx((0.0, 1.0))  # rho(0) = 1
+        assert (s1s[-1], r1s[-1]) == pytest.approx((0.3, 0.6))  # rho(0.3) = 0.6
+        assert rho.c == pytest.approx(0.45)
 
     def test_mass_mismatch(self):
         with pytest.raises(MassMismatch):
@@ -248,131 +265,141 @@ class TestLeftBranch:
             assert got.tobytes() == _left_branch_loop(rho.segments, rho.a1, rho.b1, wsq, ts).tobytes()
 
 
-class TestHardy:
-    def test_tent_rearrangement(self):
-        f = gf.real_grid(lambda t: min(t, 1 - t), 0, 1, 1024)
-        r = ks.hardy_rearrangement(f)
-        assert np.max(np.abs(r.data - (1 - r.nodes) / 2)) <= 2.0 / 1024
-
-    def test_constant_fixed_point(self):
-        f = gf.constant_grid(ls.real(0.7), 0, 1, 64)
-        r = ks.hardy_rearrangement(f)
-        assert np.allclose(r.data, 0.7)
-
-    def test_nonincreasing_input_fixed(self):
-        f = gf.real_grid(lambda t: 1 - t, 0, 1, 128)
-        r = ks.hardy_rearrangement(f)
-        # interior nodes reproduce the input exactly; the two boundary
-        # nodes carry the half-cell offset of the cell-mean representation
-        assert np.max(np.abs(r.data[1:-1] - f.data[1:-1])) <= 1e-12
-        assert np.max(np.abs(r.data - f.data)) <= 0.5 * f.step
-
-    def test_equimeasurable(self):
-        rng = np.random.default_rng(3)
-        vals = np.abs(np.cumsum(rng.uniform(-1, 1, 257))) * 0.05
-        f = gf.real_grid(vals, 0, 2, 256)
-        r = ks.hardy_rearrangement(f)
-        assert np.all(np.diff(r.data) <= 1e-12)
-        # the trapezoid mass is preserved exactly by construction
-        assert gf.integrate(r).payload == pytest.approx(gf.integrate(f).payload, abs=1e-10)
-        # sorted-histogram equality at grid resolution (the cell-mean
-        # smoothing moves values by at most half an increment, 0.025 here)
-        assert np.max(np.abs(np.sort(np.asarray(r.data)) - np.sort(vals))) <= 2.5e-2
-
-    def test_rejects_negative(self):
-        f = gf.real_grid(lambda t: t - 0.5, 0, 1, 64)
-        with pytest.raises(ValueError):
-            ks.hardy_rearrangement(f)
-
-
 def _psi_pair_two_hats():
     w1 = ks.step_weight((0, 1), [(0.0, 0.25, 1.0), (0.5, 0.75, 1.0)])
     w2 = ks.step_weight((0, 1), [(0.25, 0.5, 1.0), (0.75, 1.0, 1.0)])
     return w1, w2
 
 
-class TestSigmaDecompose:
+def _psi_polyline(w1, w2):
+    """Psi(t) = int_a^t (w1 - w2) at the breakpoints of both weights, from
+    the exact primitives."""
+    xs = np.array(sorted(set(w1.breakpoints()) | set(w2.breakpoints())))
+    return xs, np.array([w1.primitive(x) - w2.primitive(x) for x in xs])
+
+
+def _magnitude_at(hat, t):
+    return np.where((t < hat.xs[0]) | (t > hat.xs[-1]), 0.0, np.interp(t, hat.xs, hat.mag))
+
+
+def _monotone_intervals(hat):
+    """Maximal intervals on which the hat's magnitude is strictly monotone."""
+    out, start, direction = [], None, 0
+    for i in range(len(hat.xs) - 1):
+        d = int(np.sign(hat.mag[i + 1] - hat.mag[i]))
+        if d != 0 and d == direction:
+            continue
+        if direction != 0:
+            out.append((float(hat.xs[start]), float(hat.xs[i])))
+        direction, start = d, (i if d != 0 else None)
+    if direction != 0:
+        out.append((float(hat.xs[start]), float(hat.xs[-1])))
+    return out
+
+
+def _decomposition_defects(decomp, xs, ys):
+    """Deviations from the four identities of a hat decomposition of the
+    polyline (xs, ys): the magnitudes add up to |ys| at its breakpoints,
+    the strict-monotonicity intervals of all hats are pairwise disjoint,
+    and both the integral of |ys| and the total variation are additive
+    over hats."""
+    xs, ys = insert_zero_crossings(np.asarray(xs, dtype=float), np.asarray(ys, dtype=float))
+    total = sum((_magnitude_at(h, xs) for h in decomp.hats), np.zeros_like(xs))
+    intervals = sorted(iv for h in decomp.hats for iv in _monotone_intervals(h))
+    overlap = max([b1 - a2 for (_, b1), (a2, _) in zip(intervals, intervals[1:])], default=0.0)
+    abs_int = sum(poly_integral(h.xs, h.mag) for h in decomp.hats)
+    variation = sum(float(np.sum(np.abs(np.diff(h.mag)))) for h in decomp.hats)
+    return {
+        "abs_sum": float(np.max(np.abs(total - np.abs(ys)))),
+        "overlap": max(overlap, 0.0),
+        "abs_integral": abs(abs_int - poly_integral(xs, np.abs(ys))),
+        "variation": abs(variation - float(np.sum(np.abs(np.diff(ys))))),
+    }
+
+
+TENT = (np.array([0.0, 0.5, 1.0]), np.array([0.0, 0.5, 0.0]))
+# two positive peaks over a saddle at level 0.2
+NESTED = (np.array([0.0, 0.2, 0.3, 0.5, 0.9, 1.0]), np.array([0.0, 0.6, 0.2, 1.0, 1.0, 0.0]))
+
+
+class TestHatDecomposition:
     def test_two_hat_profile(self):
         w1, w2 = _psi_pair_two_hats()
         decomp = ks.decompose_weights(w1, w2)
         assert len(decomp.hats) == 2
         assert [h.sign for h in decomp.hats] == [1.0, 1.0]
-        for key, val in ks.decomposition_defects(decomp).items():
-            assert val <= 1e-9, key
+        for key, val in _decomposition_defects(decomp, *_psi_polyline(w1, w2)).items():
+            assert val <= 1e-12, key
 
     def test_single_hump_is_itself(self):
-        f = gf.real_grid(lambda t: min(t, 1 - t), 0, 1, 256)
-        decomp = ks.sigma_decompose(f)
+        decomp = ks._decompose_polyline(*TENT, (0.0, 1.0))
         assert len(decomp.hats) == 1
         hat = decomp.hats[0]
-        assert hat.height == pytest.approx(0.5, abs=1e-12)
+        assert float(np.max(hat.mag)) == pytest.approx(0.5, abs=1e-12)
         assert hat.support == pytest.approx((0.0, 1.0))
 
     def test_zero_function_gives_empty_list(self):
-        f = gf.real_grid(lambda t: 0.0, 0, 1, 64)
-        assert ks.sigma_decompose(f).hats == ()
+        xs = np.linspace(0, 1, 65)
+        assert ks._decompose_polyline(xs, np.zeros_like(xs), (0.0, 1.0)).hats == ()
 
-    def test_nonzero_boundary_rejected(self):
-        f = gf.real_grid(lambda t: t, 0, 1, 64)
-        with pytest.raises(NonzeroBoundary):
-            ks.sigma_decompose(f)
+    def test_unbalanced_weights_rejected(self):
+        # Psi must vanish at both ends; unequal masses leave a residue at b
+        with pytest.raises(MassMismatch):
+            ks.decompose_weights(W1, ks.indicator_weight(0.7, 1.0, 1.0, domain=(0, 1)))
 
     def test_nested_peaks_with_positive_saddle(self):
-        # two positive peaks over a saddle at level 0.2; the grid is
-        # chosen so the profile breakpoints land on nodes
-        xs = np.array([0.0, 0.2, 0.3, 0.5, 0.9, 1.0])
-        ys = np.array([0.0, 0.6, 0.2, 1.0, 1.0, 0.0])
-        f = gf.real_grid(np.interp(np.linspace(0, 1, 321), xs, ys), 0, 1, 320)
-        decomp = ks.sigma_decompose(f)
+        decomp = ks._decompose_polyline(*NESTED, (0.0, 1.0))
         assert len(decomp.hats) == 2
-        heights = sorted(h.height for h in decomp.hats)
-        assert heights == pytest.approx([0.4, 1.0], abs=1e-9)
-        defects = ks.decomposition_defects(decomp)
-        assert defects["abs_sum"] <= 1e-9
-        assert defects["overlap"] <= 1e-9
-        assert defects["abs_integral"] <= 1e-8
-        assert defects["variation"] <= 1e-8
+        heights = sorted(float(np.max(h.mag)) for h in decomp.hats)
+        assert heights == pytest.approx([0.4, 1.0], abs=1e-12)
+        for key, val in _decomposition_defects(decomp, *NESTED).items():
+            assert val <= 1e-12, key
 
     def test_alternating_signs_tracked(self):
         cfg_w1 = ks.indicator_weight(0, 1, 1.0, domain=(0, 1))
         cfg_w2 = ks.indicator_weight(0.25, 0.75, 2.0, domain=(0, 1))
         decomp = ks.decompose_weights(cfg_w1, cfg_w2)
         assert [h.sign for h in decomp.hats] == [1.0, -1.0]
+        for key, val in _decomposition_defects(decomp, *_psi_polyline(cfg_w1, cfg_w2)).items():
+            assert val <= 1e-12, key
 
 
-class TestSigmaRearrangement:
+def _on(polyline, at):
+    """A nonincreasing rearrangement evaluated at ``at``; zero past its end."""
+    xs, ys = polyline
+    return np.where(at <= xs[-1], np.interp(at, xs, ys), 0.0)
+
+
+class TestHatSumRearrangement:
     def test_two_equal_hats_double_single(self):
         w1, w2 = _psi_pair_two_hats()
-        decomp = ks.decompose_weights(w1, w2)
-        xs = np.linspace(0, 1, 513)
-        psi = np.interp(xs, decomp.source_xs, decomp.source_ys)
-        R = ks.sigma_rearrangement(gf.real_grid(psi, 0, 1, 512))
-        single = gf.real_grid(lambda t: min(t, 0.5 - t) if t <= 0.5 else 0.0, 0, 0.5, 256)
-        r_single = ks.hardy_rearrangement(single)
-        # R should equal twice the single-hat rearrangement (supports 0.5)
-        at = np.linspace(0, 0.45, 50)
-        expect = 2 * np.interp(at, r_single.nodes, r_single.data)
-        got = np.interp(at, R.nodes, R.data)
-        assert np.max(np.abs(got - expect)) <= 5e-3
+        R = ks._sum_of_hat_rearrangements(ks.decompose_weights(w1, w2))
+        single = decreasing_rearrangement(np.array([0.0, 0.25, 0.5]), np.array([0.0, 0.25, 0.0]))
+        # R is twice the single-hat rearrangement (supports 0.5): 0.5 - x, then 0
+        at = np.linspace(0, 1, 101)
+        assert np.max(np.abs(_on(R, at) - 2 * _on(single, at))) <= 1e-12
+        assert np.max(np.abs(_on(R, at) - np.maximum(0.5 - at, 0.0))) <= 1e-12
 
-    def test_single_hump_matches_hardy(self):
-        f = gf.real_grid(lambda t: min(t, 1 - t), 0, 1, 512)
-        R = ks.sigma_rearrangement(f)
-        r = ks.hardy_rearrangement(f)
-        assert np.max(np.abs(R.data - r.data)) <= 2e-3
+    def test_single_hump_is_its_rearrangement(self):
+        R = ks._sum_of_hat_rearrangements(ks._decompose_polyline(*TENT, (0.0, 1.0)))
+        at = np.linspace(0, 1, 101)
+        assert np.max(np.abs(_on(R, at) - (1 - at) / 2)) <= 1e-12
 
     def test_zero_function(self):
-        R = ks.sigma_rearrangement(gf.real_grid(lambda t: 0.0, 0, 1, 64))
-        assert np.allclose(R.data, 0.0)
+        xs = np.linspace(0, 1, 65)
+        rx, ry = ks._sum_of_hat_rearrangements(ks._decompose_polyline(xs, np.zeros_like(xs), (0.0, 1.0)))
+        assert rx.tolist() == [0.0, 1.0] and ry.tolist() == [0.0, 0.0]
 
-    def test_top_value_is_sum_of_heights(self):
-        w1, w2 = _psi_pair_two_hats()
-        decomp = ks.decompose_weights(w1, w2)
-        xs = np.linspace(0, 1, 513)
-        psi = np.interp(xs, decomp.source_xs, decomp.source_ys)
-        R = ks.sigma_rearrangement(gf.real_grid(psi, 0, 1, 512))
-        assert R.data[0] == pytest.approx(sum(h.height for h in decomp.hats), abs=1e-9)
-        assert np.all(np.diff(R.data) <= 1e-12)
+    @pytest.mark.parametrize("source", ["two-hats", "nested"])
+    def test_top_value_is_sum_of_heights(self, source):
+        if source == "two-hats":
+            decomp = ks.decompose_weights(*_psi_pair_two_hats())
+        else:
+            decomp = ks._decompose_polyline(*NESTED, (0.0, 1.0))
+        rx, ry = ks._sum_of_hat_rearrangements(decomp)
+        assert ry[0] == pytest.approx(sum(float(np.max(h.mag)) for h in decomp.hats), abs=1e-12)
+        assert np.all(np.diff(ry) <= 1e-12)
+        assert rx[-1] == pytest.approx(1.0)
 
 
 class TestGeneralBound:
@@ -416,7 +443,6 @@ class TestGlue:
         w1 = ks.indicator_weight(0, 1, 1.0, domain=(0, 1))
         w2 = ks.indicator_weight(0.25, 0.75, 2.0, domain=(0, 1))
         decomp = ks.decompose_weights(w1, w2)
-        assert ks.lengths_unimodal(decomp)
         g = ks.glue_extremal(decomp, wid, n=2048)
         eps = gf.eps_tolerance(wid, 1.0, 2048)
         assert gf.check_Homega(g, wid).member
@@ -438,7 +464,8 @@ class TestGlue:
         w2 = ks.step_weight((0, 1.24), [(0.3, 0.62, 1.0), (0.94, 1.24, 1.0)])
         decomp = ks.decompose_weights(w1, w2)
         assert [h.sign for h in decomp.hats] == [1.0, -1.0, 1.0]
-        assert not ks.lengths_unimodal(decomp)
+        lengths = [h.support[1] - h.support[0] for h in decomp.hats]
+        assert lengths[1] < min(lengths[0], lengths[2])  # not unimodal
         try:
             g = ks.glue_extremal(decomp, wsq, n=1024)
         except CannotCertify:

@@ -10,6 +10,8 @@ from ksr import modulus as mo
 from ksr import ostrowski as ost
 from ksr.errors import NonConcave, WindowViolation
 
+from grid_fixtures import constant_grid, interval_grid
+
 wid = mo.power(1, 1)
 wsq = mo.power(1, 0.5)
 
@@ -43,11 +45,11 @@ class TestDividedDifference:
         assert ls.dist(dd, ls.interval(1, 1)) <= 4 * f.step / 0.2
 
     def test_constant_gives_zero(self):
-        f = gf.constant_grid(ls.interval(1, 2), 0, 1, 256)
+        f = constant_grid(ls.interval(1, 2), 0, 1, 256)
         assert ls.norm(la.divided_difference(f, 0.5, 0.1, 0.1)) <= 1e-12
 
     def test_growing_interval(self):
-        f = gf.interval_grid(lambda t: 0.0, lambda t: t, 0, 1, 4096)
+        f = interval_grid(lambda t: 0.0, lambda t: t, 0, 1, 4096)
         dd = la.divided_difference(f, 0.5, 0.1, 0.1)
         assert ls.dist(dd, ls.interval(0, 1)) <= 4 * f.step / 0.2
 

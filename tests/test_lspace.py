@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ksr import lspace as ls
-from ksr.errors import ModelMismatch, NoDifference, NonIsotropic, NotInvertible
+from ksr.errors import ModelMismatch, NoDifference, NonIsotropic
 
 finite = st.floats(-50, 50, allow_nan=False, allow_infinity=False)
 
@@ -160,28 +160,6 @@ class TestHukuhara:
         assert ls.close(ls.add(y, z), x, tol=1e-9)
 
 
-class TestLift:
-    def test_singleton_scaling(self):
-        assert ls.close(ls.lift_real(2, ls.interval(1, 1)), ls.interval(2, 2))
-
-    def test_negative_uses_inverse(self):
-        assert ls.close(ls.lift_real(-3, ls.interval(1, 1)), ls.interval(-3, -3))
-
-    def test_zero_gives_zero(self):
-        assert ls.close(ls.lift_real(0.0, ls.interval(1, 1)), ls.interval(0, 0))
-
-    def test_requires_invertible(self):
-        with pytest.raises(NotInvertible):
-            ls.lift_real(1.0, ls.interval(0, 1))
-
-    @given(finite, finite)
-    @settings(max_examples=80, deadline=None)
-    def test_lift_distance_scaling(self, r, s):
-        x = ls.interval(1, 1)
-        lhs = ls.dist(ls.lift_real(r, x), ls.lift_real(s, x))
-        assert abs(lhs - abs(r - s) * ls.norm(x)) <= 1e-9
-
-
 class TestMetricIdentities:
     def _random_convex_invertible(self, rng):
         kind = rng.integers(0, 4)
@@ -216,18 +194,3 @@ class TestMetricIdentities:
             x = self._random_convex_invertible(rng)
             al, be = rng.uniform(-4, 4, size=2)
             assert ls.dist(ls.scale(al, x), ls.scale(be, x)) <= abs(al - be) * ls.norm(x) + 1e-12
-
-
-class TestJson:
-    @pytest.mark.parametrize(
-        "x",
-        [
-            ls.real(1.5),
-            ls.vector(1, 2, 3),
-            ls.interval(-1, 2),
-            ls.union([(0, 1), (2, 3)]),
-            ls.maxval(4),
-        ],
-    )
-    def test_round_trip(self, x):
-        assert ls.from_json(ls.to_json(x)) == x

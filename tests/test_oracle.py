@@ -7,6 +7,8 @@ from ksr import lspace as ls
 from ksr import modulus as mo
 from ksr import oracle as orc
 
+from grid_fixtures import constant_grid
+
 wid = mo.power(1, 1)
 wsq = mo.power(1, 0.5)
 
@@ -46,7 +48,7 @@ class TestSampling:
             assert rep.defect <= 4.0 / 256  # difference-quotient slack
 
     def test_injection_comes_first(self):
-        marker = gf.constant_grid(ls.real(123.0), 0, 1, 256)
+        marker = constant_grid(ls.real(123.0), 0, 1, 256)
         stream = orc.sample_class(_spec(trials=2), inject=[marker])
         first = next(stream)
         assert float(np.max(first.data)) == 123.0
@@ -56,7 +58,7 @@ class TestEmpiricalSup:
     def test_constant_samples_give_zero(self):
         w1 = ks.indicator_weight(0, 0.25, 1.0, domain=(0, 1))
         w2 = ks.indicator_weight(0.75, 1.0, 1.0, domain=(0, 1))
-        consts = [gf.constant_grid(ls.real(c), 0, 1, 128) for c in (-1, 0, 2)]
+        consts = [constant_grid(ls.real(c), 0, 1, 128) for c in (-1, 0, 2)]
         sup, arg = orc.empirical_sup(lambda f: ks.functional_S(f, w1, w2), consts)
         assert sup <= 1e-12
         assert arg in (0, 1, 2)

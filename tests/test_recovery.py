@@ -9,6 +9,8 @@ from ksr import modulus as mo
 from ksr import recovery as rec
 from ksr.errors import KnotViolation, NonConcave, SearchFailed
 
+from grid_fixtures import constant_grid
+
 wid = mo.power(1, 1)
 wsq = mo.power(1, 0.5)
 
@@ -58,14 +60,14 @@ class TestErrorValues:
 
 class TestRecoveryMethods:
     def test_constant_function_recovered_exactly(self):
-        f = gf.constant_grid(ls.interval(0, 1), 0, 1, 256)
+        f = constant_grid(ls.interval(0, 1), 0, 1, 256)
         knots, _ = rec.optimal_knots(2, 0, 1)
         info = rec.mean_info(f, knots, 0.1)
         method = rec.recover_convexify(info, n=256)
         assert gf.sup_dist(f, method) <= 1e-12
 
     def test_constant_interval_integral(self):
-        f = gf.constant_grid(ls.interval(0, 1), 0, 1, 256)
+        f = constant_grid(ls.interval(0, 1), 0, 1, 256)
         knots, _ = rec.optimal_knots(2, 0, 1)
         info = rec.mean_info(f, knots, 0.1)
         out = rec.recover_integral(info)
@@ -148,6 +150,14 @@ class TestLowerExtremalIntegral:
             rec.lower_extremal_integral(knots, 0.05, mo.PowerModulus(1, 2.0), 0, 1)
 
 
+def _blend_bound(t, lo, hi, omega):
+    """Pointwise bound on dist(f(t), linear blend of f(lo), f(hi)) for f
+    whose derivative has modulus omega:
+    (hi - t)(t - lo) / (hi - lo)^2 * int_0^{hi - lo} omega."""
+    d = hi - lo
+    return (hi - t) * (t - lo) / d ** 2 * omega.primitive(0.0, d)
+
+
 class TestPolyline:
     def test_interpolates_nodes(self):
         vals = [ls.interval(0, 1), ls.interval(1, 3), ls.interval(0.5, 1.5)]
@@ -161,10 +171,6 @@ class TestPolyline:
         pl = rec.polyline([f.value_at(t) for t in partition], partition, n=512)
         assert gf.sup_dist(f, pl) <= 1e-12
 
-    def test_pointwise_bound_midpoint(self):
-        assert rec.polyline_error(0.5, 0, 1, wid) == pytest.approx(1 / 8, abs=1e-15)
-        assert rec.polyline_error(0.0, 0, 1, wid) == 0.0
-
     def test_uniform_bound(self):
         assert rec.polyline_uniform_error(2, wid, 1.0) == pytest.approx(1 / 32, abs=1e-15)
 
@@ -177,6 +183,9 @@ class TestPolyline:
 
         partition = np.linspace(0, 1, 3)
         bound = rec.polyline_uniform_error(2, wid, 1.0)
+        # the pointwise form peaks at each segment midpoint with the uniform bound
+        assert _blend_bound(0.25, 0.0, 0.5, wid) == pytest.approx(bound, abs=1e-15)
+        assert _blend_bound(0.0, 0.0, 0.5, wid) == 0.0
         eps = gf.eps_tolerance(wid, 1.0, 512)
         spec = orc.SampleSpec(orc.W1HOMEGA, "interval", wid, 0.0, 1.0, 512, 30, 5)
         for f in orc.sample_class(spec):
@@ -185,7 +194,7 @@ class TestPolyline:
             # pointwise form at a few interior points
             for t in (0.1, 0.3, 0.6):
                 k = 0 if t < 0.5 else 1
-                ptbound = rec.polyline_error(t, partition[k], partition[k + 1], wid)
+                ptbound = _blend_bound(t, partition[k], partition[k + 1], wid)
                 assert ls.dist(f.value_at(t), pl.value_at(t)) <= ptbound + eps
 
     def test_chain_bound_on_samples(self):
@@ -197,7 +206,7 @@ class TestPolyline:
             fa, fb = f.value_at(0.0), f.value_at(1.0)
             for t in (0.25, 0.5, 0.8):
                 blend = ls.add(ls.scale(1 - t, fa), ls.scale(t, fb))
-                assert ls.dist(f.value_at(t), blend) <= rec.chain_bound(t, 0, 1, wid) + eps
+                assert ls.dist(f.value_at(t), blend) <= _blend_bound(t, 0, 1, wid) + eps
 
 
 class TestOmegaSpline:
@@ -248,13 +257,8 @@ class TestDerivativeRecovery:
         f = gf.lift(gf.real_grid(lambda t: 3 * t, 0, 1, 512), ls.interval(1, 1))
         partition = np.linspace(0, 1, 5)
         d = rec.polyline_derivative([f.value_at(t) for t in partition], partition, n=512)
-        expect = gf.constant_grid(ls.interval(3, 3), 0, 1, 512)
+        expect = constant_grid(ls.interval(3, 3), 0, 1, 512)
         assert gf.sup_dist(d, expect) <= 1e-12
-
-    def test_error_bound_matches_point_vs_mean(self):
-        from ksr.ostrowski import point_vs_mean_bound
-
-        assert rec.derivative_error_bound(0.3, 0.25, 0.5, wsq) == point_vs_mean_bound(0.3, 0.25, 0.5, wsq)
 
     @pytest.mark.parametrize("n,omega", [(4, wid), (3, wsq)])
     def test_extremal_construction(self, n, omega):
