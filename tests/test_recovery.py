@@ -171,6 +171,15 @@ class TestPolyline:
         pl = rec.polyline([f.value_at(t) for t in partition], partition, n=512)
         assert gf.sup_dist(f, pl) <= 1e-12
 
+    def test_pointwise_bound_midpoint(self):
+        # f(t) = t^2 / 2 has f' = t in H^omega for omega(t) = t; the chord over
+        # [0, 1] misses f(1/2) by exactly the pointwise bound 1/8, and f(0) by 0
+        f = gf.lift(gf.real_grid(lambda t: 0.5 * t * t, 0, 1, 512), ls.interval(1, 1))
+        pl = rec.polyline([f.value_at(0.0), f.value_at(1.0)], [0, 1], n=512)
+        assert ls.dist(f.value_at(0.5), pl.value_at(0.5)) == pytest.approx(1 / 8, abs=1e-15)
+        assert ls.dist(f.value_at(0.5), pl.value_at(0.5)) == pytest.approx(_blend_bound(0.5, 0, 1, wid), abs=1e-15)
+        assert ls.dist(f.value_at(0.0), pl.value_at(0.0)) == 0.0
+
     def test_uniform_bound(self):
         assert rec.polyline_uniform_error(2, wid, 1.0) == pytest.approx(1 / 32, abs=1e-15)
 
@@ -259,6 +268,23 @@ class TestDerivativeRecovery:
         d = rec.polyline_derivative([f.value_at(t) for t in partition], partition, n=512)
         expect = constant_grid(ls.interval(3, 3), 0, 1, 512)
         assert gf.sup_dist(d, expect) <= 1e-12
+
+    def test_error_bound_matches_point_vs_mean(self):
+        # f(s) = int_0^s omega(|u - t|) du has f'(t) = 0 and f' in H^omega; the
+        # recovered derivative on the segment holding t is the mean of f' there,
+        # so its error at t is exactly the point-vs-mean bound
+        from ksr.ostrowski import point_vs_mean_bound
+
+        partition = np.linspace(0, 1, 5)
+        for omega in (wid, wsq):
+            for t in (0.3, 0.25, 0.6):
+                I = omega.primitive
+                vals = [I(t - s, t) if s <= t else I(0.0, t) + I(0.0, s - t) for s in partition]
+                d = rec.polyline_derivative([ls.interval(v, v) for v in vals], partition, n=512)
+                k = min(int(np.searchsorted(partition, t, side="right")) - 1, len(partition) - 2)
+                c, e = partition[k], partition[k + 1]
+                got = ls.dist(d.value_at(0.5 * (c + e)), ls.interval(0, 0))
+                assert got == pytest.approx(point_vs_mean_bound(t, c, e, omega), abs=1e-12)
 
     @pytest.mark.parametrize("n,omega", [(4, wid), (3, wsq)])
     def test_extremal_construction(self, n, omega):
