@@ -15,6 +15,7 @@ hypothesis), 3 failed verification.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -82,7 +83,9 @@ def _positive_ints(text: str) -> List[int]:
     return [_positive_int(v) for v in text.split(",") if v.strip()]
 
 
-def _pair(text: str) -> tuple:
+def _pair(text: Optional[str]) -> tuple:
+    if not text:
+        raise ValueError("missing segment 'lo,hi'")
     parts = [float(x) for x in text.split(",")]
     if len(parts) != 2 or not all(map(math.isfinite, parts)):
         raise ValueError(f"expected finite 'lo,hi', got {text!r}")
@@ -384,9 +387,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser of every call without ``--config``, built on first use.
+    Nothing may mutate it, so that no call leaves state for the next."""
+    return _build_parser()
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = _build_parser()
     try:
         # pre-parse the config path so file values become defaults
         cfg_path = None
@@ -396,6 +405,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             elif tok.startswith("--config="):
                 cfg_path = tok.split("=", 1)[1]
         config = _load_config(cfg_path)
+        # config values are set on a parser of this call's own, never on
+        # the shared one, so that they do not outlive the call
+        parser = _build_parser() if config else _shared_parser()
         if config:
             for subparser in parser._subparsers._group_actions[0].choices.values():  # type: ignore[union-attr]
                 known = {a.dest: a for a in subparser._actions}
@@ -409,7 +421,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return 0 if e.code in (0, None) else 1
-    except (ValueError, argparse.ArgumentTypeError) as e:  # a config value of the wrong type
+    # an unreadable config file, or a config value of the wrong type
+    except (OSError, ValueError, argparse.ArgumentTypeError) as e:
         sys.stderr.write(f"ksr: --config: {e}\n")
         return 1
     try:

@@ -14,7 +14,7 @@ modulus primitives, with no root finding or quadrature error.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -343,46 +343,60 @@ class Hat:
 @dataclass(frozen=True)
 class HatDecomposition:
     domain: Tuple[float, float]
-    xs: np.ndarray
     hats: Tuple[Hat, ...]
 
 
-def _find_peaks(y: np.ndarray, tol: float) -> List[Tuple[int, int]]:
-    """Plateau peaks (l, r): maximal equal-value runs strictly above both
-    neighbors, with height above tol."""
+def _find_peaks(y: np.ndarray, tol: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Plateau peaks as index arrays (l, r), left to right: maximal
+    equal-value runs strictly above both neighbors, with height above
+    tol.  The first and last runs touch the boundary and never count."""
+    ends = np.flatnonzero(y[1:] != y[:-1])  # the last index of every run but the final one
+    l, r = ends[:-1] + 1, ends[1:]
+    keep = (y[l - 1] < y[l]) & (y[r + 1] < y[r]) & (y[l] > tol)
+    return l[keep], r[keep]
+
+
+# the most entries of one (peaks x breakpoints) temporary in _prominence
+PROMINENCE_BLOCK = 1 << 16
+
+
+def _prominence(y: np.ndarray, l: np.ndarray, r: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Prominence and saddle level of each plateau peak [l, r].  Each side
+    reaches to the nearest index whose value is not below the peak height
+    h and takes the minimum of y (and h) strictly between; a side that
+    reaches the boundary has minimum 0, as the boundary values vanish."""
     n = len(y)
-    peaks = []
-    i = 0
-    while i < n:
-        j = i
-        while j + 1 < n and y[j + 1] == y[i]:
-            j += 1
-        left_lower = i == 0 or y[i - 1] < y[i]
-        right_lower = j == n - 1 or y[j + 1] < y[j]
-        if left_lower and right_lower and y[i] > tol and 0 < i and j < n - 1:
-            peaks.append((i, j))
-        i = j + 1
-    return peaks
+    rows = max(1, PROMINENCE_BLOCK // n)
+    if len(l) > rows:  # in blocks of peaks, so that memory stays bounded
+        parts = [_prominence(y, l[i : i + rows], r[i : i + rows]) for i in range(0, len(l), rows)]
+        return np.concatenate([p for p, _ in parts]), np.concatenate([s for _, s in parts])
+    h = y[l][:, None]
+    idx = np.arange(n)
+    stop = ~(y < h)
+    left = np.where(stop & (idx < l[:, None]), idx, -1).max(axis=1)
+    right = np.where(stop & (idx > r[:, None]), idx, n).min(axis=1)
+    lmin = np.where((idx > left[:, None]) & (idx < l[:, None]), y, h).min(axis=1)
+    rmin = np.where((idx > r[:, None]) & (idx < right[:, None]), y, h).min(axis=1)
+    lmin[left < 0] = 0.0
+    rmin[right >= n] = 0.0
+    saddle = np.maximum(lmin, rmin)
+    return h[:, 0] - saddle, saddle
 
 
-def _prominence(y: np.ndarray, l: int, r: int) -> Tuple[float, float]:
-    h = y[l]
-    lmin = h
-    j = l - 1
-    while j >= 0 and y[j] < h:
-        lmin = min(lmin, y[j])
-        j -= 1
-    if j < 0:
-        lmin = 0.0  # boundary values vanish
-    rmin = h
-    j = r + 1
-    while j < len(y) and y[j] < h:
-        rmin = min(rmin, y[j])
-        j += 1
-    if j >= len(y):
-        rmin = 0.0
-    saddle = max(lmin, rmin)
-    return h - saddle, saddle
+def _lowest_peak(y: np.ndarray, tol: float) -> Optional[Tuple[float, int, int]]:
+    """Saddle level v and plateau [l, r] of the peak of least prominence,
+    or None when y has no peak.  Peaks are scanned left to right, and a
+    later one wins only when its prominence is smaller by more than 1e-15."""
+    lefts, rights = _find_peaks(y, tol)
+    if not len(lefts):
+        return None
+    proms, saddles = _prominence(y, lefts, rights)
+    proms = proms.tolist()
+    best = 0
+    for k in range(1, len(proms)):
+        if proms[k] < proms[best] - 1e-15:
+            best = k
+    return saddles[best], int(lefts[best]), int(rights[best])
 
 
 def _insert_point(xs: np.ndarray, arrays: List[np.ndarray], idx: int, x: float, vals: List[float]):
@@ -391,7 +405,7 @@ def _insert_point(xs: np.ndarray, arrays: List[np.ndarray], idx: int, x: float, 
     return xs, arrays
 
 
-def _peel_hats(xs: np.ndarray, ys: np.ndarray, tol: float) -> Tuple[np.ndarray, List[Hat]]:
+def _peel_hats(xs: np.ndarray, ys: np.ndarray, tol: float) -> List[Hat]:
     """Iteratively peel the smallest-prominence peak of |ys| at its saddle
     level; level-crossing breakpoints are inserted so every hat vanishes
     exactly at shared breakpoints."""
@@ -406,15 +420,10 @@ def _peel_hats(xs: np.ndarray, ys: np.ndarray, tol: float) -> Tuple[np.ndarray, 
         guard += 1
         if guard > limit:
             raise PeelingFailed("peeling failed to terminate")
-        peaks = _find_peaks(y, tol)
-        if not peaks:
+        peak = _lowest_peak(y, tol)
+        if peak is None:
             break
-        best = None
-        for (l, r) in peaks:
-            prom, saddle = _prominence(y, l, r)
-            if best is None or prom < best[0] - 1e-15:
-                best = (prom, saddle, l, r)
-        _, v, l, r = best
+        v, l, r = peak
         # expand the superlevel component around the peak
         i0 = l
         while i0 - 1 >= 0 and y[i0 - 1] > v:
@@ -443,7 +452,7 @@ def _peel_hats(xs: np.ndarray, ys: np.ndarray, tol: float) -> Tuple[np.ndarray, 
         sign = 1.0 if src[peak_idx] >= 0.0 else -1.0
         hats.append(Hat(xs[lo : hi + 1].copy(), mag, sign))
         y[i0 : i1 + 1] = v
-    return xs, hats
+    return hats
 
 
 def _decompose_polyline(xs: np.ndarray, ys: np.ndarray, domain: Tuple[float, float]) -> HatDecomposition:
@@ -452,9 +461,8 @@ def _decompose_polyline(xs: np.ndarray, ys: np.ndarray, domain: Tuple[float, flo
     ys[-1] = 0.0
     xs2, ys2 = insert_zero_crossings(xs, ys)
     scale = max(1.0, float(np.max(np.abs(ys2))))
-    xs3, hats = _peel_hats(xs2, ys2, tol=1e-12 * scale)
-    hats = sorted(hats, key=lambda h: h.support[0])
-    return HatDecomposition(domain, xs3, tuple(hats))
+    hats = sorted(_peel_hats(xs2, ys2, tol=1e-12 * scale), key=lambda h: h.support[0])
+    return HatDecomposition(domain, tuple(hats))
 
 
 def decompose_weights(w1: StepWeight, w2: StepWeight) -> HatDecomposition:

@@ -241,6 +241,8 @@ def validate(omega: Modulus, t_max: Optional[float] = None, grid_n: int = 64) ->
         return ValidationReport(False, "min-linear family requires K > 0 and C > 0")
     if isinstance(omega, PiecewiseLinearConcave):
         pts = omega.points
+        if len(pts) < 2:
+            return ValidationReport(False, "polyline needs at least two knots")
         if pts[0] != (0.0, 0.0):
             return ValidationReport(False, "polyline must start at (0, 0)")
         if any(t2 <= t1 for (t1, _), (t2, _) in zip(pts, pts[1:])):

@@ -150,7 +150,8 @@ class TestExitCodes:
     def test_peeling_failure_is_two(self, capsys, monkeypatch):
         from ksr import kscore as ks
 
-        monkeypatch.setattr(ks, "_find_peaks", lambda y, tol: [(1, 1)])
+        # the same plateau [1, 1] forever: the peeling never runs out of peaks
+        monkeypatch.setattr(ks, "_find_peaks", lambda y, tol: (np.array([1]), np.array([1])))
         code, out, err = run(
             capsys, "bound", "general", "--psi1", "0,1; 0,0.25,1", "--psi2", "0,1; 0.75,1,1",
         )
@@ -339,6 +340,44 @@ class TestFuzz:
         for kind in ("ks", "general"):
             self.check("bound", kind, "--psi1", f"0,1; 0,0.25,{x!r}", "--psi2", f"0,1; 0.75,1,{x!r}")
 
+    @given(st.floats(allow_nan=True, allow_infinity=True), st.floats(allow_nan=True, allow_infinity=True))
+    @settings(max_examples=25, deadline=None)
+    def test_segments(self, x, y):
+        pair = f"{x!r},{y!r}"
+        self.check("bound", "ostrowski", "--ab", pair, "--cd", "0.25,0.75")
+        self.check("bound", "symmetric", "--ab", "0,1", "--cd", pair)
+        self.check("bound", "point-mean", "--cd", pair, "--t", "0.5")
+        self.check("bound", "pair", "--ab", pair, "--t", "0.25")
+        self.check("delta-recover", "--ab", pair, "--h", "0.1")
+
+    def test_missing_segments(self):
+        for kind in ("ostrowski", "symmetric", "point-mean", "pair"):
+            self.check("bound", kind, "--t", "0.25")
+
+    @given(st.floats(allow_nan=True, allow_infinity=True))
+    @settings(max_examples=25, deadline=None)
+    def test_h_and_gamma(self, x):
+        self.check("landau", "--variant", "e", f"--h={x!r}")
+        self.check("landau", "--variant", "b", "--h", "0.2", f"--gamma={x!r}")
+        self.check("stechkin", "--target", "divdiff", f"--h={x!r}", "--gamma", "0.05")
+        self.check("stechkin", "--target", "derivative", f"--h={x!r}")
+        self.check("delta-recover", f"--h={x!r}")
+
+    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=6))
+    @settings(max_examples=40, deadline=None)
+    def test_plconcave_knots(self, xs):
+        knots = ";".join(f"{t!r},{v!r}" for t, v in zip(xs[::2], xs[1::2]))
+        self.check("bound", "point-mean", "--cd", "0,1", "--t", "0.5", "--omega", f"plconcave:{knots}")
+
+    @pytest.mark.parametrize("knots", ["", "0,0", "0.5,0.4", "0,0;", "0,0;0.5", "0,0;0.5,0.4,1"])
+    def test_plconcave_malformed(self, knots):
+        self.check("bound", "point-mean", "--cd", "0,1", "--t", "0.5", "--omega", f"plconcave:{knots}")
+
+    @given(st.floats(allow_nan=True, allow_infinity=True), st.floats(allow_nan=True, allow_infinity=True))
+    @settings(max_examples=25, deadline=None)
+    def test_minlin(self, k, c):
+        self.check("bound", "point-mean", "--cd", "0,1", "--t", "0.5", "--omega", f"minlin:K={k!r},C={c!r}")
+
 
 class TestConfigFile:
     def test_config_defaults_and_flag_override(self, capsys, tmp_path):
@@ -352,6 +391,22 @@ class TestConfigFile:
         assert json.loads(out)["value"] == pytest.approx(0.2, abs=1e-12)
         cfg.write_text("t=nan\nh=0.1\n")
         assert run(capsys, "--config", str(cfg), "delta-recover")[:2] == (1, "")
+        assert run(capsys, "--config", str(tmp_path / "missing.cfg"), "delta-recover", "--h", "0.1")[:2] == (1, "")
+
+    # the second config fails on t after its omega is applied to `bound`
+    @pytest.mark.parametrize("config", ["t=0.95\nh=0.1\n", "omega=power:K=2,alpha=1\nh=0.1\nt=nan\n"])
+    def test_config_applies_to_its_call_only(self, capsys, tmp_path, config):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        probe = ("bound", "point-mean", "--cd", "0,1", "--t", "0.5")
+        before = run(capsys, *probe)
+        run(capsys, "--config", str(cfg), "delta-recover")
+        # --h is required again, and --t is back at its default 0.5: a
+        # leaked t = 0.95 would clamp h2 to 1 - 0.95
+        assert run(capsys, "delta-recover")[:2] == (1, "")
+        code, out, _ = run(capsys, "landau", "--h", "0.1")
+        assert code == 0 and json.loads(out)["windows"]["h2"] == 0.1
+        assert run(capsys, *probe) == before
 
 
 class TestExtremalExport:

@@ -364,6 +364,170 @@ class TestHatDecomposition:
             assert val <= 1e-12, key
 
 
+def _find_peaks_loop(y, tol):
+    """The per-run loop that ``ks._find_peaks`` vectorises: plateau peaks
+    (l, r).  Kept as the reference."""
+    n = len(y)
+    peaks = []
+    i = 0
+    while i < n:
+        j = i
+        while j + 1 < n and y[j + 1] == y[i]:
+            j += 1
+        left_lower = i == 0 or y[i - 1] < y[i]
+        right_lower = j == n - 1 or y[j + 1] < y[j]
+        if left_lower and right_lower and y[i] > tol and 0 < i and j < n - 1:
+            peaks.append((i, j))
+        i = j + 1
+    return peaks
+
+
+def _prominence_loop(y, l, r):
+    """The walk from one peak that ``ks._prominence`` vectorises."""
+    h = y[l]
+    lmin = h
+    j = l - 1
+    while j >= 0 and y[j] < h:
+        lmin = min(lmin, y[j])
+        j -= 1
+    if j < 0:
+        lmin = 0.0  # boundary values vanish
+    rmin = h
+    j = r + 1
+    while j < len(y) and y[j] < h:
+        rmin = min(rmin, y[j])
+        j += 1
+    if j >= len(y):
+        rmin = 0.0
+    saddle = max(lmin, rmin)
+    return h - saddle, saddle
+
+
+def _lowest_peak_loop(y, tol):
+    """The peak selection of ``ks._lowest_peak`` as a loop over
+    ``_find_peaks_loop`` and ``_prominence_loop``."""
+    best = None
+    for (l, r) in _find_peaks_loop(y, tol):
+        prom, saddle = _prominence_loop(y, l, r)
+        if best is None or prom < best[0] - 1e-15:
+            best = (prom, saddle, l, r)
+    return None if best is None else best[1:]
+
+
+def _bounds_pieces(rng, k, lo, hi):
+    """k pieces with dyadic ends, one in each of k equal slots of [lo, hi],
+    as the closed-form benchmark queries draw them."""
+    slots = np.round(np.linspace(lo * 8192, hi * 8192, k + 1)).astype(int)
+    pieces = []
+    for a, b in zip(slots[:-1], slots[1:]):
+        half = max(1, (b - a) // 2)
+        u, v = a + int(rng.integers(0, half)), b - int(rng.integers(0, half))
+        pieces.append((u / 8192, v / 8192, round(float(rng.uniform(0.5, 2.0)), 4)))
+    return pieces
+
+
+def _bounds_pair(rng, k, split=None):
+    """A balanced weight pair of k pieces each: on a common support, or,
+    given ``split``, the first left of it and the second right of it."""
+    p1 = _bounds_pieces(rng, k, 0.0, 1.0 if split is None else split)
+    p2 = _bounds_pieces(rng, k, 0.0 if split is None else split, 1.0)
+    m1 = sum(w * (v - u) for u, v, w in p1)
+    m2 = sum(w * (v - u) for u, v, w in p2)
+    return ks.step_weight((0, 1), p1), ks.step_weight((0, 1), [(u, v, w * m1 / m2) for u, v, w in p2])
+
+
+def _quantized_polyline(seed, n=40, levels=6):
+    """A random polyline whose values take few levels: long plateaus and
+    peaks of equal height and prominence."""
+    rng = np.random.default_rng(seed)
+    xs = np.cumsum(rng.uniform(0.01, 0.1, n))
+    ys = rng.integers(-levels, levels + 1, n) / levels
+    ys[0] = ys[-1] = 0.0
+    return xs, ys
+
+
+PEEL_PAIRS = {
+    **{f"common-k{k}": _bounds_pair(np.random.default_rng(k), k) for k in (1, 2, 3, 5, 8, 13, 21, 34, 64)},
+    **{f"disjoint-k{k}": _bounds_pair(np.random.default_rng(100 + k), k, split=0.5) for k in (1, 4, 16, 64)},
+    # touching supports, among them the pair of the benchmark's bound-ks probe
+    "touching": (ks.indicator_weight(0.1, 0.3, 0.7, domain=(0, 1)),
+                 ks.indicator_weight(0.3, 0.9, 0.7 * 0.2 / 0.6, domain=(0, 1))),
+    "touching-3": (ks.step_weight((0, 1), [(0.0, 0.25, 1.0), (0.5, 0.75, 1.0)]),
+                   ks.step_weight((0, 1), [(0.25, 0.5, 1.0), (0.75, 1.0, 1.0)])),
+}
+# peaks whose prominences differ by less than, about, and more than 1e-15;
+# in "chain" the rule picks the middle peak, not the lowest one
+NEAR_TIES = {
+    "equal": np.array([0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0]),
+    "below-tol": np.array([0.0, 1.0, 0.0, 1.0 - 5e-16, 0.0]),
+    "above-tol": np.array([0.0, 1.0, 0.0, 1.0 - 1.5e-15, 0.0]),
+    "chain": np.array([0.0, 1.0, 0.0, 1.0 - 1.2e-15, 0.0, 1.0 - 2e-15, 0.0]),
+    "nested": np.array([0.0, 0.7, 0.5 + 1e-16, 0.7, 0.5, 0.7, 0.0]),
+}
+
+
+def _hat_bytes(decomp):
+    return [(h.xs.tobytes(), h.mag.tobytes(), h.sign) for h in decomp.hats]
+
+
+class TestPeelingReference:
+    """The array peak search peels exactly the hats of the per-peak loops."""
+
+    @staticmethod
+    def check(monkeypatch, decompose, *args):
+        got = decompose(*args)
+        with monkeypatch.context() as m:
+            m.setattr(ks, "_lowest_peak", _lowest_peak_loop)
+            want = decompose(*args)
+        assert _hat_bytes(got) == _hat_bytes(want)
+        return got
+
+    @staticmethod
+    def check_polyline(monkeypatch, xs, ys):
+        return TestPeelingReference.check(monkeypatch, ks._decompose_polyline, xs, ys, (xs[0], xs[-1]))
+
+    @pytest.mark.parametrize("pair", PEEL_PAIRS.values(), ids=PEEL_PAIRS.keys())
+    def test_weight_pairs(self, monkeypatch, pair):
+        assert self.check(monkeypatch, ks.decompose_weights, *pair).hats
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_plateaus(self, monkeypatch, seed):
+        self.check_polyline(monkeypatch, *_quantized_polyline(seed))
+
+    @pytest.mark.parametrize("ys", NEAR_TIES.values(), ids=NEAR_TIES.keys())
+    def test_near_equal_prominences(self, monkeypatch, ys):
+        self.check_polyline(monkeypatch, np.linspace(0.0, 1.0, len(ys)), ys)
+
+    def test_blocks_of_peaks(self, monkeypatch):
+        # about 140 breakpoints: blocks of 2 peaks and of 1 (rows >= 1)
+        w1, w2 = PEEL_PAIRS["common-k34"]
+        want = ks.decompose_weights(w1, w2)
+        for block in (300, 40):
+            monkeypatch.setattr(ks, "PROMINENCE_BLOCK", block)
+            assert _hat_bytes(ks.decompose_weights(w1, w2)) == _hat_bytes(want)
+
+    def test_chain_rule_is_not_argmin(self):
+        y = NEAR_TIES["chain"]
+        assert ks._lowest_peak(y, 0.0) == _lowest_peak_loop(y, 0.0)
+        assert ks._lowest_peak(y, 0.0)[1:] == (3, 3)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_peaks_and_prominences(self, seed):
+        # a plateau at the left end when seed % 3 > 0, equal neighbours,
+        # and peaks at and below tol = 1/3
+        y = np.abs(_quantized_polyline(seed, n=30, levels=3)[1])
+        y[: seed % 3] = y[seed % 3]
+        for tol in (0.0, 1.0 / 3.0):
+            lefts, rights = ks._find_peaks(y, tol)
+            assert list(zip(lefts.tolist(), rights.tolist())) == _find_peaks_loop(y, tol)
+            if len(lefts):
+                proms, saddles = ks._prominence(y, lefts, rights)
+                want = [_prominence_loop(y, l, r) for l, r in zip(lefts.tolist(), rights.tolist())]
+                assert proms.tolist() == [p for p, _ in want]
+                assert saddles.tolist() == [s for _, s in want]
+            assert ks._lowest_peak(y, tol) == _lowest_peak_loop(y, tol)
+
+
 def _on(polyline, at):
     """A nonincreasing rearrangement evaluated at ``at``; zero past its end."""
     xs, ys = polyline

@@ -154,6 +154,11 @@ class TestValidation:
         with pytest.raises(InvalidModulus):
             mo.plconcave([(0, 0), (0.5, 0.4), (1, 0.2)])
 
+    @pytest.mark.parametrize("points", [[], [(0, 0)], [(0.5, 0.4)]])
+    def test_rejects_fewer_than_two_knots(self, points):
+        with pytest.raises(InvalidModulus, match="two knots"):
+            mo.plconcave(points)
+
     def test_rejects_nonpositive_parameters(self):
         with pytest.raises(InvalidModulus):
             mo.power(-1, 0.5)
