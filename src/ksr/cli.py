@@ -9,7 +9,8 @@ experiments with two-sided certification), ``landau``, ``stechkin``,
 JSON goes to stdout and is byte-stable under a fixed seed; CSV is used
 for function graphs only.  Exit codes: 0 success, 1 parse error,
 2 precondition violation (the diagnostic names the violated
-hypothesis), 3 failed verification.
+hypothesis) or an ``--out`` file that cannot be written, 3 failed
+verification.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from . import landau as la
 from . import lspace as ls
 from . import oracle as orc
 from . import ostrowski as ost
-from . import recovery as rec
 from .errors import KsrError
 from .modulus import parse_modulus
 
@@ -42,7 +42,6 @@ _DIAGNOSTICS = {
     "NoDifference": "required Hukuhara difference does not exist",
     "NotInvertible": "element has no additive inverse",
     "CannotCertify": "extremal candidate could not be certified as a class member",
-    "SearchFailed": "bounded numeric search did not converge",
     "InvalidModulus": "candidate modulus failed validation",
     "RepairFailed": "a class sample could not be repaired into the class",
     "PeelingFailed": "hat decomposition did not terminate",
@@ -432,7 +431,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         hint = _DIAGNOSTICS.get(name, "precondition violated")
         sys.stderr.write(f"{name}: {hint} ({e})\n")
         return 2
-    except (ValueError, ArithmeticError) as e:
+    # OSError: an --out file that cannot be written; every command writes
+    # its file before stdout, so stdout stays empty
+    except (ValueError, ArithmeticError, OSError) as e:
         sys.stderr.write(f"{type(e).__name__}: {e}\n")
         return 2
 

@@ -25,10 +25,6 @@ class InvalidModulus(KsrError):
     """Candidate modulus of continuity failed validation."""
 
 
-class UnboundedDerivative(KsrError):
-    """The modulus has an infinite one-sided derivative at the requested point."""
-
-
 class NonConcave(KsrError):
     """Operation requires a concave modulus of continuity."""
 
@@ -51,10 +47,6 @@ class KnotViolation(KsrError):
 
 class WindowViolation(KsrError):
     """Divided-difference window parameters are inadmissible."""
-
-
-class SearchFailed(KsrError):
-    """Bounded numeric search did not converge."""
 
 
 class RepairFailed(KsrError):

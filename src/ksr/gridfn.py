@@ -183,14 +183,11 @@ class MembershipReport:
     member: bool
     defect: float
     witness: Tuple[float, float]
-    strict: bool = False
 
     SLACK = 1e-9
 
 
-def _span_set(n: int, strict: bool) -> List[int]:
-    if strict:
-        return list(range(1, n + 1))
+def _span_set(n: int) -> List[int]:
     spans = []
     k = 1
     while k < n:
@@ -201,33 +198,32 @@ def _span_set(n: int, strict: bool) -> List[int]:
 
 
 @lru_cache(maxsize=256)
-def _span_thresholds(omega: Modulus, n: int, step: float, strict: bool) -> Tuple[Tuple[int, float], ...]:
+def _span_thresholds(omega: Modulus, n: int, step: float) -> Tuple[Tuple[int, float], ...]:
     """The spans of ``_span_set`` with their thresholds omega(k * step);
     moduli are frozen dataclasses, so they key the cache by value."""
-    return tuple((k, float(omega(k * step))) for k in _span_set(n, strict))
+    return tuple((k, float(omega(k * step))) for k in _span_set(n))
 
 
-def check_Homega(f: GridFunction, omega: Modulus, strict: bool = False) -> MembershipReport:
+def check_Homega(f: GridFunction, omega: Modulus) -> MembershipReport:
     """Membership test for the class of functions with oscillation bounded
-    by ``omega``: exhaustive over adjacent and dyadic node spans, all spans
-    under ``strict``."""
+    by ``omega``: exhaustive over adjacent and dyadic node spans."""
     step = f.step
     worst = -math.inf
     witness = (f.a, f.a)
-    for k, w in _span_thresholds(omega, f.n_cells, step, strict):
+    for k, w in _span_thresholds(omega, f.n_cells, step):
         defects = _pair_dist(f, k) - w
         i = int(np.argmax(defects))
         if defects[i] > worst:
             worst = float(defects[i])
             witness = (f.a + i * step, f.a + (i + k) * step)
-    return MembershipReport(worst <= MembershipReport.SLACK, worst, witness, strict)
+    return MembershipReport(worst <= MembershipReport.SLACK, worst, witness)
 
 
 def omega_seminorm(f: GridFunction, omega: Modulus) -> float:
     """sup of dist(f(t'), f(t'')) / omega(|t' - t''|) over the same pair set
     as ``check_Homega``."""
     best = 0.0
-    for k, w in _span_thresholds(omega, f.n_cells, f.step, False):
+    for k, w in _span_thresholds(omega, f.n_cells, f.step):
         if w <= 0.0:
             continue
         best = max(best, float(np.max(_pair_dist(f, k))) / w)
@@ -277,6 +273,12 @@ def integrate(f: GridFunction, c: Optional[float] = None, d: Optional[float] = N
     nodes = f.nodes
     vals = [poly_integral(nodes, arr, c, d) for arr in comps]
     return _integral_element(f, vals)
+
+
+def cumtrapz(y: np.ndarray, step: float) -> np.ndarray:
+    """Running trapezoid integral of node values ``y`` on a uniform grid of
+    spacing ``step``, starting from 0 at the first node."""
+    return np.concatenate(([0.0], np.cumsum(0.5 * (y[1:] + y[:-1]) * step)))
 
 
 def lift(f: GridFunction, x: ls.Element) -> GridFunction:

@@ -106,11 +106,6 @@ class StepWeight:
         domain = (lo + hi - self.domain[1], lo + hi - self.domain[0])
         return StepWeight(domain, pieces)
 
-    def spec(self) -> str:
-        a, b = self.domain
-        body = "; ".join(f"{u:g},{v:g},{w:g}" for u, v, w in self.pieces)
-        return f"{a:g},{b:g}; {body}"
-
 
 def step_weight(domain, pieces) -> StepWeight:
     return StepWeight(

@@ -216,7 +216,7 @@ def landau_extremal(variant: str, w: WindowConfig, omega: Modulus, n: int = gf.D
             g = np.where(ts < lo, g[np.searchsorted(ts, lo)], g)
             g = np.where(ts > hi, g[min(np.searchsorted(ts, hi), n)], g)
     # antiderivative; for d/e centered at the window mass-balance point
-    cum = np.concatenate(([0.0], np.cumsum(0.5 * (g[1:] + g[:-1]) * step)))
+    cum = gf.cumtrapz(g, step)
     if variant in ("d", "e"):
         mass_lo = float(np.interp(lo, ts, cum))
         mass_hi = float(np.interp(hi, ts, cum))
@@ -249,7 +249,5 @@ def delta_recovery_value(t: float, h: float, omega: Modulus, a: float, b: float)
     """Error level delta and optimal recovery value for recovering the
     derivative at t from functions known with C-error delta."""
     h1, h2 = clamped_outer(t, h, a, b)
-    cap = max(float(omega(h1)), float(omega(h2)))
-    i_sum = omega.primitive(0.0, h1) + omega.primitive(0.0, h2)
-    delta = 0.5 * (h1 + h2) * cap - 0.5 * i_sum
-    return {"delta": delta, "value": cap, "h1": h1, "h2": h2}
+    delta = extremal_sup_norm(WindowConfig(t, 0.0, 0.0, h1, h2, a, b), omega)
+    return {"delta": delta, "value": max(float(omega(h1)), float(omega(h2))), "h1": h1, "h2": h2}

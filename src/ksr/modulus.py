@@ -7,20 +7,21 @@ Three closed-form families are supported:
   (0, 0) with nonincreasing slopes, extended by its last slope,
 * ``MinLinearConstant``: w(t) = min(K t, C).
 
-All evaluation, a.e. differentiation and the primitive
-I(alpha, beta) = int_alpha^beta w(s) ds are exact closed forms, so that
-bound computations downstream carry no quadrature error.
+Evaluation and the primitive I(alpha, beta) = int_alpha^beta w(s) ds
+are exact closed forms, so that bound computations downstream carry no
+quadrature error.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import InvalidModulus, UnboundedDerivative
+from .errors import InvalidModulus
 
 __all__ = [
     "Modulus",
@@ -55,15 +56,11 @@ def _nonneg(t):
 
 
 class Modulus:
-    """Common interface; concrete families override the four primitives."""
+    """Common interface; concrete families override the three primitives."""
 
     concave: bool = True
 
     def __call__(self, t):
-        raise NotImplementedError
-
-    def derivative(self, t: float) -> float:
-        """Right derivative (a.e. derivative; right value at kinks)."""
         raise NotImplementedError
 
     def primitive(self, alpha: float, beta: float) -> float:
@@ -91,15 +88,6 @@ class PowerModulus(Modulus):
         out = self.K * np.power(t, self.alpha)
         return float(out) if out.ndim == 0 else out
 
-    def derivative(self, t: float) -> float:
-        if t < 0.0:
-            raise ValueError("modulus derivative requires t >= 0")
-        if self.alpha == 1.0:
-            return self.K
-        if t == 0.0:
-            raise UnboundedDerivative("w'(0+) is infinite for alpha < 1")
-        return self.K * self.alpha * t ** (self.alpha - 1.0)
-
     def primitive(self, alpha: float, beta: float) -> float:
         alpha, beta = _check_range(alpha, beta)
         p = self.alpha + 1.0
@@ -116,7 +104,10 @@ class PiecewiseLinearConcave(Modulus):
 
     @property
     def concave(self) -> bool:
-        return all(s2 <= s1 + 1e-12 for s1, s2 in zip(self._slopes(), self._slopes()[1:]))
+        # each slope against the least slope before it, so that rises below
+        # the 1e-12 slack cannot add up along many knots
+        slopes = self._slopes()
+        return all(s <= low + 1e-12 for low, s in zip(accumulate(slopes, min), slopes[1:]))
 
     def _slopes(self):
         pts = self.points
@@ -135,16 +126,6 @@ class PiecewiseLinearConcave(Modulus):
             vs[-1] + last_slope * (t - ts[-1]),
         )
         return float(out) if out.ndim == 0 else out
-
-    def derivative(self, t: float) -> float:
-        if t < 0.0:
-            raise ValueError("modulus derivative requires t >= 0")
-        slopes = self._slopes()
-        # right derivative: at a knot, the slope of the next piece applies
-        for i, (tk, _) in enumerate(self.points[1:], start=1):
-            if t < tk:
-                return slopes[i - 1]
-        return slopes[-1]
 
     def primitive(self, alpha: float, beta: float) -> float:
         alpha, beta = _check_range(alpha, beta)
@@ -186,11 +167,6 @@ class MinLinearConstant(Modulus):
         out = np.minimum(self.K * t, self.C)
         return float(out) if out.ndim == 0 else out
 
-    def derivative(self, t: float) -> float:
-        if t < 0.0:
-            raise ValueError("modulus derivative requires t >= 0")
-        return self.K if t < self.knee else 0.0
-
     def primitive(self, alpha: float, beta: float) -> float:
         alpha, beta = _check_range(alpha, beta)
 
@@ -223,15 +199,14 @@ class ValidationReport:
     witness: Optional[Tuple[float, float]] = None
 
 
-def validate(omega: Modulus, t_max: Optional[float] = None, grid_n: int = 64) -> ValidationReport:
+def validate(omega: Modulus) -> ValidationReport:
     """Check w(0) = 0, monotonicity and subadditivity on a validation grid.
 
     Monotonicity and subadditivity are checked up to
     tol = max(1e-10, 1e-14 max|w|) over the grid, subadditivity as
     w(s + t) <= w(s) + w(t) + tol over all grid pairs; the first
-    violating pair is reported as a witness.
-    Concave families are additionally checked for a nonincreasing
-    a.e. derivative.  Every family parameter must be finite.
+    violating pair is reported as a witness.  Every family parameter
+    must be finite.
     """
     if not all(map(math.isfinite, _parameters(omega))):
         return ValidationReport(False, "modulus parameters must be finite")
@@ -250,10 +225,16 @@ def validate(omega: Modulus, t_max: Optional[float] = None, grid_n: int = 64) ->
         if any(s < -1e-12 for s in omega._slopes()):
             return ValidationReport(False, "polyline must be nondecreasing")
 
-    if t_max is None:
-        t_max = _default_scale(omega)
-    ts = np.linspace(0.0, t_max, grid_n)
-    vals = np.asarray(omega(ts), dtype=float)
+    t_max = _default_scale(omega)
+    ts = np.linspace(0.0, t_max, 64)
+    # huge parameters overflow to inf here; the isfinite test rejects
+    # those values and inf sums only make subadditivity easier to meet
+    with np.errstate(over="ignore"):
+        vals = np.asarray(omega(ts), dtype=float)
+        half = ts[ts <= t_max / 2.0 + 1e-15]
+        vh = np.asarray(omega(half), dtype=float)
+        sums = vh[:, None] + vh[None, :]
+        direct = np.asarray(omega(half[:, None] + half[None, :]), dtype=float)
     if not np.all(np.isfinite(vals)):
         return ValidationReport(False, "modulus values overflow on the validation grid")
     # absolute for moduli up to 1e4, relative to the largest value above
@@ -265,23 +246,10 @@ def validate(omega: Modulus, t_max: Optional[float] = None, grid_n: int = 64) ->
         i = int(np.argmax(np.diff(vals) < -tol))
         return ValidationReport(False, "not nondecreasing", (float(ts[i]), float(ts[i + 1])))
 
-    half = ts[ts <= t_max / 2.0 + 1e-15]
-    vh = np.asarray(omega(half), dtype=float)
-    sums = vh[:, None] + vh[None, :]
-    direct = np.asarray(omega(half[:, None] + half[None, :]), dtype=float)
     bad = direct > sums + tol
     if np.any(bad):
         i, j = map(int, np.argwhere(bad)[0])
         return ValidationReport(False, "not subadditive", (float(half[i]), float(half[j])))
-
-    if omega.concave:
-        pos = ts[ts > 1e-9]
-        dv = np.array([omega.derivative(float(t)) for t in pos])
-        if np.any(np.diff(dv) > 1e-9):
-            i = int(np.argmax(np.diff(dv) > 1e-9))
-            return ValidationReport(
-                False, "declared concave but derivative increases", (float(pos[i]), float(pos[i + 1]))
-            )
     return ValidationReport(True)
 
 

@@ -128,12 +128,9 @@ def _one_sample(rng: np.random.Generator, spec: SampleSpec, ts: np.ndarray) -> g
 def _antiderivative(rng: np.random.Generator, deriv: gf.GridFunction) -> gf.GridFunction:
     step = deriv.step
     if deriv.model == ls.REAL:
-        d = deriv.data
-        vals = np.concatenate(([0.0], np.cumsum(0.5 * (d[1:] + d[:-1]) * step)))
+        vals = gf.cumtrapz(deriv.data, step)
         return gf.GridFunction(deriv.a, deriv.b, ls.REAL, vals + float(rng.uniform(-1, 1)))
-    arrs = gf._convexified_arrays(deriv)
-    lo = np.concatenate(([0.0], np.cumsum(0.5 * (arrs[0][1:] + arrs[0][:-1]) * step)))
-    hi = np.concatenate(([0.0], np.cumsum(0.5 * (arrs[1][1:] + arrs[1][:-1]) * step)))
+    lo, hi = (gf.cumtrapz(arr, step) for arr in gf._convexified_arrays(deriv))
     base_lo = float(rng.uniform(-1, 0))
     base_hi = base_lo + float(rng.uniform(0, 1))
     return gf.GridFunction(deriv.a, deriv.b, ls.INTERVAL, gf.interval_array(lo + base_lo, hi + base_hi))
@@ -433,7 +430,7 @@ def suite_spline(trials: int, grid: int, seed: int) -> dict:
     for omega in (power(1, 1), power(1, 0.5)):
         for n in (1, 2, 4):
             partition = np.linspace(0.0, 1.0, n + 1)
-            G = rec.omega_spline(partition, omega, n=grid)
+            G = rec.omega_spline(n, omega, 0.0, 1.0, n=grid)
             target = rec.polyline_uniform_error(n, omega, 1.0)
             eps = gf.eps_tolerance(omega, 1.0, grid)
             sup = float(np.max(np.abs(G.data)))
@@ -577,7 +574,7 @@ def recovery_extremal(kind: str, n: int, h: float, omega: Modulus, a: float, b: 
         knots, _ = rec.optimal_knots(n, a, b)
         return rec.lower_extremal_integral(knots, h, omega, a, b, n=grid)
     if kind == "identity":
-        return rec.omega_spline(np.linspace(a, b, n + 1), omega, n=grid)
+        return rec.omega_spline(n, omega, a, b, n=grid)
     if kind == "derivative":
         return rec.derivative_extremal(n, omega, a, b, grid_n=grid)
     raise ValueError(f"unknown recovery problem {kind!r}")

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import gridfn as gf
 from . import lspace as ls
-from .errors import KnotViolation, NonConcave, SearchFailed
+from .errors import KnotViolation, NonConcave
 from .modulus import Modulus
 
 __all__ = [
@@ -308,84 +308,26 @@ def _spline_G(etas: np.ndarray, signs: np.ndarray, omega: Modulus, pts: np.ndarr
     return np.interp(pts, breaks, table_v)
 
 
-def omega_spline(
-    partition: Sequence[float],
-    omega: Modulus,
-    n: int = gf.DEFAULT_GRID,
-    max_iters: int = 10_000,
-    residual_tol: float = 1e-7,
-) -> gf.GridFunction:
-    """Function in the derivative-bounded class vanishing at all partition
-    nodes with sup norm >= (1/4) int_0^{(b-a)/n} w (equality for uniform
-    partitions).
+def omega_spline(pieces: int, omega: Modulus, a: float, b: float, n: int = gf.DEFAULT_GRID) -> gf.GridFunction:
+    """Function in the derivative-bounded class vanishing at the nodes of
+    the uniform partition of [a, b] into ``pieces`` cells, with sup norm
+    (1/4) int_0^{(b-a)/pieces} w.
 
-    The slope alternates in sign between break positions eta; for a
-    uniform partition the cell midpoints solve the node conditions in
-    closed form, otherwise a bounded coordinate-bisection search is run
-    (n <= 6) and the residuals are verified post hoc.
+    The slope alternates in sign between break positions eta; the cell
+    midpoints solve the node conditions in closed form, and the node
+    residuals are verified post hoc.
     """
     if not omega.concave:
         raise NonConcave("the node-vanishing construction requires a concave modulus")
-    partition = _check_partition(np.asarray(partition, dtype=float))
-    a, b = float(partition[0]), float(partition[-1])
-    m = len(partition) - 1
-    signs = np.array([(-1.0) ** i for i in range(m + 1)])
-    uniform = np.max(np.abs(np.diff(partition) - (b - a) / m)) <= 1e-12
-    if uniform:
-        etas = 0.5 * (partition[:-1] + partition[1:])
-    else:
-        if m > 6:
-            raise SearchFailed("bounded search is limited to partitions with n <= 6")
-        etas = _search_etas(partition, signs, omega, max_iters)
-    resid = np.abs(_spline_G(etas, signs, omega, partition[1:], a))
-    if np.max(resid) > residual_tol:
-        raise SearchFailed(f"node residuals {np.max(resid):.2e} exceed {residual_tol}")
+    a, b = float(a), float(b)
+    partition = _check_partition(np.linspace(a, b, pieces + 1))
+    signs = np.array([(-1.0) ** i for i in range(pieces + 1)])
+    etas = 0.5 * (partition[:-1] + partition[1:])
+    resid = float(np.max(np.abs(_spline_G(etas, signs, omega, partition[1:], a))))
+    if resid > 1e-7:
+        raise ArithmeticError(f"omega-spline node residuals {resid:.2e} exceed 1e-7")
     ts = np.linspace(a, b, n + 1)
     return gf.GridFunction(a, b, ls.REAL, _spline_G(etas, signs, omega, ts, a))
-
-
-def _search_etas(partition: np.ndarray, signs: np.ndarray, omega: Modulus, max_iters: int) -> np.ndarray:
-    a, b = float(partition[0]), float(partition[-1])
-    m = len(partition) - 1
-    etas = 0.5 * (partition[:-1] + partition[1:]).copy()
-    budget = max_iters
-    for sweep in range(200):
-        moved = 0.0
-        for i in range(m):
-            lo = a if i == 0 else etas[i - 1]
-            hi = b if i == m - 1 else etas[i + 1]
-            lo, hi = lo + 1e-12, hi - 1e-12
-            target = partition[i + 1]
-
-            def resid(x):
-                trial = etas.copy()
-                trial[i] = x
-                return float(_spline_G(np.sort(trial), signs, omega, np.array([target]), a)[0])
-
-            r_lo, r_hi = resid(lo), resid(hi)
-            if r_lo == 0.0 or r_hi == 0.0 or r_lo * r_hi > 0.0:
-                x_new = lo if abs(r_lo) < abs(r_hi) else hi
-                # no sign change: nudge toward the better endpoint
-                x_new = 0.5 * (etas[i] + x_new)
-            else:
-                x0, x1 = lo, hi
-                f0 = r_lo
-                for _ in range(60):
-                    budget -= 1
-                    if budget <= 0:
-                        raise SearchFailed("iteration budget exhausted")
-                    xm = 0.5 * (x0 + x1)
-                    fm = resid(xm)
-                    if f0 * fm <= 0.0:
-                        x1 = xm
-                    else:
-                        x0, f0 = xm, fm
-                x_new = 0.5 * (x0 + x1)
-            moved = max(moved, abs(x_new - etas[i]))
-            etas[i] = x_new
-        if moved < 1e-13:
-            break
-    return np.sort(etas)
 
 
 # ---------------------------------------------------------------------------

@@ -18,3 +18,18 @@ def interval_grid(lo, hi, a: float, b: float, n: int = gf.DEFAULT_GRID) -> gf.Gr
 def constant_grid(x: ls.Element, a: float, b: float, n: int = gf.DEFAULT_GRID) -> gf.GridFunction:
     """The constant grid function t -> x."""
     return gf.from_values([x] * (n + 1), a, b)
+
+
+def check_Homega_loop(f: gf.GridFunction, omega, spans=None):
+    """``gf.check_Homega`` without the threshold cache, over ``spans`` (the
+    dyadic span set by default; ``range(1, n + 1)`` checks every pair):
+    omega is evaluated on every span of every call.  Kept as the
+    bit-for-bit reference.  Returns (member, defect, witness)."""
+    worst, witness = -np.inf, (f.a, f.a)
+    for k in gf._span_set(f.n_cells) if spans is None else spans:
+        defects = gf._pair_dist(f, k) - float(omega(k * f.step))
+        i = int(np.argmax(defects))
+        if defects[i] > worst:
+            worst = float(defects[i])
+            witness = (f.a + i * f.step, f.a + (i + k) * f.step)
+    return worst <= gf.MembershipReport.SLACK, worst, witness

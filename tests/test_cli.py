@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -143,7 +144,7 @@ class TestExitCodes:
 
     def test_sample_repair_failure_is_two(self, capsys, monkeypatch):
         never = gf.MembershipReport(False, 1.0, (0.0, 0.0))
-        monkeypatch.setattr(gf, "check_Homega", lambda f, omega, strict=False: never)
+        monkeypatch.setattr(gf, "check_Homega", lambda f, omega: never)
         code, out, err = run(capsys, "recover", "convexify", "--h", "0.1", "--trials", "1", "--grid", "64")
         assert (code, out) == (2, "") and "RepairFailed" in err
 
@@ -315,14 +316,20 @@ class TestFuzz:
     """Any float on the command line gives a documented failure or valid JSON."""
 
     @staticmethod
-    def check(*argv):
+    def call(*argv):
+        """Exit code and stdout; a failure must exit 1 or 2 and print nothing."""
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main(list(argv))
-        if code == 0:
-            json.loads(out.getvalue(), parse_constant=_reject_constant)
-        else:
+        if code != 0:
             assert code in (1, 2) and out.getvalue() == "", (code, out.getvalue())
+        return code, out.getvalue()
+
+    @classmethod
+    def check(cls, *argv):
+        code, out = cls.call(*argv)
+        if code == 0:
+            json.loads(out, parse_constant=_reject_constant)
 
     @given(st.floats(allow_nan=True, allow_infinity=True))
     @settings(max_examples=25, deadline=None)
@@ -378,6 +385,27 @@ class TestFuzz:
     def test_minlin(self, k, c):
         self.check("bound", "point-mean", "--cd", "0,1", "--t", "0.5", "--omega", f"minlin:K={k!r},C={c!r}")
 
+    # bounded, so that no draw allocates a huge grid
+    COUNT = st.one_of(st.integers(-5, 300).map(str), st.sampled_from(["", "1.5", "abc", "2,,3", "nan"]))
+    KIND = st.sampled_from(["convexify", "integral", "identity", "derivative"])
+
+    @given(KIND, COUNT)
+    @settings(max_examples=25, deadline=None)
+    def test_recover_n(self, kind, n):
+        self.check("recover", kind, f"--n={n}", "--grid", "64", "--trials", "4")
+
+    @given(KIND, st.lists(COUNT, max_size=4))
+    @settings(max_examples=25, deadline=None)
+    def test_sweep_values(self, kind, values):
+        code, out = self.call("sweep", kind, "--values=" + ",".join(values), "--grid", "64", "--trials", "4")
+        if code == 0:
+            header, *rows = out.splitlines()
+            assert header == "param,theoretical,empirical,gap"
+            for row in rows:
+                param, *nums = row.split(",")
+                assert int(param) >= 1 and len(nums) == 3
+                assert all(math.isfinite(float(x)) for x in nums)
+
 
 class TestConfigFile:
     def test_config_defaults_and_flag_override(self, capsys, tmp_path):
@@ -422,3 +450,43 @@ class TestExtremalExport:
         t, v = np.loadtxt(path, delimiter=",", skiprows=1, unpack=True)
         assert len(t) == 257 and path.read_text().startswith("t,v\n")
         assert np.max(np.abs(v - (t - 0.5))) <= 1e-12
+
+
+class TestUnwritableOut:
+    """An --out file that cannot be written exits 2 with empty stdout."""
+
+    @pytest.mark.parametrize("argv", [
+        ("extremal", "ks", "--psi1", "0,1; 0,0.25,1", "--psi2", "0,1; 0.75,1,1", "--grid", "64"),
+        ("recover", "identity", "--n", "2", "--grid", "64", "--trials", "4"),
+        ("landau", "--variant", "e", "--h", "0.2", "--grid", "64"),
+        ("sweep", "identity", "--values", "1,2", "--grid", "64", "--trials", "4"),
+    ], ids=lambda argv: argv[0])
+    def test_exit_two(self, capsys, tmp_path, argv):
+        path = tmp_path / "missing" / "out.csv"
+        code, out, err = run(capsys, *argv, "--out", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("FileNotFoundError: ") and str(path) in err
+
+
+class TestSlowSlopeRise:
+    # slopes 1, 1 + 2**-40, 1 + 2**-39: each step is within the 1e-12
+    # slack, the total rise is not
+    OMEGA = "plconcave:0,0;1,1;2,{};3,{}".format(repr(2 + 2 ** -40), repr(3 + 3 * 2 ** -40))
+
+    PSI = ("--psi1", "0,1; 0,0.25,1", "--psi2", "0,1; 0.75,1,1")
+
+    def test_general_needs_concavity(self, capsys):
+        code, out, err = run(capsys, "bound", "general", *self.PSI, "--omega", self.OMEGA)
+        assert (code, out) == (2, "") and err.startswith("NonConcave")
+
+    @pytest.mark.parametrize("argv", [("bound", "ks", *PSI), ("bound", "point-mean", "--cd", "0,1", "--t", "0.5")])
+    def test_valid_bounds_still_answer(self, capsys, argv):
+        code, out, _ = run(capsys, *argv, "--omega", self.OMEGA)
+        assert code == 0 and json.loads(out)["bound"] > 0.0
+
+
+def test_delta_recover_rejects_a_one_point_domain(capsys):
+    # the same windows as `landau --variant e`, which rejects them too
+    for argv in (("delta-recover",), ("landau", "--variant", "e")):
+        code, out, err = run(capsys, *argv, "--ab", "0.5,0.5", "--t", "0.5", "--h", "0.1")
+        assert (code, out) == (2, "") and err.startswith("WindowViolation")

@@ -9,7 +9,7 @@ from ksr import lspace as ls
 from ksr import modulus as mo
 from ksr.errors import ModelMismatch, NoDifference, NonIsotropic, NotInvertible
 
-from grid_fixtures import constant_grid, interval_grid
+from grid_fixtures import check_Homega_loop, constant_grid, interval_grid
 
 wid = mo.power(1, 1)
 wsq = mo.power(1, 0.5)
@@ -33,27 +33,6 @@ class TestMembership:
         assert rep.defect == pytest.approx(1.0, abs=1e-12)  # worst at full span
         assert rep.witness == (0.0, 1.0)
 
-    def test_strict_flag_checks_all_pairs(self):
-        rng = np.random.default_rng(0)
-        vals = np.cumsum(rng.uniform(-1, 1, size=65)) * 0.01
-        f = gf.real_grid(vals, 0, 1, 64)
-        loose = gf.check_Homega(f, wsq)
-        strict = gf.check_Homega(f, wsq, strict=True)
-        assert strict.defect >= loose.defect - 1e-15
-
-
-def _check_Homega_loop(f, omega, strict):
-    """``check_Homega`` without the threshold cache: omega is evaluated on
-    every span of every call.  Kept as the bit-for-bit reference."""
-    worst, witness = -np.inf, (f.a, f.a)
-    for k in gf._span_set(f.n_cells, strict):
-        defects = gf._pair_dist(f, k) - float(omega(k * f.step))
-        i = int(np.argmax(defects))
-        if defects[i] > worst:
-            worst = float(defects[i])
-            witness = (f.a + i * f.step, f.a + (i + k) * f.step)
-    return worst <= gf.MembershipReport.SLACK, worst, witness
-
 
 def _membership_inputs():
     rng = np.random.default_rng(11)
@@ -73,14 +52,13 @@ def _membership_inputs():
 
 
 class TestThresholdCache:
-    @pytest.mark.parametrize("strict", [False, True])
     @pytest.mark.parametrize("omega", [wid, wsq, mo.power(2, 0.7), mo.minlin(1, 0.3),
                                        mo.plconcave([(0, 0), (0.5, 0.4), (1, 0.6)])])
-    def test_matches_uncached_loop(self, omega, strict):
+    def test_matches_uncached_loop(self, omega):
         for f in _membership_inputs():
-            want = _check_Homega_loop(f, omega, strict)
+            want = check_Homega_loop(f, omega)
             for _ in range(2):  # the second call reads the cache
-                rep = gf.check_Homega(f, omega, strict=strict)
+                rep = gf.check_Homega(f, omega)
                 assert (rep.member, rep.defect, rep.witness) == want
                 assert np.float64(rep.defect).tobytes() == np.float64(want[1]).tobytes()
 
@@ -88,7 +66,7 @@ class TestThresholdCache:
         for omega in (wid, wsq, mo.minlin(1, 0.3)):
             for f in _membership_inputs():
                 want = 0.0
-                for k in gf._span_set(f.n_cells, False):
+                for k in gf._span_set(f.n_cells):
                     w = float(omega(k * f.step))
                     want = max(want, float(np.max(gf._pair_dist(f, k))) / w)
                 assert gf.omega_seminorm(f, omega) == want

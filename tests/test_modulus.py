@@ -1,8 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from ksr import modulus as mo
-from ksr.errors import InvalidModulus, UnboundedDerivative
+from ksr.errors import InvalidModulus
 
 
 class TestEval:
@@ -16,10 +18,6 @@ class TestEval:
                                    mo.plconcave([(0, 0), (0.5, 0.4), (1, 0.6)])])
     def test_zero_at_zero(self, w):
         assert w(0.0) == 0.0
-
-    def test_negative_argument_rejected_by_derivative(self):
-        with pytest.raises(ValueError):
-            mo.power(1, 1).derivative(-0.1)
 
     @pytest.mark.parametrize("w", [mo.power(1, 0.5), mo.minlin(1, 0.5),
                                    mo.plconcave([(0, 0), (1, 1)])])
@@ -68,33 +66,6 @@ class TestScalarPath:
         ts = np.random.default_rng(5).uniform(0.0, 2.0, 2000)
         scalar = np.array([w(float(t)) for t in ts])
         assert scalar.tobytes() == np.asarray(w(ts), dtype=float).tobytes()
-
-
-class TestDerivative:
-    def test_linear(self):
-        assert mo.power(1, 1).derivative(0.42) == 1.0
-
-    def test_sqrt(self):
-        assert mo.power(1, 0.5).derivative(0.25) == pytest.approx(1.0, abs=1e-14)
-
-    def test_minlin_constant_branch(self):
-        assert mo.minlin(1, 0.5).derivative(0.7) == 0.0
-
-    def test_unbounded_at_zero(self):
-        with pytest.raises(UnboundedDerivative):
-            mo.power(1, 0.5).derivative(0.0)
-
-    def test_right_derivative_at_kinks(self):
-        w = mo.plconcave([(0, 0), (0.5, 0.4), (1, 0.6)])
-        assert w.derivative(0.5) == pytest.approx(0.4, abs=1e-12)  # next-piece slope
-
-    @pytest.mark.parametrize("w", [mo.power(1, 0.7), mo.minlin(2, 0.5),
-                                   mo.plconcave([(0, 0), (0.2, 0.3), (0.8, 0.6)])])
-    def test_nonincreasing_for_concave(self, w):
-        rng = np.random.default_rng(0)
-        ts = np.sort(rng.uniform(1e-6, 3, size=200))
-        dv = np.array([w.derivative(float(t)) for t in ts])
-        assert np.all(np.diff(dv) <= 1e-9)
 
 
 class TestPrimitive:
@@ -197,6 +168,23 @@ class TestValidation:
                                    mo.plconcave([(0, 0), (0.5, 0.4), (1, 0.6)])])
     def test_accepts_valid_families(self, w):
         assert mo.validate(w).ok
+
+    def test_huge_parameters_warn_nothing(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert mo.parse_modulus("minlin:K=1e308,C=1e308").C == 1e308
+            assert mo.parse_modulus("power:K=1e308,alpha=0.5").K == 1e308
+
+
+class TestConcave:
+    def test_slow_slope_rise_is_not_concave(self):
+        # each slope rises by 2**-40 < 1e-12 over the one before, twice
+        w = mo.plconcave([(0, 0), (1, 1), (2, 2 + 2 ** -40), (3, 3 + 3 * 2 ** -40)])
+        assert w.concave is False
+
+    def test_rise_within_slack_is_concave(self):
+        w = mo.plconcave([(0, 0), (1, 1), (2, 2 + 2 ** -40), (3, 3 + 2 ** -40)])
+        assert w.concave is True
 
 
 class TestParse:

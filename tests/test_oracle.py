@@ -7,7 +7,7 @@ from ksr import lspace as ls
 from ksr import modulus as mo
 from ksr import oracle as orc
 
-from grid_fixtures import constant_grid
+from grid_fixtures import check_Homega_loop, constant_grid
 
 wid = mo.power(1, 1)
 wsq = mo.power(1, 0.5)
@@ -34,11 +34,11 @@ class TestSampling:
 
     def test_union_members_small_grid_strict(self):
         for f in orc.sample_class(_spec(model="union", trials=3, grid=48)):
-            assert gf.check_Homega(f, wid, strict=True).member
+            assert check_Homega_loop(f, wid, range(1, f.n_cells + 1))[0]
 
     def test_real_members_strict_small_grid(self):
         for f in orc.sample_class(_spec(trials=10, grid=64)):
-            assert gf.check_Homega(f, wid, strict=True).defect <= 0.0
+            assert check_Homega_loop(f, wid, range(1, f.n_cells + 1))[1] <= 0.0
 
     @pytest.mark.parametrize("model", ["real", "interval", "lifted"])
     def test_w1_members_have_class_derivatives(self, model):

@@ -7,7 +7,7 @@ from ksr import gridfn as gf
 from ksr import lspace as ls
 from ksr import modulus as mo
 from ksr import recovery as rec
-from ksr.errors import KnotViolation, NonConcave, SearchFailed
+from ksr.errors import KnotViolation, NonConcave
 
 from grid_fixtures import constant_grid
 
@@ -222,34 +222,26 @@ class TestOmegaSpline:
     @pytest.mark.parametrize("omega", [wid, wsq])
     @pytest.mark.parametrize("n", [1, 2, 4])
     def test_uniform_equality(self, omega, n):
-        partition = np.linspace(0, 1, n + 1)
-        G = rec.omega_spline(partition, omega, n=2048)
+        G = rec.omega_spline(n, omega, 0.0, 1.0, n=2048)
         target = rec.polyline_uniform_error(n, omega, 1.0)
         assert float(np.max(np.abs(G.data))) == pytest.approx(target, abs=gf.eps_tolerance(omega, 1.0, 2048))
 
     def test_nodes_vanish_and_slope_in_class(self):
         partition = np.linspace(0, 1, 5)
-        G = rec.omega_spline(partition, wid, n=2048)
+        G = rec.omega_spline(4, wid, 0.0, 1.0, n=2048)
         assert np.max(np.abs(np.interp(partition, G.nodes, G.data))) <= 1e-9
         slope = np.diff(G.data) / G.step
         slope_fn = gf.real_grid(np.concatenate([slope, [slope[-1]]]), 0, 1, 2048)
         assert gf.check_Homega(slope_fn, wid).defect <= 1e-6
 
-    def test_mildly_nonuniform_partition(self):
-        partition = np.array([0.0, 0.45, 1.0])
-        G = rec.omega_spline(partition, wid, n=2048)
-        assert np.max(np.abs(np.interp(partition, G.nodes, G.data))) <= 1e-7
-        assert float(np.max(np.abs(G.data))) >= 1 / 32 - gf.eps_tolerance(wid, 1.0, 2048)
-
-    def test_large_nonuniform_rejected(self):
-        partition = np.concatenate([[0], np.cumsum(np.linspace(0.1, 0.2, 8))])
-        partition = partition / partition[-1]
-        with pytest.raises(SearchFailed):
-            rec.omega_spline(partition, wid, n=256)
-
     def test_nonconcave_rejected(self):
         with pytest.raises(NonConcave):
-            rec.omega_spline([0, 0.5, 1], mo.PowerModulus(1, 2.0))
+            rec.omega_spline(2, mo.PowerModulus(1, 2.0), 0.0, 1.0)
+
+    def test_node_residual_self_check(self, monkeypatch):
+        monkeypatch.setattr(rec, "_spline_G", lambda etas, signs, omega, pts, a: np.full(len(pts), 2e-7))
+        with pytest.raises(ArithmeticError, match="node residuals"):
+            rec.omega_spline(2, wid, 0.0, 1.0)
 
 
 class TestDerivativeRecovery:
@@ -421,7 +413,7 @@ class TestArrayKernels:
         partition = np.linspace(0.0, 1.0, n + 1)
         etas = 0.5 * (partition[:-1] + partition[1:])
         signs = np.array([(-1.0) ** i for i in range(n + 1)])
-        got = rec.omega_spline(partition, omega, n=512).data
+        got = rec.omega_spline(n, omega, 0.0, 1.0, n=512).data
         want = _ref_spline_G(etas, signs, omega, np.linspace(0.0, 1.0, 513), 0.0)
         assert np.array_equal(_bits(got), _bits(want))
 
