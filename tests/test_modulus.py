@@ -186,6 +186,20 @@ class TestConcave:
         w = mo.plconcave([(0, 0), (1, 1), (2, 2 + 2 ** -40), (3, 3 + 2 ** -40)])
         assert w.concave is True
 
+    @pytest.mark.parametrize("w", [mo.power(1, 0.7), mo.minlin(2, 0.5),
+                                   mo.plconcave([(0, 0), (0.2, 0.3), (0.8, 0.6)])])
+    def test_concave_families_have_nonincreasing_chord_slopes(self, w):
+        # concavity from the values alone: consecutive chord slopes never rise
+        rng = np.random.default_rng(0)
+        ts = np.sort(rng.uniform(1e-6, 3, size=200))
+        slopes = np.diff(w(ts)) / np.diff(ts)
+        assert w.concave is True
+        assert np.all(np.diff(slopes) <= 1e-8)
+
+    @pytest.mark.parametrize("alpha, concave", [(0.5, True), (1.0, True), (2.0, False)])
+    def test_power_concave_iff_alpha_at_most_one(self, alpha, concave):
+        assert mo.PowerModulus(1.0, alpha).concave is concave
+
 
 class TestParse:
     @pytest.mark.parametrize(

@@ -238,6 +238,14 @@ class TestOmegaSpline:
         with pytest.raises(NonConcave):
             rec.omega_spline(2, mo.PowerModulus(1, 2.0), 0.0, 1.0)
 
+    def test_shifted_interval(self):
+        # the uniform partition is built on [a, b]; a shift moves the spline
+        G = rec.omega_spline(4, wsq, 2.0, 3.0, n=512)
+        G0 = rec.omega_spline(4, wsq, 0.0, 1.0, n=512)
+        assert (G.a, G.b) == (2.0, 3.0)
+        assert np.max(np.abs(np.interp(np.linspace(2, 3, 5), G.nodes, G.data))) <= 1e-9
+        np.testing.assert_allclose(G.data, G0.data, rtol=0, atol=1e-12)
+
     def test_node_residual_self_check(self, monkeypatch):
         monkeypatch.setattr(rec, "_spline_G", lambda etas, signs, omega, pts, a: np.full(len(pts), 2e-7))
         with pytest.raises(ArithmeticError, match="node residuals"):
