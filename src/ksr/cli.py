@@ -43,7 +43,6 @@ _DIAGNOSTICS = {
     "NotInvertible": "element has no additive inverse",
     "CannotCertify": "extremal candidate could not be certified as a class member",
     "InvalidModulus": "candidate modulus failed validation",
-    "RepairFailed": "a class sample could not be repaired into the class",
     "PeelingFailed": "hat decomposition did not terminate",
 }
 

@@ -49,9 +49,5 @@ class WindowViolation(KsrError):
     """Divided-difference window parameters are inadmissible."""
 
 
-class RepairFailed(KsrError):
-    """A class sample could not be shrunk into the oscillation class."""
-
-
 class PeelingFailed(KsrError):
     """Hat peeling exceeded its iteration guard."""

@@ -324,8 +324,9 @@ def omega_spline(pieces: int, omega: Modulus, a: float, b: float, n: int = gf.DE
     signs = np.array([(-1.0) ** i for i in range(pieces + 1)])
     etas = 0.5 * (partition[:-1] + partition[1:])
     resid = float(np.max(np.abs(_spline_G(etas, signs, omega, partition[1:], a))))
-    if resid > 1e-7:
-        raise ArithmeticError(f"omega-spline node residuals {resid:.2e} exceed 1e-7")
+    tol = 1e-7 * max(1.0, polyline_uniform_error(pieces, omega, b - a))  # relative to the sup norm
+    if resid > tol:
+        raise ArithmeticError(f"omega-spline node residuals {resid:.2e} exceed {tol:.2e}")
     ts = np.linspace(a, b, n + 1)
     return gf.GridFunction(a, b, ls.REAL, _spline_G(etas, signs, omega, ts, a))
 
@@ -400,7 +401,7 @@ class RecoveryReport:
 
     @property
     def attained(self) -> bool:
-        return self.lower_bound >= self.theoretical - self.tolerance
+        return abs(self.lower_bound - self.theoretical) <= self.tolerance
 
     def as_dict(self) -> dict:
         return {

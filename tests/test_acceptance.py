@@ -21,7 +21,7 @@ TRIALS = 1000
 GRID = 4096
 SEED = 7
 # sha256 of the stdout of `verify --suite all --trials 1000 --grid 4096 --seed 7`
-SEED7_SHA256 = "f44767763dddfb6a958848e83a88849cf511c74ea04337885b516d0b997145fe"
+SEED7_SHA256 = "ed5a98695672e27312ddeec8a22d8aafabad50776a9a7a73f4ef506cf7c15bfe"
 
 
 @pytest.fixture(scope="module")

@@ -9,10 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ksr import cli
-from ksr import gridfn as gf
 
 # sha256 of the stdout of `verify --suite all --trials 20 --grid 128 --seed 7`
-SEED7_SMALL_SHA256 = "8ffbf4bdeb4a7d1e8be81f2e039f3e77d9468e9a02333ca16f955a72205f7c77"
+SEED7_SMALL_SHA256 = "fac2becc7633aa8849c17073677d4713753c7256687456f31638d293b135848d"
 # sha256 of the stdout of `recover KIND --n 16 --h 0 --grid 1024 --trials 8 --seed 3`,
 # computed with the per-node union and extremal code these digests guard
 RECOVER_SHA256 = {
@@ -142,12 +141,6 @@ class TestExitCodes:
         code, out, _ = run(capsys, "bound", "ks", "--psi2", "0,1; 0.75,1,1")  # no --psi1
         assert (code, out) == (2, "")
 
-    def test_sample_repair_failure_is_two(self, capsys, monkeypatch):
-        never = gf.MembershipReport(False, 1.0, (0.0, 0.0))
-        monkeypatch.setattr(gf, "check_Homega", lambda f, omega: never)
-        code, out, err = run(capsys, "recover", "convexify", "--h", "0.1", "--trials", "1", "--grid", "64")
-        assert (code, out) == (2, "") and "RepairFailed" in err
-
     def test_peeling_failure_is_two(self, capsys, monkeypatch):
         from ksr import kscore as ks
 
@@ -209,6 +202,24 @@ class TestRecover:
         assert code == 0
         payload = json.loads(out)
         assert payload["sound"] is True and payload["attained"] is True
+
+    @pytest.mark.parametrize("ab,attained", [
+        ("0,1", True),  # lower bound 0.225 against 0.1, tolerance 1
+        ("0,10", False),  # lower bound 24.75 against 12.25, tolerance 10
+    ])
+    def test_attained_is_two_sided(self, capsys, ab, attained):
+        code, out, _ = run(capsys, "recover", "integral", "--ab", ab, "--grid", "2", "--trials", "8")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["lower_bound"] > payload["theoretical"]
+        assert payload["attained"] is attained
+
+    def test_identity_on_a_wide_domain(self, capsys):
+        # the spline's node residuals are checked relative to its size
+        # (about 1.4e10 here), not against an absolute 1e-7
+        code, out, _ = run(capsys, "recover", "identity", "--n", "3", "--ab", "0,1000000")
+        assert code == 0
+        assert json.loads(out)["attained"] is True
 
     @pytest.mark.parametrize("trials,drawn", [(5, 4), (1, 4), (8, 8)])
     def test_trials_field_counts_samples_drawn(self, capsys, monkeypatch, trials, drawn):
