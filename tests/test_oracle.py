@@ -58,6 +58,15 @@ class TestSampling:
             for f in orc.sample_class(spec):
                 assert check_Homega_loop(f, omega, range(1, f.n_cells + 1))[1] <= slack
 
+    @pytest.mark.parametrize("model", orc.MODEL_MIX)
+    @pytest.mark.parametrize("omega", [wid, wsq])
+    @pytest.mark.parametrize("grid", [64, 256])
+    def test_pinned_members_in_class_on_every_node_pair(self, model, omega, grid):
+        # fixed-seed draws on [0, 1], where omega(b - a) = 1 and the slack is SLACK
+        for f in orc.sample_class(_spec(model=model, omega=omega, grid=grid)):
+            member, defect, _ = check_Homega_loop(f, omega, range(1, f.n_cells + 1))
+            assert member, defect
+
     def test_sampling_runs_no_membership_check(self, monkeypatch):
         def forbidden(f, omega):
             raise AssertionError("check_Homega called on the sampling path")
