@@ -1,10 +1,11 @@
 """Functions [a, b] -> X on a uniform grid.
 
-A grid function carries real, interval or union values.  Real payloads
-carry piecewise-linear semantics between nodes; set payloads (interval,
-union) use per-node step semantics.  Integration always uses the
-trapezoid rule on convexified endpoint payloads, which is exact for
-piecewise-linear real data.
+A grid function carries real or interval values.  Real payloads carry
+piecewise-linear semantics between nodes; interval payloads use per-node
+step semantics.  Integration always uses the trapezoid rule on the
+endpoint arrays, which is exact for piecewise-linear real data.  Other
+``lspace`` models (vectors, unions, max-space values) stay node values
+only: no grid layout carries them.
 """
 
 from __future__ import annotations
@@ -26,12 +27,12 @@ from .poly import poly_integral
 DEFAULT_GRID = 4096
 
 #: the value models a grid function carries
-GRID_MODELS = (ls.REAL, ls.INTERVAL, ls.UNION)
+GRID_MODELS = (ls.REAL, ls.INTERVAL)
 
 
 def _grid_model(model: str) -> str:
     if model not in GRID_MODELS:
-        raise ModelMismatch(f"grid functions carry real, interval or union values, not {model}")
+        raise ModelMismatch(f"grid functions carry real or interval values, not {model}")
     return model
 
 
@@ -43,15 +44,10 @@ def eps_tolerance(omega: Modulus, length: float, n_cells: int) -> float:
 @dataclass(frozen=True, eq=False)
 class GridFunction:
     """Uniform-grid representation of f: [a, b] -> X, for X the real line
-    or the compact subsets of R.
+    or the compact intervals of R.
 
-    ``data`` layout: real -> (n+1,) float array; interval and union share
-    one (n+1, k, 2) set array whose row i holds the sorted disjoint
-    components (lo, hi) of the value at node i, with k = 1 for intervals.
-    A node with fewer than k components repeats its last one; the set is
-    the same, and ``value(i)`` merges the repeats away.  The interval and
-    union tags only select the ``Element`` rule of ``value(i)`` and
-    ``hukuhara_derivative``.
+    ``data`` layout: real -> (n+1,) float array; interval -> (n+1, 2)
+    array whose row i is the (lo, hi) of the value at node i.
     """
 
     a: float
@@ -68,11 +64,10 @@ class GridFunction:
         if self.model == ls.REAL:
             if d.ndim != 1:
                 raise ValueError("real payloads need an (n+1,) array")
-        elif d.ndim != 3 or d.shape[2] != 2 or (self.model == ls.INTERVAL and d.shape[1] != 1):
-            k = 1 if self.model == ls.INTERVAL else "k"
-            raise ValueError(f"{self.model} payloads need an (n+1, {k}, 2) array")
-        elif np.any(d[..., 0] > d[..., 1] + 1e-12):
-            raise ValueError("set payloads require lo <= hi")
+        elif d.ndim != 2 or d.shape[1] != 2:
+            raise ValueError("interval payloads need an (n+1, 2) array")
+        elif np.any(d[:, 0] > d[:, 1] + 1e-12):
+            raise ValueError("interval payloads require lo <= hi")
         if self.n_cells < 2:
             raise ValueError("grid needs at least 2 cells")
 
@@ -91,12 +86,7 @@ class GridFunction:
     def value(self, i: int) -> ls.Element:
         if self.model == ls.REAL:
             return ls.real(self.data[i])
-        if self.model == ls.INTERVAL:
-            return ls.interval(*self.data[i, 0])
-        return ls.union(self.data[i])
-
-    def values(self) -> List[ls.Element]:
-        return [self.value(i) for i in range(self.n_cells + 1)]
+        return ls.interval(*self.data[i])
 
     def value_at(self, t: float) -> ls.Element:
         """Piecewise-linear evaluation for real values; nearest node otherwise."""
@@ -109,22 +99,11 @@ class GridFunction:
 
 def stack_payloads(values: Sequence[ls.Element]) -> Tuple[str, np.ndarray]:
     """The common model of ``values`` and their payloads as one array, in
-    the ``GridFunction.data`` layout (unions padded to a common count)."""
+    the ``GridFunction.data`` layout."""
     model = values[0].model
     if any(v.model != model for v in values):
         raise ModelMismatch("all node values must share one model")
-    if _grid_model(model) == ls.UNION:
-        k = max(len(v.payload) for v in values)
-        return model, np.array(
-            [v.payload + v.payload[-1:] * (k - len(v.payload)) for v in values], dtype=float
-        )
-    data = np.array([v.payload for v in values], dtype=float)
-    return model, data[:, None, :] if model == ls.INTERVAL else data
-
-
-def from_values(values: Sequence[ls.Element], a: float, b: float) -> GridFunction:
-    model, data = stack_payloads(values)
-    return GridFunction(float(a), float(b), model, data)
+    return _grid_model(model), np.array([v.payload for v in values], dtype=float)
 
 
 def real_grid(f, a: float, b: float, n: int = DEFAULT_GRID) -> GridFunction:
@@ -140,35 +119,15 @@ def real_grid(f, a: float, b: float, n: int = DEFAULT_GRID) -> GridFunction:
 
 
 def interval_array(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """The (m, 1, 2) set array of the intervals [lo[i], hi[i]]."""
-    return np.stack([lo, hi], axis=1)[:, None, :]
-
-
-def _one_sided_hausdorff(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """sup over p in x[i] of dist(p, y[i]), node by node, for unions stored
-    as (m, k, 2) arrays.  The candidates are those of
-    ``lspace._one_sided_hausdorff``: the component endpoints of x[i] and
-    the gap midpoints of y[i] that lie in x[i]."""
-    mids = 0.5 * (y[:, :-1, 1] + y[:, 1:, 0])
-    m = mids[:, :, None]
-    inside = np.any((x[:, None, :, 0] <= m) & (m <= x[:, None, :, 1]), axis=2)
-    p = np.concatenate([x[:, :, 0], x[:, :, 1], mids], axis=1)[:, :, None]
-    lo, hi = y[:, None, :, 0], y[:, None, :, 1]
-    d = np.where((lo <= p) & (p <= hi), 0.0, np.minimum(np.abs(p - lo), np.abs(p - hi)))
-    d = d.min(axis=2)
-    # a gap midpoint outside x[i] is no candidate; 0 never raises the max
-    gaps = d[:, d.shape[1] - mids.shape[1]:]
-    gaps[~inside] = 0.0
-    return d.max(axis=1)
+    """The (m, 2) array of the intervals [lo[i], hi[i]]."""
+    return np.stack([lo, hi], axis=1)
 
 
 def _set_dist(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Node-wise Hausdorff distance between two (m, k, 2) set arrays;
-    equals ``lspace.dist`` of the node values bit for bit.  Two interval
-    arrays (k = 1) take the closed form max(|lo - lo'|, |hi - hi'|)."""
-    if x.shape[1] == y.shape[1] == 1:
-        return np.maximum(np.abs(x[:, 0, 0] - y[:, 0, 0]), np.abs(x[:, 0, 1] - y[:, 0, 1]))
-    return np.maximum(_one_sided_hausdorff(x, y), _one_sided_hausdorff(y, x))
+    """Node-wise Hausdorff distance max(|lo - lo'|, |hi - hi'|) between two
+    (m, 2) interval arrays; equals ``lspace.dist`` of the node values bit
+    for bit."""
+    return np.maximum(np.abs(x[:, 0] - y[:, 0]), np.abs(x[:, 1] - y[:, 1]))
 
 
 def _pair_dist(f: GridFunction, k: int) -> np.ndarray:
@@ -231,12 +190,9 @@ def omega_seminorm(f: GridFunction, omega: Modulus) -> float:
 
 
 def sup_norm(f: GridFunction) -> float:
-    """Max over nodes of dist(f(t), 0)."""
-    if f.model == ls.REAL:
-        return float(np.max(np.abs(f.data)))
-    # the Hausdorff distance of a set to {0} is attained at a hull end
-    lo, hi = _convexified_arrays(f)
-    return float(np.max(np.maximum(np.abs(lo), np.abs(hi))))
+    """Max over nodes of dist(f(t), 0): for an interval, the larger
+    endpoint magnitude."""
+    return float(np.max(np.abs(f.data)))
 
 
 def sup_dist(f: GridFunction, g: GridFunction) -> float:
@@ -250,11 +206,12 @@ def sup_dist(f: GridFunction, g: GridFunction) -> float:
     return float(np.max(_set_dist(f.data, g.data)))
 
 
-def _convexified_arrays(f: GridFunction) -> List[np.ndarray]:
-    """Endpoint arrays after applying the convexifying operator nodewise."""
+def _endpoint_arrays(f: GridFunction) -> List[np.ndarray]:
+    """The node values of a real grid function, or the lo and hi arrays of
+    an interval one."""
     if f.model == ls.REAL:
         return [f.data]
-    return [f.data[:, 0, 0], f.data[:, -1, 1]]
+    return [f.data[:, 0], f.data[:, 1]]
 
 
 def _integral_element(f: GridFunction, vals: List[float]) -> ls.Element:
@@ -269,7 +226,7 @@ def integrate(f: GridFunction, c: Optional[float] = None, d: Optional[float] = N
     d = f.b if d is None else float(d)
     if c < f.a - 1e-12 or d > f.b + 1e-12:
         raise ValueError("integration range outside the domain")
-    comps = _convexified_arrays(f)
+    comps = _endpoint_arrays(f)
     nodes = f.nodes
     vals = [poly_integral(nodes, arr, c, d) for arr in comps]
     return _integral_element(f, vals)
@@ -294,8 +251,8 @@ def lift(f: GridFunction, x: ls.Element) -> GridFunction:
     ls.inverse(x)  # raises NotInvertible when x' does not exist
     if x.model == ls.REAL:
         return GridFunction(f.a, f.b, ls.REAL, f.data * x.payload)
-    rv = f.data * ls.convexify(x).payload[0]  # invertible sets are points
-    return GridFunction(f.a, f.b, x.model, interval_array(rv, rv))
+    rv = f.data * x.payload[0]  # invertible intervals are points
+    return GridFunction(f.a, f.b, ls.INTERVAL, interval_array(rv, rv))
 
 
 def hukuhara_derivative(f: GridFunction) -> GridFunction:
@@ -306,24 +263,9 @@ def hukuhara_derivative(f: GridFunction) -> GridFunction:
     quotient.  Raises NoDifference when a required difference is missing.
     """
     step = f.step
-    if f.model == ls.UNION:
-        vals = f.values()
-        out = []
-        for i in range(len(vals)):
-            if i == 0:
-                d = ls.hukuhara_diff(vals[1], vals[0])
-                out.append(ls.scale(1.0 / step, d))
-            elif i == len(vals) - 1:
-                d = ls.hukuhara_diff(vals[-1], vals[-2])
-                out.append(ls.scale(1.0 / step, d))
-            else:
-                fwd = ls.hukuhara_diff(vals[i + 1], vals[i])
-                bwd = ls.hukuhara_diff(vals[i], vals[i - 1])
-                out.append(ls.scale(0.5 / step, ls.add(fwd, bwd)))
-        return from_values(out, f.a, f.b)
     c = f.data
     if f.model == ls.INTERVAL:
-        shrinks = np.diff(c[:, 0, 1] - c[:, 0, 0]) < -1e-9
+        shrinks = np.diff(c[:, 1] - c[:, 0]) < -1e-9
         if np.any(shrinks):
             raise NoDifference(f"interval width decreases across node {int(np.argmax(shrinks))}")
     dc = np.empty_like(c)
@@ -331,21 +273,17 @@ def hukuhara_derivative(f: GridFunction) -> GridFunction:
     dc[0] = (c[1] - c[0]) / step
     dc[-1] = (c[-1] - c[-2]) / step
     if f.model == ls.INTERVAL:
-        np.maximum(dc[:, 0, 0], dc[:, 0, 1], out=dc[:, 0, 1])  # clamp float noise on equal widths
+        np.maximum(dc[:, 0], dc[:, 1], out=dc[:, 1])  # clamp float noise on equal widths
     return GridFunction(f.a, f.b, f.model, dc)
 
 
 def to_csv(f: GridFunction) -> str:
+    """The nodes and values of a real grid function as ``t,v`` CSV rows."""
+    if f.model != ls.REAL:
+        raise ModelMismatch("CSV export supports real grid functions")
     buf = io.StringIO()
     w = csv.writer(buf)
-    if f.model == ls.REAL:
-        w.writerow(["t", "v"])
-        for t, v in zip(f.nodes, f.data):
-            w.writerow([f"{t:.12g}", f"{v:.12g}"])
-    elif f.model == ls.INTERVAL:
-        w.writerow(["t", "lo", "hi"])
-        for t, (lo, hi) in zip(f.nodes, f.data[:, 0]):
-            w.writerow([f"{t:.12g}", f"{lo:.12g}", f"{hi:.12g}"])
-    else:
-        raise ModelMismatch("CSV export supports real and interval models")
+    w.writerow(["t", "v"])
+    for t, v in zip(f.nodes, f.data):
+        w.writerow([f"{t:.12g}", f"{v:.12g}"])
     return buf.getvalue()

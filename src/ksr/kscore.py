@@ -301,7 +301,7 @@ def integrate_weighted(f: gf.GridFunction, w: StepWeight) -> ls.Element:
     """Exact integral of w(t) f(t) dt (trapezoid payloads, step weight)."""
     if w.support[0] < f.a - 1e-9 or w.support[1] > f.b + 1e-9:
         raise ValueError("weight support outside the function domain")
-    comps = gf._convexified_arrays(f)
+    comps = gf._endpoint_arrays(f)
     nodes = f.nodes
     vals = []
     for arr in comps:

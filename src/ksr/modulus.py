@@ -267,7 +267,9 @@ def _default_scale(omega: Modulus) -> float:
     if isinstance(omega, PiecewiseLinearConcave):
         return max(2.0, 2.0 * omega.points[-1][0])
     if isinstance(omega, MinLinearConstant):
-        return max(2.0, 2.0 * omega.knee)
+        # C/K overflows for a subnormal K: cap the knee so that the
+        # validation grid and its pair sums stay finite
+        return max(2.0, 2.0 * min(omega.knee, 0.25 * np.finfo(float).max))
     return 2.0
 
 

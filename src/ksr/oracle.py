@@ -34,7 +34,7 @@ W1HOMEGA = "w1homega"
 @dataclass(frozen=True)
 class SampleSpec:
     class_tag: str
-    model: str  # real | interval | union | lifted
+    model: str  # real | interval | lifted
     omega: Modulus
     a: float
     b: float
@@ -97,24 +97,18 @@ def _one_sample(rng: np.random.Generator, spec: SampleSpec, ts: np.ndarray) -> g
 def _homega_sample(rng: np.random.Generator, spec: SampleSpec, ts: np.ndarray) -> gf.GridFunction:
     """An oscillation-class member of ``spec.model``: a real member, its
     lift, or the interval [min(g1, g2), max(g1, g2) + c] of two real
-    members (and two far translates of it for unions)."""
+    members."""
     omega, a, b = spec.omega, spec.a, spec.b
     if spec.model in (ls.REAL, "lifted"):
         core = gf.GridFunction(a, b, ls.REAL, _real_member_values(rng, omega, ts))
         return core if spec.model == ls.REAL else gf.lift(core, ls.interval(1.0, 1.0))
+    if spec.model != ls.INTERVAL:
+        raise ValueError(f"unknown sample model {spec.model!r}")
     g1 = _real_member_values(rng, omega, ts)
     g2 = _real_member_values(rng, omega, ts)
     lo = np.minimum(g1, g2)
     hi = np.maximum(g1, g2) + float(rng.uniform(0.0, 1.0))
-    d = gf.interval_array(lo, hi)
-    if spec.model == ls.INTERVAL:
-        return gf.GridFunction(a, b, ls.INTERVAL, d)
-    if spec.model == ls.UNION:
-        # two parallel translates; far apart, so the Hausdorff distance
-        # between unions equals the single-component distance
-        offset = float(np.max(d[:, 0, 1]) - np.min(d[:, 0, 0])) + 1.0
-        return gf.GridFunction(a, b, ls.UNION, np.concatenate([d, d + offset], axis=1))
-    raise ValueError(f"unknown sample model {spec.model!r}")
+    return gf.GridFunction(a, b, ls.INTERVAL, gf.interval_array(lo, hi))
 
 
 def _antiderivative(rng: np.random.Generator, deriv: gf.GridFunction) -> gf.GridFunction:
@@ -122,7 +116,7 @@ def _antiderivative(rng: np.random.Generator, deriv: gf.GridFunction) -> gf.Grid
     if deriv.model == ls.REAL:
         vals = gf.cumtrapz(deriv.data, step)
         return gf.GridFunction(deriv.a, deriv.b, ls.REAL, vals + float(rng.uniform(-1, 1)))
-    lo, hi = (gf.cumtrapz(arr, step) for arr in gf._convexified_arrays(deriv))
+    lo, hi = (gf.cumtrapz(arr, step) for arr in gf._endpoint_arrays(deriv))
     base_lo = float(rng.uniform(-1, 0))
     base_hi = base_lo + float(rng.uniform(0, 1))
     return gf.GridFunction(deriv.a, deriv.b, ls.INTERVAL, gf.interval_array(lo + base_lo, hi + base_hi))
@@ -141,22 +135,23 @@ def empirical_sup(
     return best, arg
 
 
-MODEL_MIX = (ls.REAL, ls.INTERVAL, ls.UNION, "lifted")
+MODEL_MIX = (ls.REAL, ls.INTERVAL, "lifted")
 
 
-def _per_model(trials: int) -> int:
+def _per_model(trials: int) -> Tuple[int, ...]:
     """Samples of each model in ``MODEL_MIX`` that a stream asked for
-    ``trials`` draws: ``trials // len(MODEL_MIX)``, at least one."""
-    return max(1, trials // len(MODEL_MIX))
+    ``trials`` draws: an even split, the first ``trials % len(MODEL_MIX)``
+    models taking one extra, and at least one per model."""
+    q, r = divmod(trials, len(MODEL_MIX))
+    return tuple(max(1, q + (k < r)) for k in range(len(MODEL_MIX)))
 
 
 def _mixed_stream(class_tag, omega, a, b, grid, trials, seed, inject=()):
-    """The injected candidates, then ``_per_model(trials)`` samples of
-    each model in ``MODEL_MIX``, model k seeded with ``seed + 17 k``."""
-    per = _per_model(trials)
+    """The injected candidates, then ``_per_model(trials)[k]`` samples of
+    each model k in ``MODEL_MIX``, seeded with ``seed + 17 k``."""
     yield from inject
-    for k, model in enumerate(MODEL_MIX):
-        yield from sample_class(SampleSpec(class_tag, model, omega, a, b, grid, per, seed + 17 * k))
+    for k, (model, count) in enumerate(zip(MODEL_MIX, _per_model(trials))):
+        yield from sample_class(SampleSpec(class_tag, model, omega, a, b, grid, count, seed + 17 * k))
 
 
 def sweep_sup(
@@ -262,7 +257,7 @@ def suite_ks(trials: int, grid: int, seed: int) -> dict:
     g = ks.ks_extremal(w1, w2, omega, n=grid)
     checks.append(_eq("extremal is t - 1/2", float(np.max(np.abs(g.data - (g.nodes - 0.5)))), 0.0, 1e-12))
     checks.append(_check("extremal in class", gf.check_Homega(g, omega).member, 1.0, 1.0, 0.0))
-    inject = [g, gf.lift(g, ls.interval(1.0, 1.0)), gf.lift(g, ls.union([(1.0, 1.0)]))]
+    inject = [g, gf.lift(g, ls.interval(1.0, 1.0))]
     sup = sweep_sup(
         lambda f: ks.functional_S(f, w1, w2),
         HOMEGA, omega, 0.0, 1.0, grid, trials, seed, inject=inject,
@@ -411,12 +406,6 @@ def suite_recovery(trials: int, grid: int, seed: int) -> dict:
     return _suite("recovery", checks)
 
 
-def _pointwise_convexify(f: gf.GridFunction) -> gf.GridFunction:
-    if f.model != ls.UNION:
-        return f
-    return gf.GridFunction(f.a, f.b, ls.INTERVAL, gf.interval_array(*gf._convexified_arrays(f)))
-
-
 def suite_spline(trials: int, grid: int, seed: int) -> dict:
     checks = []
     for omega in (power(1, 1), power(1, 0.5)):
@@ -540,7 +529,7 @@ def suite_landau(trials: int, grid: int, seed: int) -> dict:
         if f.model == ls.REAL:
             g = gf.GridFunction(f.a, f.b, ls.REAL, f.data + noise)
         else:  # W1HOMEGA samples are REAL or INTERVAL
-            g = gf.GridFunction(f.a, f.b, ls.INTERVAL, f.data + noise[:, None, None])
+            g = gf.GridFunction(f.a, f.b, ls.INTERVAL, f.data + noise[:, None])
         worst = max(worst, ls.dist(df.value_at(0.5), la.divided_difference(g, 0.5, h1, h2)))
     checks.append(_leq("inexact-data recovery soundness", worst, value, 4.0 * eps))
     # adversarial perturbation of the extremal forces the value
@@ -594,7 +583,7 @@ def recovery_experiment(
 
         def err(f: gf.GridFunction) -> float:
             info = rec.mean_info(f, knots, h)
-            return gf.sup_dist(_pointwise_convexify(f), rec.recover_convexify(info, n=f.n_cells))
+            return gf.sup_dist(f, rec.recover_convexify(info, n=f.n_cells))
 
         lower = _half_target_distance(core, lambda fu, fd: gf.sup_dist(fu, fd))
     elif kind == "integral":
@@ -614,7 +603,7 @@ def recovery_experiment(
 
         def err(f: gf.GridFunction) -> float:
             values = [f.value_at(t) for t in partition]
-            return gf.sup_dist(_pointwise_convexify(f), rec.polyline(values, partition, n=f.n_cells))
+            return gf.sup_dist(f, rec.polyline(values, partition, n=f.n_cells))
 
         lower = _half_target_distance(core, lambda fu, fd: gf.sup_dist(fu, fd))
     elif kind == "derivative":
@@ -634,7 +623,7 @@ def recovery_experiment(
         err, class_tag, omega, a, b, grid, trials, seed,
         inject=[gf.lift(core, ls.interval(1.0, 1.0))],
     )
-    drawn = len(MODEL_MIX) * _per_model(trials)  # the injected extremal is not counted
+    drawn = sum(_per_model(trials))  # the injected extremal is not counted
     return rec.RecoveryReport(kind, theoretical, sup, lower, drawn, eps, extremal=core)
 
 

@@ -269,8 +269,8 @@ def polyline(values: Sequence[ls.Element], partition: Sequence[float], n: int = 
     ts = np.linspace(a, b, n + 1)
     if model == ls.REAL:
         return gf.GridFunction(a, b, ls.REAL, np.interp(ts, partition, ys))
-    lo = np.interp(ts, partition, ys[:, 0, 0])
-    hi = np.interp(ts, partition, ys[:, 0, 1])
+    lo = np.interp(ts, partition, ys[:, 0])
+    hi = np.interp(ts, partition, ys[:, 1])
     return gf.GridFunction(a, b, ls.INTERVAL, gf.interval_array(lo, hi))
 
 

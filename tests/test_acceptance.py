@@ -21,7 +21,7 @@ TRIALS = 1000
 GRID = 4096
 SEED = 7
 # sha256 of the stdout of `verify --suite all --trials 1000 --grid 4096 --seed 7`
-SEED7_SHA256 = "ed5a98695672e27312ddeec8a22d8aafabad50776a9a7a73f4ef506cf7c15bfe"
+SEED7_SHA256 = "a923b79e3563cb5fb09423852e77b923e0db49780c4ab315ab34bb5e56ef05f2"
 
 
 @pytest.fixture(scope="module")

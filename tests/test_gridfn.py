@@ -46,8 +46,6 @@ def _membership_inputs():
         lo = np.cumsum(rng.normal(0.0, 0.5 / n, n + 1))
         hi = lo + rng.uniform(0.0, 0.2, n + 1)
         out.append(gf.GridFunction(0.0, 1.0, ls.INTERVAL, gf.interval_array(lo, hi)))
-        d = gf.interval_array(lo, hi)
-        out.append(gf.GridFunction(0.0, 1.0, ls.UNION, np.concatenate([d, d + 3.0], axis=1)))
     return out
 
 
@@ -86,10 +84,6 @@ class TestIntegrate:
         f = constant_grid(ls.interval(0, 1), 0, 2, 64)
         assert ls.close(gf.integrate(f), ls.interval(0, 2))
 
-    def test_union_convexified_first(self):
-        f = constant_grid(ls.union([(0, 0), (1, 1)]), 0, 1, 64)
-        assert ls.close(gf.integrate(f), ls.interval(0, 1))
-
     def test_trapezoid_exact_for_linear(self):
         f = gf.real_grid(lambda t: t, 0, 1, 64)
         assert gf.integrate(f).payload == pytest.approx(0.5, abs=1e-12)
@@ -101,7 +95,7 @@ class TestIntegrate:
         assert ls.close(whole, parts, tol=1e-10)
 
     def test_result_is_convexify_fixed(self):
-        f = constant_grid(ls.union([(0, 1), (2, 3)]), 0, 1, 32)
+        f = interval_grid(lambda t: -t, lambda t: 1 + t * t, 0, 1, 32)
         out = gf.integrate(f)
         assert ls.close(out, ls.convexify(out))
 
@@ -131,7 +125,7 @@ class TestIntegrate:
 class TestLift:
     def test_odd_function_integrates_to_zero(self):
         f = gf.real_grid(lambda t: t - 0.5, 0, 1, 256)
-        lifted = gf.lift(f, ls.union([(1, 1)]))
+        lifted = gf.lift(f, ls.interval(1, 1))
         assert ls.norm(gf.integrate(lifted)) <= 1e-12
 
     def test_nonnegative_equals_pointwise_product(self):
@@ -157,12 +151,12 @@ class TestLift:
     def test_negative_values_use_the_inverse(self):
         # r -> r x for r >= 0 and |r| x' for r < 0, with x' = [-1, -1]
         f = gf.real_grid(np.array([2.0, -3.0, 0.0]), 0, 1, 2)
-        for x in (ls.interval(1, 1), ls.union([(1, 1)])):
-            lifted = gf.lift(f, x)
-            assert lifted.model == x.model
-            for i, r in enumerate((2.0, -3.0, 0.0)):
-                assert ls.close(lifted.value(i), ls.scale(r, x))
-            assert ls.close(lifted.value(1), ls.scale(3.0, ls.inverse(x)))
+        x = ls.interval(1, 1)
+        lifted = gf.lift(f, x)
+        assert lifted.model == x.model
+        for i, r in enumerate((2.0, -3.0, 0.0)):
+            assert ls.close(lifted.value(i), ls.scale(r, x))
+        assert ls.close(lifted.value(1), ls.scale(3.0, ls.inverse(x)))
 
     @given(st.floats(-50, 50), st.floats(-50, 50))
     @settings(max_examples=80, deadline=None)
@@ -195,7 +189,7 @@ class TestDerivative:
     def test_constant_gives_zero(self):
         f = constant_grid(ls.interval(1, 2), 0, 1, 64)
         d = gf.hukuhara_derivative(f)
-        assert all(ls.norm(v) <= 1e-12 for v in d.values())
+        assert all(ls.norm(d.value(i)) <= 1e-12 for i in range(d.n_cells + 1))
 
     def test_lift_derivative_consistency(self):
         n = 1024
@@ -223,23 +217,11 @@ class TestSerialization:
         assert np.allclose(rows[:, 0], f.nodes)
         assert np.allclose(rows[:, 1], f.data)
 
-    def test_csv_round_trip_interval(self):
-        f = interval_grid(lambda t: -t, lambda t: t, 0, 1, 32)
-        header, rows = _read_csv(gf.to_csv(f))
-        assert header == "t,lo,hi"
-        assert np.allclose(rows[:, 0], f.nodes)
-        assert np.allclose(rows[:, 1:], f.data[:, 0])
-
-    def test_csv_rejects_union(self):
-        f = constant_grid(ls.union([(0, 1), (2, 3)]), 0, 1, 32)
-        with pytest.raises(ModelMismatch):
-            gf.to_csv(f)
-
 
 class TestHelpers:
     def test_sup_norm_matches_pointwise(self):
         f = interval_grid(lambda t: -1 - t, lambda t: t, 0, 1, 64)
-        brute = max(ls.norm(v) for v in f.values())
+        brute = max(ls.norm(f.value(i)) for i in range(f.n_cells + 1))
         assert gf.sup_norm(f) == pytest.approx(brute, abs=1e-15)
 
     def test_eps_tolerance_formula(self):
@@ -253,89 +235,66 @@ class TestHelpers:
 
 
 finite = st.floats(-10, 10, allow_nan=False, allow_infinity=False)
-# a union value: 1-3 (possibly overlapping) components, merged by ls.union
-union_value = st.lists(st.tuples(finite, finite), min_size=1, max_size=3).map(
-    lambda comps: ls.union([(min(p), max(p)) for p in comps])
-)
-
-
 interval_value = st.tuples(finite, finite).map(lambda p: ls.interval(min(p), max(p)))
 
 
-class TestUnionArrays:
-    """Set payloads as (n+1, k, 2) arrays: k = 1 for intervals, unions
-    padded when counts differ."""
+def _grid_of(values):
+    """The grid function on [0, 1] whose node values are ``values``."""
+    return gf.GridFunction(0.0, 1.0, *gf.stack_payloads(values))
+
+
+class TestIntervalArrays:
+    """Interval payloads as (n+1, 2) arrays of (lo, hi) rows."""
 
     @given(st.integers(3, 6).flatmap(
-        lambda m: st.tuples(*[st.one_of(st.lists(union_value, min_size=m, max_size=m),
-                                        st.lists(interval_value, min_size=m, max_size=m))] * 2)))
+        lambda m: st.tuples(*[st.lists(interval_value, min_size=m, max_size=m)] * 2)))
     @settings(max_examples=80, deadline=None)
     def test_nodewise_hausdorff_equals_dist(self, pair):
         xs, ys = pair
-        f, g = gf.from_values(xs, 0, 1), gf.from_values(ys, 0, 1)
+        f, g = _grid_of(xs), _grid_of(ys)
+        assert f.data.shape == (len(xs), 2)
         want = [ls.dist(x, y) for x, y in zip(xs, ys)]
         assert gf._set_dist(f.data, g.data).tolist() == want
         assert gf._set_dist(g.data, f.data).tolist() == want
-        # gap midpoints outside the other set are no candidates: a union
-        # with gaps is at distance 0 from itself
         assert gf._set_dist(f.data, f.data).tolist() == [0.0] * len(xs)
         assert gf.sup_dist(f, g) == max(want)
         assert gf._pair_dist(f, 1).tolist() == [ls.dist(x, y) for x, y in zip(xs, xs[1:])]
         assert [f.value(i) for i in range(len(xs))] == xs
         assert gf.sup_norm(f) == max(ls.norm(x) for x in xs)
-        if f.model == ls.INTERVAL:
-            # the k = 1 closed form against a padded union, and against
-            # the same sets stored as one-component unions
-            assert f.data.shape == (len(xs), 1, 2)
-            as_unions = [ls.union([x.payload]) for x in xs]
-            u = gf.from_values(as_unions, 0, 1)
-            assert gf._set_dist(f.data, u.data).tolist() == [0.0] * len(xs)
-            assert gf._set_dist(f.data, g.data).tolist() == [ls.dist(x, y) for x, y in zip(as_unions, ys)]
-
-    def test_padding_repeats_last_component(self):
-        vals = [ls.union([(0, 1)]), ls.union([(0, 1), (3, 4)]), ls.union([(5, 6)])]
-        f = gf.from_values(vals, 0, 1)
-        assert f.data.shape == (3, 2, 2)
-        assert f.data[0].tolist() == [[0, 1], [0, 1]]
-        assert f.data[2].tolist() == [[5, 6], [5, 6]]
-        assert f.values() == vals
-
-    def test_interval_against_union(self):
-        iv = interval_grid(lambda t: -t, lambda t: 1 + t, 0, 1, 16)
-        un = constant_grid(ls.union([(0, 0.5), (2, 3)]), 0, 1, 16)
-        want = max(ls.dist(x, y) for x, y in zip(iv.values(), un.values()))
-        assert gf.sup_dist(iv, un) == want == gf.sup_dist(un, iv)
-        with pytest.raises(ModelMismatch):
-            gf.sup_dist(gf.real_grid(np.zeros(17), 0, 1, 16), un)
-
-    def test_union_payload_must_be_an_array_of_pairs(self):
-        with pytest.raises(ValueError):
-            gf.GridFunction(0, 1, ls.UNION, np.zeros((5, 2)))
-        with pytest.raises(ValueError):
-            gf.GridFunction(0, 1, ls.UNION, np.array([[[0.0, 1.0]], [[2.0, 1.0]], [[0.0, 0.0]]]))
 
 
 class TestGridModels:
-    """Grid functions carry real, interval and union values only."""
+    """Grid functions carry real and interval values only."""
 
     def test_other_models_and_layouts_rejected(self):
         with pytest.raises(ModelMismatch):
             constant_grid(ls.maxval(1), 0, 1, 32)
         with pytest.raises(ModelMismatch):
             constant_grid(ls.vector(1, 2), 0, 1, 32)
+        with pytest.raises(ModelMismatch):
+            constant_grid(ls.union([(0, 1), (2, 3)]), 0, 1, 32)
+        with pytest.raises(ModelMismatch):
+            gf.GridFunction(0, 1, ls.UNION, np.zeros((33, 2)))
         core = gf.real_grid(lambda t: t, 0, 1, 32)
         with pytest.raises(ModelMismatch):
             gf.lift(core, ls.vector(1, 0))
+        with pytest.raises(ModelMismatch):
+            gf.lift(core, ls.union([(1, 1)]))
         with pytest.raises(NonIsotropic):
             gf.lift(core, ls.maxval(0))
-        with pytest.raises(ValueError):
-            gf.GridFunction(0, 1, ls.INTERVAL, np.zeros((33, 2)))
-        with pytest.raises(ValueError):
-            gf.GridFunction(0, 1, ls.INTERVAL, np.zeros((33, 2, 2)))
+        # interval data is (n+1, 2) rows, never the (n+1, 1, 2) set layout
+        for shape in ((33, 1, 2), (33,), (33, 3), (33, 2, 2)):
+            with pytest.raises(ValueError):
+                gf.GridFunction(0, 1, ls.INTERVAL, np.zeros(shape))
+        iv = interval_grid(lambda t: -t, lambda t: t, 0, 1, 32)
+        with pytest.raises(ModelMismatch):
+            gf.to_csv(iv)
+        with pytest.raises(ModelMismatch):
+            gf.sup_dist(core, iv)
 
-    def test_interval_grid_is_a_one_component_set_array(self):
+    def test_interval_grid_is_an_array_of_rows(self):
         f = interval_grid(lambda t: -t, lambda t: t, 0, 1, 16)
-        assert f.data.shape == (17, 1, 2)
+        assert f.data.shape == (17, 2)
         assert f.value(16) == ls.interval(-1, 1)
         with pytest.raises(ValueError):
             interval_grid(np.ones(17), np.zeros(17), 0, 1, 16)

@@ -76,10 +76,6 @@ class TestSampling:
             for model in orc.MODEL_MIX:
                 assert len(list(orc.sample_class(_spec(model=model, cls=cls, trials=3, grid=64)))) == 3
 
-    def test_union_members_small_grid_strict(self):
-        for f in orc.sample_class(_spec(model="union", trials=3, grid=48)):
-            assert check_Homega_loop(f, wid, range(1, f.n_cells + 1))[0]
-
     @pytest.mark.parametrize("model", ["real", "interval", "lifted"])
     def test_w1_members_have_class_derivatives(self, model):
         for f in orc.sample_class(_spec(model=model, cls=orc.W1HOMEGA, trials=10)):
