@@ -298,3 +298,11 @@ class TestGridModels:
         assert f.value(16) == ls.interval(-1, 1)
         with pytest.raises(ValueError):
             interval_grid(np.ones(17), np.zeros(17), 0, 1, 16)
+
+    def test_stack_payloads_uses_the_grid_layout(self):
+        model, data = gf.stack_payloads([ls.real(1.0), ls.real(-2.0), ls.real(3.0)])
+        assert (model, data.shape) == (ls.REAL, (3,))
+        model, data = gf.stack_payloads([ls.interval(0, 1), ls.interval(-2, 2), ls.interval(3, 3)])
+        assert (model, data.tolist()) == (ls.INTERVAL, [[0, 1], [-2, 2], [3, 3]])
+        with pytest.raises(ModelMismatch):
+            gf.stack_payloads([ls.real(0.0), ls.interval(0, 1)])

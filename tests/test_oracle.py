@@ -76,6 +76,29 @@ class TestSampling:
             for model in orc.MODEL_MIX:
                 assert len(list(orc.sample_class(_spec(model=model, cls=cls, trials=3, grid=64)))) == 3
 
+    @pytest.mark.parametrize("model", [ls.INTERVAL, "lifted"])
+    @pytest.mark.parametrize("cls", [orc.HOMEGA, orc.W1HOMEGA])
+    def test_interval_samples_are_row_arrays(self, cls, model):
+        for f in orc.sample_class(_spec(model=model, cls=cls, trials=6, grid=64)):
+            assert f.model == ls.INTERVAL
+            assert f.data.shape == (65, 2)
+            assert np.all(f.data[:, 0] <= f.data[:, 1])
+
+    def test_union_model_is_not_sampled(self):
+        assert ls.UNION not in orc.MODEL_MIX
+        with pytest.raises(ValueError):
+            next(orc.sample_class(_spec(model=ls.UNION)))
+
+    @pytest.mark.parametrize("trials", [1, 2, 3, 4, 5, 999, 1000])
+    def test_per_model_split_is_even(self, trials):
+        counts = orc._per_model(trials)
+        assert len(counts) == len(orc.MODEL_MIX)
+        assert sum(counts) == max(trials, len(orc.MODEL_MIX))
+        assert min(counts) >= 1 and max(counts) - min(counts) <= 1
+        assert list(counts) == sorted(counts, reverse=True)  # the first models take the extra
+        stream = orc._mixed_stream(orc.HOMEGA, wid, 0.0, 1.0, 8, trials, 5)
+        assert sum(1 for _ in stream) == sum(counts)
+
     @pytest.mark.parametrize("model", ["real", "interval", "lifted"])
     def test_w1_members_have_class_derivatives(self, model):
         for f in orc.sample_class(_spec(model=model, cls=orc.W1HOMEGA, trials=10)):
