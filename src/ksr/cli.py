@@ -374,7 +374,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="convergence table for a recovery problem")
     p.add_argument("kind", choices=["convexify", "integral", "identity", "derivative"])
     p.add_argument("--values", type=_positive_ints, default="", help="comma-separated knot counts")
-    p.add_argument("--h", type=_finite, default=0.0, help="0 selects h = cell/20 per n")
+    p.add_argument("--h", type=_finite, default=0.0, help="0 selects h = 0.05 (b - a) / (2n) per n")
     p.add_argument("--ab", default="0,1")
     p.add_argument("--trials", type=_positive_int, default=50)
     p.add_argument("--seed", type=int, default=7)

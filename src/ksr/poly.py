@@ -10,25 +10,6 @@ from __future__ import annotations
 import numpy as np
 
 
-def poly_integral(xs: np.ndarray, ys: np.ndarray, c: float | None = None, d: float | None = None) -> float:
-    """Exact integral of the polyline over [c, d] (defaults to full range)."""
-    a, b = float(xs[0]), float(xs[-1])
-    c = a if c is None else float(c)
-    d = b if d is None else float(d)
-    if not (a - 1e-12 <= c <= d <= b + 1e-12):
-        raise ValueError(f"integration range [{c}, {d}] outside [{a}, {b}]")
-    c, d = max(c, a), min(d, b)
-    if d <= c:
-        return 0.0
-    # xs[lo:hi] are the breakpoints strictly inside (c, d); the slice one
-    # wider on each side holds the segments that contain c and d
-    lo = int(np.searchsorted(xs, c, side="right"))
-    hi = int(np.searchsorted(xs, d, side="left"))
-    pts = np.concatenate(([c], xs[lo:hi], [d]))
-    vals = np.interp(pts, xs[lo - 1 : hi + 1], ys[lo - 1 : hi + 1])
-    return float(np.trapezoid(vals, pts))
-
-
 def merge_breakpoints(*xss) -> np.ndarray:
     allx = np.unique(np.concatenate([np.asarray(x, dtype=float) for x in xss]))
     # collapse breakpoints closer than float noise

@@ -78,17 +78,17 @@ class MeanInfo:
     b: float
     knots: np.ndarray
     h: float
-    means: Tuple[ls.Element, ...]
+    model: str
+    #: row k is the mean over window k, in the ``GridFunction.data`` layout
+    means: np.ndarray
 
 
 def mean_info(f: gf.GridFunction, knots: Sequence[float], h: float) -> MeanInfo:
     """Cell means (1/2h) int_{t_k - h}^{t_k + h} f."""
     knots = np.asarray(knots, dtype=float)
     validate_knots(knots, h, f.a, f.b)
-    means = tuple(
-        ls.scale(1.0 / (2.0 * h), gf.integrate(f, t - h, t + h)) for t in knots
-    )
-    return MeanInfo(f.a, f.b, knots, float(h), means)
+    lo, hi = gf.integral_to(f, (knots - h, knots + h))
+    return MeanInfo(f.a, f.b, knots, float(h), f.model, (hi - lo) * (1.0 / (2.0 * h)))
 
 
 # ---------------------------------------------------------------------------
@@ -100,8 +100,7 @@ def recover_convexify(info: MeanInfo, n: int = gf.DEFAULT_GRID) -> gf.GridFuncti
     tau = tau_of(info.knots, info.a, info.b)
     ts = np.linspace(info.a, info.b, n + 1)
     idx = np.clip(np.searchsorted(tau, ts, side="right") - 1, 0, len(info.knots) - 1)
-    model, means = gf.stack_payloads(info.means)
-    return gf.GridFunction(info.a, info.b, model, means[idx])
+    return gf.GridFunction(info.a, info.b, info.model, info.means[idx])
 
 
 def error_convexify(n: int, h: float, omega: Modulus, length: float) -> float:
@@ -119,10 +118,8 @@ def error_convexify(n: int, h: float, omega: Modulus, length: float) -> float:
 
 def recover_integral(info: MeanInfo) -> ls.Element:
     """Method ((b-a)/n) * sum of cell means."""
-    acc = info.means[0]
-    for m in info.means[1:]:
-        acc = ls.add(acc, m)
-    return ls.scale((info.b - info.a) / len(info.knots), acc)
+    total = np.sum(info.means, axis=0)
+    return gf.element(info.model, (info.b - info.a) / len(info.knots) * total)
 
 
 def error_integral(n: int, h: float, omega: Modulus, length: float) -> float:

@@ -21,7 +21,7 @@ TRIALS = 1000
 GRID = 4096
 SEED = 7
 # sha256 of the stdout of `verify --suite all --trials 1000 --grid 4096 --seed 7`
-SEED7_SHA256 = "a923b79e3563cb5fb09423852e77b923e0db49780c4ab315ab34bb5e56ef05f2"
+SEED7_SHA256 = "07b2d1fc358c8af97c60c28bb42f777fb63ee7a822615059d7a82f16baeb936e"
 
 
 @pytest.fixture(scope="module")

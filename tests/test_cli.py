@@ -11,11 +11,11 @@ from hypothesis import given, settings, strategies as st
 from ksr import cli
 
 # sha256 of the stdout of `verify --suite all --trials 20 --grid 128 --seed 7`
-SEED7_SMALL_SHA256 = "1a933a9ec11911ee6b6c26983b97914be85f0a37b4f01440a827fbbc6a3682a4"
+SEED7_SMALL_SHA256 = "30c92df96adb35bf110ce9e279447a09df6682d92a952849f1aa2f1057592eff"
 # sha256 of the stdout of `recover KIND --n 16 --h 0 --grid 1024 --trials 8 --seed 3`
 RECOVER_SHA256 = {
-    "convexify": "9e660225d7265e07d5c566de64ead3be37ca2c792b7adf762b44f0cf01676cf2",
-    "integral": "e0a1356935e97b0f8fc09e43641c2be5da1edefdf7711a11484f109cab3cc59f",
+    "convexify": "4152b3892d4ebda926f88620149b109c2a084b6fafedb0b3023adda0589d3ac0",
+    "integral": "89e0c64d61edce25ce66713dbcc7415e516fe6db0423c9beb9c9c3ae29b29bdd",
     "identity": "851b4991d8b9183210126bb775e36307afd6176e734a0edf5ad31d44803cd4c8",
 }
 
@@ -24,6 +24,22 @@ def run(capsys, *argv):
     code = cli.main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def _count_draws(monkeypatch):
+    """Wrap ``oracle.sample_class``; the returned list collects each class
+    sample it draws (injected candidates do not pass through it)."""
+    from ksr import oracle as orc
+
+    sample_class, seen = orc.sample_class, []
+
+    def counting(spec):
+        for f in sample_class(spec):
+            seen.append(f)
+            yield f
+
+    monkeypatch.setattr(orc, "sample_class", counting)
+    return seen
 
 
 class TestBound:
@@ -229,20 +245,17 @@ class TestRecover:
 
     @pytest.mark.parametrize("trials,drawn", [(5, 5), (1, 3), (8, 8)])
     def test_trials_field_counts_samples_drawn(self, capsys, monkeypatch, trials, drawn):
-        from ksr import oracle as orc
-
-        sample_class, seen = orc.sample_class, []
-
-        def counting(spec):
-            for f in sample_class(spec):
-                seen.append(f)
-                yield f
-
-        monkeypatch.setattr(orc, "sample_class", counting)
+        seen = _count_draws(monkeypatch)
         code, out, _ = run(capsys, "recover", "integral", "--trials", str(trials), "--grid", "64")
         assert code == 0
         # the injected extremal is not a class sample and is not counted
         assert json.loads(out)["trials"] == len(seen) == drawn
+
+    @pytest.mark.parametrize("kind,h", [("convexify", "-1"), ("integral", "-0.01")])
+    def test_negative_half_width_rejected(self, capsys, kind, h):
+        # only --h 0 selects the default half-width
+        code, out, err = run(capsys, "recover", kind, "--h", h, "--trials", "3", "--grid", "64")
+        assert code == 2 and out == "" and "KnotViolation" in err
 
     @pytest.mark.parametrize("kind", sorted(RECOVER_SHA256))
     def test_pinned_digest(self, capsys, kind):
@@ -293,6 +306,14 @@ class TestVerify:
         # this digest and says which reported values moved
         assert hashlib.sha256(out1.encode()).hexdigest() == SEED7_SMALL_SHA256
 
+    @pytest.mark.parametrize("trials,drawn", [(1, 3), (2, 3), (5, 5)])
+    def test_trials_field_counts_samples_drawn(self, capsys, monkeypatch, trials, drawn):
+        seen = _count_draws(monkeypatch)
+        code, out, _ = run(capsys, "verify", "--suite", "ks", "--trials", str(trials), "--grid", "64")
+        assert code == 0
+        # the ks suite runs one sweep; its injected extremals are not counted
+        assert json.loads(out)["trials"] == len(seen) == drawn
+
 
 class TestSweep:
     def test_integral_convergence(self, capsys):
@@ -318,6 +339,11 @@ class TestSweep:
         rows = [line.split(",") for line in out.strip().splitlines()[1:]]
         theos = [float(r[1]) for r in rows]
         assert theos[0] / theos[1] == pytest.approx(4.0, abs=1e-9)
+
+    def test_negative_half_width_rejected(self, capsys):
+        # only --h 0 selects the default half-width
+        code, out, err = run(capsys, "sweep", "convexify", "--values", "2", "--h", "-1", "--trials", "3")
+        assert code == 2 and out == "" and "KnotViolation" in err
 
     def test_empty_sweep(self, capsys):
         code, out, _ = run(capsys, "sweep", "integral", "--values", "")

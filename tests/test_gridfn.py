@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ksr import gridfn as gf
+from ksr import kscore as ks
 from ksr import lspace as ls
 from ksr import modulus as mo
 from ksr.errors import ModelMismatch, NoDifference, NonIsotropic, NotInvertible
@@ -120,6 +121,73 @@ class TestIntegrate:
         f = gf.real_grid(lambda t: t, 0, 1, 32)
         with pytest.raises(ValueError):
             gf.integrate(f, -0.5, 0.5)
+
+
+def _full_mask_integral(xs, ys, c, d):
+    """Reference: mask all breakpoints, interpolate on the whole polyline."""
+    inner = (xs > c) & (xs < d)
+    pts = np.concatenate(([c], xs[inner], [d]))
+    return float(np.trapezoid(np.interp(pts, xs, ys), pts))
+
+
+def _window_grids():
+    """Real and interval grids on [-1, 2] with random node values, at a
+    small and at the default grid size."""
+    rng = np.random.default_rng(0)
+    grids = []
+    for n in (256, gf.DEFAULT_GRID):
+        lo = rng.normal(size=n + 1)
+        hi = lo + np.abs(rng.normal(size=n + 1))
+        grids.append(gf.GridFunction(-1.0, 2.0, ls.REAL, lo))
+        grids.append(gf.GridFunction(-1.0, 2.0, ls.INTERVAL, gf.interval_array(lo, hi)))
+    return grids
+
+
+WINDOW_GRIDS = _window_grids()
+
+
+def _assert_matches_full_mask(f, c, d):
+    """``integrate`` over [c, d] agrees with the full-mask reference of each
+    endpoint array to the running-sum drift n * eps * (b - a) * max(1, sup |f|)."""
+    got = np.atleast_1d(gf.integrate(f, c, d).payload)
+    cols = f.data.reshape(f.n_cells + 1, -1).T
+    ref = [_full_mask_integral(f.nodes, col, c, d) for col in cols]
+    tol = f.n_cells * np.finfo(float).eps * (f.b - f.a) * max(1.0, gf.sup_norm(f))
+    assert np.max(np.abs(got - ref)) <= tol
+
+
+class TestWindowIntegral:
+    @given(st.sampled_from(WINDOW_GRIDS), st.floats(-1.0, 2.0), st.floats(-1.0, 2.0))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_full_mask_on_random_windows(self, f, u, v):
+        _assert_matches_full_mask(f, min(u, v), max(u, v))
+
+    @given(st.sampled_from(WINDOW_GRIDS), st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(-1.0, 2.0), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_full_mask_when_ends_are_nodes(self, f, p, q, t, both):
+        # one or both window ends exactly on a node, the full range included
+        i, j = (int(round(r * f.n_cells)) for r in (p, q))
+        c, d = sorted((f.nodes[i], f.nodes[j] if both else t))
+        _assert_matches_full_mask(f, c, d)
+
+    @pytest.mark.parametrize("f", WINDOW_GRIDS, ids=lambda f: f"{f.model}-{f.n_cells}")
+    def test_defaults_and_empty_window(self, f):
+        _assert_matches_full_mask(f, f.a, f.b)
+        assert gf.integrate(f) == gf.integrate(f, f.a, f.b)
+        assert np.all(np.asarray(gf.integrate(f, 0.5, 0.5).payload) == 0.0)
+        with pytest.raises(ValueError):
+            gf.integrate(f, -2.0, 0.0)
+        with pytest.raises(ValueError):
+            gf.integrate(f, 0.5, 0.25)
+
+    @pytest.mark.parametrize("f", WINDOW_GRIDS, ids=lambda f: f"{f.model}-{f.n_cells}")
+    def test_weighted_integral_is_the_sum_over_pieces(self, f):
+        w = ks.step_weight((-1.0, 2.0), [(-1.0, -0.3, 2.0), (0.1, 0.7321, 0.5), (1.25, 2.0, 3.0)])
+        pieces = [ls.scale(height, gf.integrate(f, u, v)) for u, v, height in w.pieces]
+        total = pieces[0]
+        for p in pieces[1:]:
+            total = ls.add(total, p)
+        assert ls.close(ks.integrate_weighted(f, w), total, tol=1e-12)
 
 
 class TestLift:

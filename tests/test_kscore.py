@@ -12,7 +12,7 @@ from ksr.errors import (
     MassMismatch,
     NonConcave,
 )
-from ksr.poly import decreasing_rearrangement, insert_zero_crossings, poly_integral
+from ksr.poly import decreasing_rearrangement, insert_zero_crossings
 
 wid = mo.power(1, 1)
 wsq = mo.power(1, 0.5)
@@ -306,12 +306,12 @@ def _decomposition_defects(decomp, xs, ys):
     total = sum((_magnitude_at(h, xs) for h in decomp.hats), np.zeros_like(xs))
     intervals = sorted(iv for h in decomp.hats for iv in _monotone_intervals(h))
     overlap = max([b1 - a2 for (_, b1), (a2, _) in zip(intervals, intervals[1:])], default=0.0)
-    abs_int = sum(poly_integral(h.xs, h.mag) for h in decomp.hats)
+    abs_int = sum(np.trapezoid(h.mag, h.xs) for h in decomp.hats)
     variation = sum(float(np.sum(np.abs(np.diff(h.mag)))) for h in decomp.hats)
     return {
         "abs_sum": float(np.max(np.abs(total - np.abs(ys)))),
         "overlap": max(overlap, 0.0),
-        "abs_integral": abs(abs_int - poly_integral(xs, np.abs(ys))),
+        "abs_integral": abs(abs_int - np.trapezoid(np.abs(ys), xs)),
         "variation": abs(variation - float(np.sum(np.abs(np.diff(ys))))),
     }
 

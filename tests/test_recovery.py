@@ -9,7 +9,7 @@ from ksr import modulus as mo
 from ksr import recovery as rec
 from ksr.errors import KnotViolation, NonConcave
 
-from grid_fixtures import constant_grid
+from grid_fixtures import constant_grid, interval_grid
 
 wid = mo.power(1, 1)
 wsq = mo.power(1, 0.5)
@@ -77,8 +77,20 @@ class TestRecoveryMethods:
         f = gf.real_grid(lambda t: t, 0, 1, 1024)
         knots, _ = rec.optimal_knots(2, 0, 1)
         info = rec.mean_info(f, knots, 0.1)
-        assert info.means[0].payload == pytest.approx(0.25, abs=1e-9)
-        assert info.means[1].payload == pytest.approx(0.75, abs=1e-9)
+        assert info.model == ls.REAL and info.means.shape == (2,)
+        assert info.means == pytest.approx([0.25, 0.75], abs=1e-9)
+
+    @pytest.mark.parametrize("n", [1, 3, 16])
+    def test_means_are_grid_rows(self, n):
+        # one array in the grid layout, row k the scaled integral over window k
+        h = 0.5 / (4 * n)
+        knots, _ = rec.optimal_knots(n, 0, 1)
+        for f in (gf.real_grid(np.sin, 0, 1, 512), interval_grid(np.sin, lambda t: 1 + t * t, 0, 1, 512)):
+            info = rec.mean_info(f, knots, h)
+            assert info.model == f.model and info.means.shape == (n,) + f.data.shape[1:]
+            for t, row in zip(knots, info.means):
+                want = ls.scale(1.0 / (2.0 * h), gf.integrate(f, t - h, t + h))
+                assert gf.element(f.model, row) == want
 
 
 class TestLowerExtremalMean:
