@@ -9,6 +9,17 @@ weight pairs with common support.
 Weights are piecewise constant by design: the pairing map is then
 piecewise affine and every bound here is a finite closed-form sum of
 modulus primitives, with no root finding or quadrature error.
+
+The general estimate runs on arrays.  Psi comes from one lookup of the
+weight heights at the cell midpoints (``StepWeight.heights``) and one
+running sum in cell order; the hats are peeled from it, each is
+rearranged with all its levels measured in one array pass
+(``poly.decreasing_rearrangement``), and int R w' is taken by parts with
+the modulus and its primitive evaluated once over the knot arrays
+(``Modulus.primitive`` takes arrays) and the terms added in knot order.
+The two-weight bound adds its segment terms the same way.  Mass checks
+compare in units of max(1, mass), since every bound is homogeneous in
+the weights.
 """
 
 from __future__ import annotations
@@ -34,6 +45,7 @@ from .poly import (
     merge_breakpoints,
 )
 
+# mass balance tolerance, in units of max(1, mass) (see ``_mass_unit``)
 MASS_TOL = 1e-10
 
 
@@ -83,13 +95,18 @@ class StepWeight:
             acc += w * (min(s, v) - u)
         return acc
 
-    def eval(self, t: float) -> float:
-        for u, v, w in self.pieces:
-            if u <= t < v:
-                return w
-        if self.pieces and t == self.pieces[-1][1]:
-            return self.pieces[-1][2]
-        return 0.0
+    def heights(self, ts: np.ndarray) -> np.ndarray:
+        """The weight at each point of ``ts``: w on [u, v) of the first piece
+        with u <= t < v, the last height at the right end of the support,
+        and 0 elsewhere."""
+        us, vs, ws = np.array(self.pieces).T
+        ts = np.asarray(ts, dtype=float)
+        # the first piece that ends past t; the running max makes the
+        # search exact even where the 1e-12 slack lets an end recede
+        j = np.searchsorted(np.maximum.accumulate(vs), ts, side="right")
+        k = np.minimum(j, len(ws) - 1)
+        out = np.where((j < len(ws)) & (us[k] <= ts), ws[k], 0.0)
+        return np.where(ts == vs[-1], ws[-1], out)
 
     def breakpoints(self) -> List[float]:
         out = [self.domain[0], self.domain[1]]
@@ -160,8 +177,21 @@ class RhoMap:
         return 0.5 * (self.a1 + self.b1)
 
 
+def _mass_unit(w1: StepWeight, w2: StepWeight) -> float:
+    """The unit in which the mass checks compare: max(1, mass).  The bounds
+    are homogeneous in the weights, so a pair scaled by c must pass where
+    the unscaled pair does; up to mass 1 the checks stay absolute."""
+    return max(1.0, w1.mass(), w2.mass())
+
+
+def _check_masses(w1: StepWeight, w2: StepWeight) -> None:
+    if abs(w1.mass() - w2.mass()) > MASS_TOL * _mass_unit(w1, w2):
+        raise MassMismatch(f"masses differ: {w1.mass()} vs {w2.mass()}")
+
+
 def _mass_refined_segments(w1: StepWeight, w2: StepWeight) -> List[Tuple[float, float, float, float, float]]:
     mass = 0.5 * (w1.mass() + w2.mass())
+    tol = MASS_TOL * _mass_unit(w1, w2)
     cum1 = [0.0]
     for u, v, w in w1.pieces:
         cum1.append(cum1[-1] + w * (v - u))
@@ -172,12 +202,12 @@ def _mass_refined_segments(w1: StepWeight, w2: StepWeight) -> List[Tuple[float, 
         tails.append((tail, tail + w * (y - x), x, y, w))
         tail += w * (y - x)
     cuts = sorted({0.0, mass} | set(cum1) | {t for t0, t1, *_ in tails for t in (t0, t1)})
-    cuts = [m for m in cuts if -MASS_TOL <= m <= mass + MASS_TOL]
+    cuts = [m for m in cuts if -tol <= m <= mass + tol]
 
     def rho_of(m_lo: float, m_hi: float):
         mid = 0.5 * (m_lo + m_hi)
         for t0, t1, x, y, w in tails:
-            if t0 - MASS_TOL <= mid <= t1 + MASS_TOL:
+            if t0 - tol <= mid <= t1 + tol:
                 return (y - (m_lo - t0) / w, y - (m_hi - t0) / w)
         raise MassMismatch("mass level not covered by the right weight")
 
@@ -187,7 +217,7 @@ def _mass_refined_segments(w1: StepWeight, w2: StepWeight) -> List[Tuple[float, 
             # support gap: rho constant at the previous value
             r_prev = segments[-1][3]
             segments.append((segments[-1][1], u, r_prev, r_prev, 0.0))
-        sub = [m for m in cuts if m_u + MASS_TOL < m < m_v - MASS_TOL]
+        sub = [m for m in cuts if m_u + tol < m < m_v - tol]
         grid = [m_u] + sub + [m_v]
         for p, q in zip(grid, grid[1:]):
             s0 = u + (p - m_u) / w
@@ -202,8 +232,7 @@ def _mass_refined_segments(w1: StepWeight, w2: StepWeight) -> List[Tuple[float, 
 def solve_rho(w1: StepWeight, w2: StepWeight) -> RhoMap:
     """Pairing map for a weight pair: equal masses over [a, s] on the left
     and [rho(s), b] on the right."""
-    if abs(w1.mass() - w2.mass()) > MASS_TOL:
-        raise MassMismatch(f"masses differ: {w1.mass()} vs {w2.mass()}")
+    _check_masses(w1, w2)
     a, a1 = w1.support
     b1, b = w2.support
     if a1 > b1 + 1e-12:
@@ -211,17 +240,25 @@ def solve_rho(w1: StepWeight, w2: StepWeight) -> RhoMap:
     return RhoMap(a, a1, max(a1, b1), b, tuple(_mass_refined_segments(w1, w2)))
 
 
+def _running_total(terms: np.ndarray) -> float:
+    """The sum of ``terms`` in index order, from 0.0, as a loop adds them."""
+    return float(np.cumsum(np.concatenate(([0.0], terms)))[-1])
+
+
 def _segment_bound(segments, omega: Modulus) -> float:
-    total = 0.0
-    for s0, s1, r0, r1, w in segments:
-        if w == 0.0:
-            continue
-        v0, v1 = r0 - s0, r1 - s1
-        if v0 - v1 <= 1e-15:
-            total += w * (s1 - s0) * float(omega(0.5 * (v0 + v1)))
-        else:
-            total += w * (s1 - s0) * omega.primitive(v1, v0) / (v0 - v1)
-    return total
+    """Sum over the paired segments of the left mass times the mean of the
+    modulus over the segment's gaps rho(s) - s, in segment order; a gap
+    that barely changes takes the modulus at its midpoint."""
+    rows = np.array(segments, dtype=float).reshape(-1, 5)
+    s0, s1, r0, r1, w = rows[rows[:, 4] != 0.0].T  # support gaps carry no mass
+    v0, v1 = r0 - s0, r1 - s1
+    mass = w * (s1 - s0)
+    flat = v0 - v1 <= 1e-15
+    terms = np.empty_like(mass)
+    terms[flat] = mass[flat] * np.asarray(omega(0.5 * (v0[flat] + v1[flat])), dtype=float)
+    slope = ~flat
+    terms[slope] = mass[slope] * omega.primitive(v1[slope], v0[slope]) / (v0[slope] - v1[slope])
+    return _running_total(terms)
 
 
 def ks_bound(w1: StepWeight, w2: StepWeight, omega: Modulus) -> float:
@@ -453,16 +490,22 @@ def _decompose_polyline(xs: np.ndarray, ys: np.ndarray, domain: Tuple[float, flo
     return HatDecomposition(domain, tuple(hats))
 
 
+def _psi(w1: StepWeight, w2: StepWeight, xs: np.ndarray) -> np.ndarray:
+    """Psi(t) = int_a^t (w1 - w2) at the breakpoints ``xs``: the height
+    difference at each cell midpoint times the cell width, summed from
+    the left in one running sum (the order of a cell-by-cell loop)."""
+    mids = 0.5 * (xs[:-1] + xs[1:])
+    steps = (w1.heights(mids) - w2.heights(mids)) * np.diff(xs)
+    return np.cumsum(np.concatenate(([0.0], steps)))
+
+
 def decompose_weights(w1: StepWeight, w2: StepWeight) -> HatDecomposition:
     """Hat decomposition of Psi(t) = int_a^t (w1 - w2)."""
     lo = min(w1.domain[0], w2.domain[0])
     hi = max(w1.domain[1], w2.domain[1])
     xs = merge_breakpoints(w1.breakpoints(), w2.breakpoints(), [lo, hi])
-    ys = np.zeros_like(xs)
-    for i in range(len(xs) - 1):
-        mid = 0.5 * (xs[i] + xs[i + 1])
-        ys[i + 1] = ys[i] + (w1.eval(mid) - w2.eval(mid)) * (xs[i + 1] - xs[i])
-    if abs(ys[-1]) > 1e-9:
+    ys = _psi(w1, w2, xs)
+    if abs(ys[-1]) > 1e-9 * _mass_unit(w1, w2):
         raise MassMismatch(f"weights do not balance: residue {ys[-1]}")
     return _decompose_polyline(xs, ys, (lo, hi))
 
@@ -483,17 +526,21 @@ def _sum_of_hat_rearrangements(decomp: HatDecomposition) -> Tuple[np.ndarray, np
     return xs, ys
 
 
+def _pieces_by_parts(xs: np.ndarray, ys: np.ndarray, omega: Modulus):
+    """Slope and modulus primitive I(t0, t1) of each nonempty piece
+    [t0, t1] of a polyline, with the modulus values at its ends."""
+    keep = xs[1:] > xs[:-1]
+    t0, t1 = xs[:-1][keep], xs[1:][keep]
+    y0, y1 = ys[:-1][keep], ys[1:][keep]
+    slope = (y1 - y0) / (t1 - t0)
+    w = np.asarray(omega(xs), dtype=float)
+    return y0, y1, w[:-1][keep], w[1:][keep], slope, omega.primitive(t0, t1)
+
+
 def _integral_against_omega_prime(xs: np.ndarray, ys: np.ndarray, omega: Modulus) -> float:
     """int ys(t) w'(t) dt for a polyline, by parts on each piece (exact)."""
-    total = 0.0
-    for i in range(len(xs) - 1):
-        t0, t1 = float(xs[i]), float(xs[i + 1])
-        if t1 <= t0:
-            continue
-        y0, y1 = float(ys[i]), float(ys[i + 1])
-        slope = (y1 - y0) / (t1 - t0)
-        total += y1 * float(omega(t1)) - y0 * float(omega(t0)) - slope * omega.primitive(t0, t1)
-    return total
+    y0, y1, w0, w1, slope, prim = _pieces_by_parts(xs, ys, omega)
+    return _running_total(y1 * w1 - y0 * w0 - slope * prim)
 
 
 def general_bound(w1: StepWeight, w2: StepWeight, omega: Modulus) -> float:
@@ -502,8 +549,7 @@ def general_bound(w1: StepWeight, w2: StepWeight, omega: Modulus) -> float:
     ``ks_bound`` for disjointly supported pairs."""
     if not omega.concave:
         raise NonConcave("the rearrangement estimate requires a concave modulus")
-    if abs(w1.mass() - w2.mass()) > MASS_TOL:
-        raise MassMismatch(f"masses differ: {w1.mass()} vs {w2.mass()}")
+    _check_masses(w1, w2)
     decomp = decompose_weights(w1, w2)
     xs, ys = _sum_of_hat_rearrangements(decomp)
     return _integral_against_omega_prime(xs, ys, omega)
@@ -515,14 +561,8 @@ def rearrangement_forms(w1: StepWeight, w2: StepWeight, omega: Modulus) -> Tuple
     moduli (integration by parts; R vanishes at the right endpoint)."""
     decomp = decompose_weights(w1, w2)
     xs, ys = _sum_of_hat_rearrangements(decomp)
-    form_deriv = 0.0
-    for i in range(len(xs) - 1):
-        t0, t1 = float(xs[i]), float(xs[i + 1])
-        if t1 <= t0:
-            continue
-        slope = (float(ys[i + 1]) - float(ys[i])) / (t1 - t0)
-        form_deriv += slope * omega.primitive(t0, t1)
-    return abs(form_deriv), _integral_against_omega_prime(xs, ys, omega)
+    *_, slope, prim = _pieces_by_parts(xs, ys, omega)
+    return abs(_running_total(slope * prim)), _integral_against_omega_prime(xs, ys, omega)
 
 
 # ---------------------------------------------------------------------------

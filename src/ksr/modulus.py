@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate
 from typing import Optional, Tuple
 
@@ -63,8 +64,9 @@ class Modulus:
     def __call__(self, t):
         raise NotImplementedError
 
-    def primitive(self, alpha: float, beta: float) -> float:
-        """I(alpha, beta) = int_alpha^beta w(s) ds, exact."""
+    def primitive(self, alpha, beta):
+        """I(alpha, beta) = int_alpha^beta w(s) ds, exact; elementwise for
+        arrays, with the same ufuncs for a scalar as for an array."""
         raise NotImplementedError
 
     def spec(self) -> str:
@@ -88,10 +90,14 @@ class PowerModulus(Modulus):
         out = self.K * np.power(t, self.alpha)
         return float(out) if out.ndim == 0 else out
 
-    def primitive(self, alpha: float, beta: float) -> float:
+    def primitive(self, alpha, beta):
         alpha, beta = _check_range(alpha, beta)
         p = self.alpha + 1.0
-        return self.K * (beta ** p - alpha ** p) / p
+        # float_power is the C library's pow for every length, as Python's **
+        # is, and an overflow raises, as it does there
+        with np.errstate(over="raise"):
+            out = self.K * (np.float_power(beta, p) - np.float_power(alpha, p)) / p
+        return _scalar_or_array(out)
 
     def spec(self) -> str:
         return f"power:K={_fmt(self.K)},alpha={_fmt(self.alpha)}"
@@ -115,6 +121,18 @@ class PiecewiseLinearConcave(Modulus):
             (v2 - v1) / (t2 - t1) for (t1, v1), (t2, v2) in zip(pts, pts[1:])
         )
 
+    @cached_property
+    def _knots(self):
+        """Knot arrays ts and vs, the slope of each piece with the last one
+        repeated for the extension, and the integral up to each knot."""
+        ts = np.array([p[0] for p in self.points])
+        vs = np.array([p[1] for p in self.points])
+        slopes = np.array(self._slopes())
+        # squares by float_power, the pow of Python's ** (x * x can differ)
+        span = np.diff(ts)
+        full = vs[:-1] * span + 0.5 * slopes * np.float_power(span, 2.0)
+        return ts, vs, np.append(slopes, slopes[-1]), np.cumsum(np.concatenate(([0.0], full)))
+
     def __call__(self, t):
         ts = np.array([p[0] for p in self.points])
         vs = np.array([p[1] for p in self.points])
@@ -127,25 +145,18 @@ class PiecewiseLinearConcave(Modulus):
         )
         return float(out) if out.ndim == 0 else out
 
-    def primitive(self, alpha: float, beta: float) -> float:
+    def primitive(self, alpha, beta):
         alpha, beta = _check_range(alpha, beta)
+        ts, vs, slopes, acc = self._knots
 
-        def antider(t: float) -> float:
-            acc = 0.0
-            pts = self.points
-            for (t1, v1), (t2, v2) in zip(pts, pts[1:]):
-                if t <= t1:
-                    return acc
-                hi = min(t, t2)
-                s = (v2 - v1) / (t2 - t1)
-                acc += v1 * (hi - t1) + 0.5 * s * (hi - t1) ** 2
-            t_last, v_last = pts[-1]
-            if t > t_last:
-                s = self._slopes()[-1]
-                acc += v_last * (t - t_last) + 0.5 * s * (t - t_last) ** 2
-            return acc
+        def antider(t):
+            # t in (ts[j], ts[j + 1]] takes the pieces before j whole
+            j = np.searchsorted(ts, t, side="left") - 1
+            k = np.maximum(j, 0)
+            d = t - ts[k]
+            return np.where(j < 0, 0.0, acc[k] + (vs[k] * d + 0.5 * slopes[k] * np.float_power(d, 2.0)))
 
-        return antider(beta) - antider(alpha)
+        return _scalar_or_array(antider(beta) - antider(alpha))
 
     def spec(self) -> str:
         return "plconcave:" + ";".join(f"{_fmt(t)},{_fmt(v)}" for t, v in self.points)
@@ -167,25 +178,45 @@ class MinLinearConstant(Modulus):
         out = np.minimum(self.K * t, self.C)
         return float(out) if out.ndim == 0 else out
 
-    def primitive(self, alpha: float, beta: float) -> float:
+    def primitive(self, alpha, beta):
         alpha, beta = _check_range(alpha, beta)
+        knee = self.knee
 
-        def antider(t: float) -> float:
-            if t <= self.knee:
+        def antider(t):
+            below = t <= knee
+            if below.all():  # the linear part alone: a huge knee would overflow
                 return 0.5 * self.K * t * t
-            return 0.5 * self.K * self.knee ** 2 + self.C * (t - self.knee)
+            return np.where(below, 0.5 * self.K * t * t, 0.5 * self.K * knee ** 2 + self.C * (t - knee))
 
-        return antider(beta) - antider(alpha)
+        return _scalar_or_array(antider(beta) - antider(alpha))
 
     def spec(self) -> str:
         return f"minlin:K={_fmt(self.K)},C={_fmt(self.C)}"
 
 
-def _check_range(alpha: float, beta: float) -> Tuple[float, float]:
-    """Validate primitive bounds; float dust barely below zero is clamped."""
-    if alpha < -1e-12 or beta < alpha:
-        raise ValueError(f"primitive requires 0 <= alpha <= beta, got ({alpha}, {beta})")
-    return max(alpha, 0.0), max(beta, 0.0)
+def _check_range(alpha, beta):
+    """Validate primitive bounds elementwise; float dust barely below zero
+    is clamped, and the first offending pair is named in the error.
+
+    As in ``_nonneg``, scalar bounds skip the array reductions and come
+    back as ``np.float64``, so that the families evaluate them with the
+    same ufuncs as arrays."""
+    if isinstance(alpha, (float, int)) and isinstance(beta, (float, int)):
+        lo, hi = float(alpha), float(beta)
+        if lo < -1e-12 or hi < lo:
+            raise ValueError(f"primitive requires 0 <= alpha <= beta, got ({lo}, {hi})")
+        return np.float64(max(lo, 0.0)), np.float64(max(hi, 0.0))
+    alpha, beta = np.broadcast_arrays(np.asarray(alpha, dtype=float), np.asarray(beta, dtype=float))
+    bad = (alpha < -1e-12) | (beta < alpha)
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise ValueError(f"primitive requires 0 <= alpha <= beta, got ({alpha.flat[i]}, {beta.flat[i]})")
+    return np.maximum(alpha, 0.0), np.maximum(beta, 0.0)
+
+
+def _scalar_or_array(out):
+    """A primitive of scalar bounds is a float, as ``__call__`` returns."""
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def _fmt(x: float) -> str:

@@ -56,24 +56,22 @@ def decreasing_rearrangement(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray
     ylo = np.minimum(ys[:-1], ys[1:])
     yhi = np.maximum(ys[:-1], ys[1:])
     flat = yhi - ylo <= 0.0
-
-    def mes_above(y: float) -> float:
-        cross = (~flat) & (yhi > y)
-        part = np.where(ylo[cross] >= y, 1.0, (yhi[cross] - y) / (yhi[cross] - ylo[cross]))
-        return float(np.sum(dx[cross] * part) + np.sum(dx[flat & (ylo > y)]))
-
-    def mes_at(y: float) -> float:
-        return float(np.sum(dx[flat & (ylo == y)]))
+    levels = np.unique(ys)[::-1]  # descending
+    # mes{f > v} and mes{f = v} for every level v in one (levels x segments)
+    # pass: a sloped segment counts the share of its width above v, a flat
+    # one all of it when its level exceeds v
+    v = levels[:, None]
+    share = np.clip((yhi - v) / np.where(flat, 1.0, yhi - ylo), 0.0, 1.0)
+    above = np.sum(dx * np.where(flat, ylo > v, share), axis=1)
+    at = np.sum(dx * (flat & (ylo == v)), axis=1)
 
     r_x: list[float] = []
     r_y: list[float] = []
-    for v in np.unique(ys)[::-1]:  # descending levels
-        above = mes_above(v)
-        at = mes_at(v)
-        for x in (above, above + at):
+    for lvl, x_above, x_at in zip(levels.tolist(), above.tolist(), (above + at).tolist()):
+        for x in (x_above, x_at):
             if not r_x or x > r_x[-1] + 1e-15:
                 r_x.append(x)
-                r_y.append(float(v))
+                r_y.append(lvl)
     if not r_x or r_x[0] > 0.0:
         r_x.insert(0, 0.0)
         r_y.insert(0, float(np.max(ys)))

@@ -9,7 +9,6 @@ functions whose cell means (resp. node values) vanish.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
@@ -282,10 +281,6 @@ def polyline_uniform_error(n: int, omega: Modulus, length: float) -> float:
 
 def _spline_G(etas: np.ndarray, signs: np.ndarray, omega: Modulus, pts: np.ndarray, a: float) -> np.ndarray:
     """Exact cumulative integral of the slope function at given points."""
-
-    def hprim(z: float) -> float:
-        return math.copysign(0.25 * omega.primitive(0.0, 2.0 * abs(z)), z)
-
     mids = 0.5 * (etas[:-1] + etas[1:])
     breaks = np.unique(np.concatenate(([a], etas, mids, pts)))
     x0, x1 = breaks[:-1], breaks[1:]
@@ -296,10 +291,8 @@ def _spline_G(etas: np.ndarray, signs: np.ndarray, omega: Modulus, pts: np.ndarr
     above = np.minimum(idx, len(etas) - 1)
     eta = etas[np.where(np.abs(etas[below] - mid) <= np.abs(etas[above] - mid), below, above)]
     s = signs[np.minimum(idx, len(signs) - 1)]
-    # the primitive stays scalar (array powers differ in the last bits);
-    # consecutive pieces about one eta share an end, so evaluate each once
-    z, inv = np.unique(np.concatenate((x1 - eta, x0 - eta)), return_inverse=True)
-    hz = np.array([hprim(zi) for zi in z])[inv]
+    z = np.concatenate((x1 - eta, x0 - eta))
+    hz = np.copysign(0.25 * omega.primitive(0.0, 2.0 * np.abs(z)), z)
     m = len(x0)
     table_v = np.cumsum(np.concatenate(([0.0], s * (hz[:m] - hz[m:]))))
     return np.interp(pts, breaks, table_v)
@@ -362,19 +355,16 @@ def derivative_extremal(n: int, omega: Modulus, a: float, b: float, grid_n: int 
     nodes = a + delta * np.arange(n + 1)
     mean = derivative_recovery_value(n, omega, length)
 
-    def cumint_g0(t: float) -> float:
-        # per cell, g0 is w(dist to the even end); each full cell carries I(0, delta)
-        k = min(int((t - a) / delta), n - 1)
-        acc = k * omega.primitive(0.0, delta)
-        t0 = nodes[k]
-        if k % 2 == 0:
-            acc += omega.primitive(0.0, t - t0)
-        else:
-            acc += omega.primitive(nodes[k + 1] - t, delta)
-        return acc
-
     ts = np.linspace(a, b, grid_n + 1)
-    vals = np.array([cumint_g0(t) for t in ts]) - mean * (ts - a)
+    # the integral of g0 up to t: per cell, g0 is w(dist to the even end),
+    # so each full cell carries I(0, delta) and the cell of t a part of it
+    k = np.minimum(((ts - a) / delta).astype(int), n - 1)
+    part = np.empty_like(ts)
+    even = k % 2 == 0
+    part[even] = omega.primitive(0.0, ts[even] - nodes[k[even]])
+    odd = ~even
+    part[odd] = omega.primitive(nodes[k[odd] + 1] - ts[odd], delta)
+    vals = (k * omega.primitive(0.0, delta) + part) - mean * (ts - a)
     return gf.GridFunction(a, b, ls.REAL, vals)
 
 

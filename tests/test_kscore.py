@@ -12,7 +12,7 @@ from ksr.errors import (
     MassMismatch,
     NonConcave,
 )
-from ksr.poly import decreasing_rearrangement, insert_zero_crossings
+from ksr.poly import decreasing_rearrangement, insert_zero_crossings, merge_breakpoints
 
 wid = mo.power(1, 1)
 wsq = mo.power(1, 0.5)
@@ -27,12 +27,12 @@ class TestStepWeight:
         assert w.mass() == pytest.approx(0.75)
         assert w == ks.step_weight((0, 1), [(0, 0.25, 1), (0.5, 0.75, 2)])
 
-    def test_primitive_and_eval(self):
+    def test_primitive_and_heights(self):
         w = ks.step_weight((0, 1), [(0.0, 0.2, 2.0), (0.6, 1.0, 1.0)])
         assert w.primitive(0.1) == pytest.approx(0.2)
         assert w.primitive(0.5) == pytest.approx(0.4)
         assert w.primitive(1.0) == pytest.approx(w.mass())
-        assert w.eval(0.05) == 2.0 and w.eval(0.4) == 0.0 and w.eval(0.8) == 1.0
+        assert w.heights(np.array([0.05, 0.4, 0.8])).tolist() == [2.0, 0.0, 1.0]
 
     def test_invalid_pieces(self):
         with pytest.raises(ValueError):
@@ -121,7 +121,7 @@ class TestBound:
             tt = np.linspace(0.7, 1.0, 20001)
             tails = np.array([w2.mass() - w2.primitive(float(t)) for t in tt])
             rho = np.interp(m1, tails[::-1], tt[::-1])
-            vals = np.array([w1.eval(float(s)) for s in ss]) * np.asarray(omega(rho - ss))
+            vals = w1.heights(ss) * np.asarray(omega(rho - ss))
             quad = np.trapezoid(vals, ss)
             assert direct == pytest.approx(quad, abs=2e-4)
 
@@ -525,6 +525,177 @@ class TestPeelingReference:
                 assert proms.tolist() == [p for p, _ in want]
                 assert saddles.tolist() == [s for _, s in want]
             assert ks._lowest_peak(y, tol) == _lowest_peak_loop(y, tol)
+
+
+def _height_loop(w, t):
+    """The weight at t by a walk over the pieces: the first piece with
+    u <= t < v, the last height at the right end, else 0."""
+    for u, v, h in w.pieces:
+        if u <= t < v:
+            return h
+    if t == w.pieces[-1][1]:
+        return w.pieces[-1][2]
+    return 0.0
+
+
+def _psi_loop(w1, w2, xs):
+    """Psi at the breakpoints xs, one cell at a time from the left."""
+    ys = np.zeros_like(xs)
+    for i in range(len(xs) - 1):
+        mid = 0.5 * (xs[i] + xs[i + 1])
+        ys[i + 1] = ys[i] + (_height_loop(w1, mid) - _height_loop(w2, mid)) * (xs[i + 1] - xs[i])
+    return ys
+
+
+def _random_pair(seed):
+    """A balanced pair on a common support with 1-64 pieces on each side."""
+    rng = np.random.default_rng(seed)
+    p1 = _bounds_pieces(rng, int(rng.integers(1, 65)), 0.0, 1.0)
+    p2 = _bounds_pieces(rng, int(rng.integers(1, 65)), 0.0, 1.0)
+    m1 = sum(w * (v - u) for u, v, w in p1)
+    m2 = sum(w * (v - u) for u, v, w in p2)
+    return ks.step_weight((0, 1), p1), ks.step_weight((0, 1), [(u, v, w * m1 / m2) for u, v, w in p2])
+
+
+PSI_PAIRS = {**PEEL_PAIRS, **{f"random-{seed}": _random_pair(seed) for seed in range(12)}}
+
+
+def _merged_breakpoints(w1, w2):
+    return merge_breakpoints(w1.breakpoints(), w2.breakpoints(), [0.0, 1.0])
+
+
+class TestPsiReference:
+    """Psi from the height lookup and one running sum is the cell loop's,
+    byte for byte, so the hats peeled from it do not change."""
+
+    @pytest.mark.parametrize("pair", PSI_PAIRS.values(), ids=PSI_PAIRS.keys())
+    def test_psi_matches_cell_loop(self, pair):
+        w1, w2 = pair
+        xs = _merged_breakpoints(w1, w2)
+        assert ks._psi(w1, w2, xs).tobytes() == _psi_loop(w1, w2, xs).tobytes()
+
+    @pytest.mark.parametrize("pair", PSI_PAIRS.values(), ids=PSI_PAIRS.keys())
+    def test_heights_match_piece_walk(self, pair):
+        # piece ends, midpoints, the support ends and points outside it
+        for w in pair:
+            ends = np.array([x for u, v, _ in w.pieces for x in (u, v)])
+            ts = np.concatenate((ends, 0.5 * (ends[:-1] + ends[1:]), [-0.5, 0.0, 1.0, 1.5],
+                                 np.random.default_rng(len(ends)).uniform(-0.1, 1.1, 200)))
+            assert w.heights(ts).tolist() == [_height_loop(w, float(t)) for t in ts]
+
+
+def _by_parts_loop(xs, ys, omega):
+    """int R w' and the derivative form sum of slope * I(t0, t1), one piece
+    at a time with scalar modulus calls."""
+    total, deriv = 0.0, 0.0
+    for i in range(len(xs) - 1):
+        t0, t1 = float(xs[i]), float(xs[i + 1])
+        if t1 <= t0:
+            continue
+        y0, y1 = float(ys[i]), float(ys[i + 1])
+        slope = (y1 - y0) / (t1 - t0)
+        total += y1 * float(omega(t1)) - y0 * float(omega(t0)) - slope * omega.primitive(t0, t1)
+        deriv += slope * omega.primitive(t0, t1)
+    return total, deriv
+
+
+def _segment_bound_loop(segments, omega):
+    total = 0.0
+    for s0, s1, r0, r1, w in segments:
+        if w == 0.0:
+            continue
+        v0, v1 = r0 - s0, r1 - s1
+        if v0 - v1 <= 1e-15:
+            total += w * (s1 - s0) * float(omega(0.5 * (v0 + v1)))
+        else:
+            total += w * (s1 - s0) * omega.primitive(v1, v0) / (v0 - v1)
+    return total
+
+
+class TestByPartsReference:
+    """The array by-parts sums add the per-piece terms of the scalar loops
+    in the same order, so they agree bit for bit."""
+
+    @pytest.mark.parametrize("omega", BRANCH_MODULI.values(), ids=BRANCH_MODULI.keys())
+    @pytest.mark.parametrize("pair", PEEL_PAIRS.values(), ids=PEEL_PAIRS.keys())
+    def test_rearrangement_integrals(self, pair, omega):
+        xs, ys = ks._sum_of_hat_rearrangements(ks.decompose_weights(*pair))
+        total, deriv = _by_parts_loop(xs, ys, omega)
+        assert _bits(ks._integral_against_omega_prime(xs, ys, omega)) == _bits(total)
+        assert _bits(ks.general_bound(*pair, omega)) == _bits(total)
+        assert ks.rearrangement_forms(*pair, omega) == (abs(deriv), total)
+
+    @pytest.mark.parametrize("omega", BRANCH_MODULI.values(), ids=BRANCH_MODULI.keys())
+    @pytest.mark.parametrize("pair", BRANCH_PAIRS.values(), ids=BRANCH_PAIRS.keys())
+    def test_segment_bound(self, pair, omega):
+        w1, w2 = pair
+        lo, hi = w1.support[0], w2.support[1]
+        for rho in (ks.solve_rho(w1, w2), ks.solve_rho(w2.reflect(lo, hi), w1.reflect(lo, hi))):
+            assert _bits(ks._segment_bound(rho.segments, omega)) == _bits(_segment_bound_loop(rho.segments, omega))
+
+    def test_segments_with_a_gap_and_a_flat_gap(self):
+        # a zero-weight support gap, and a segment whose gap rho(s) - s
+        # changes by less than 1e-15
+        segments = ((0.0, 0.2, 1.0, 0.8, 1.5), (0.2, 0.3, 0.8, 0.8, 0.0), (0.3, 0.4, 0.8, 0.7 + 1e-16, 2.0))
+        for omega in BRANCH_MODULI.values():
+            assert _bits(ks._segment_bound(segments, omega)) == _bits(_segment_bound_loop(segments, omega))
+        assert ks._segment_bound((), wid) == 0.0
+
+
+def _bits(x) -> bytes:
+    return np.float64(x).tobytes()
+
+
+def _scaled(w, c):
+    return ks.step_weight(w.domain, [(u, v, c * h) for u, v, h in w.pieces])
+
+
+SCALES = (1e3, 3.7e5, 1e6, 1e7)
+HOMOGENEITY_MODULI = {k: BRANCH_MODULI[k] for k in ("power(1,1)", "power(1,0.5)", "minlin", "plconcave")}
+
+
+class TestMassScale:
+    """The bounds are homogeneous in the weights, so the mass checks compare
+    in units of max(1, mass): a balanced pair scaled by c passes and gives
+    c times the bound, and a relative mass gap of 1e-8 fails at every scale."""
+
+    @pytest.mark.parametrize("omega", HOMOGENEITY_MODULI.values(), ids=HOMOGENEITY_MODULI.keys())
+    @pytest.mark.parametrize("name", ["common-k5", "common-k21", "common-k64", "touching-3", "random-3", "random-7"])
+    def test_general_bound_is_homogeneous(self, name, omega):
+        w1, w2 = PSI_PAIRS[name]
+        base = ks.general_bound(w1, w2, omega)
+        for c in SCALES:
+            assert ks.general_bound(_scaled(w1, c), _scaled(w2, c), omega) == pytest.approx(c * base, rel=1e-12)
+
+    @pytest.mark.parametrize("omega", HOMOGENEITY_MODULI.values(), ids=HOMOGENEITY_MODULI.keys())
+    @pytest.mark.parametrize("name", ["disjoint-k1", "disjoint-k16", "disjoint-k64", "touching"])
+    def test_ks_bound_is_homogeneous(self, name, omega):
+        w1, w2 = PEEL_PAIRS[name]
+        base = ks.ks_bound(w1, w2, omega)
+        for c in SCALES:
+            assert ks.ks_bound(_scaled(w1, c), _scaled(w2, c), omega) == pytest.approx(c * base, rel=1e-12)
+
+    @pytest.mark.parametrize("name", ["common-k8", "disjoint-k4", "random-5"])
+    def test_relative_gap_rejected_at_every_scale(self, name):
+        w1, w2 = PSI_PAIRS[name]
+        for c in (1.0, *SCALES):
+            heavy = _scaled(w2, c * (1.0 + 1e-8))
+            with pytest.raises(MassMismatch):
+                ks.general_bound(_scaled(w1, c), heavy, wid)
+            with pytest.raises(MassMismatch):
+                ks.decompose_weights(_scaled(w1, c), heavy)
+            if name.startswith("disjoint"):
+                with pytest.raises(MassMismatch):
+                    ks.ks_bound(_scaled(w1, c), heavy, wid)
+
+    def test_unit_mass_checks_stay_absolute(self):
+        # below mass 1 the unit is 1: a gap of 2e-10 on a mass of 0.01 fails
+        w1 = ks.indicator_weight(0.0, 0.1, 0.1, domain=(0, 1))
+        w2 = ks.indicator_weight(0.9, 1.0, 0.1 + 2e-9, domain=(0, 1))
+        with pytest.raises(MassMismatch):
+            ks.solve_rho(w1, w2)
+        with pytest.raises(MassMismatch):
+            ks.general_bound(w1, w2, wid)
 
 
 def _on(polyline, at):

@@ -108,6 +108,102 @@ class TestPrimitive:
         assert np.all(second >= -1e-10)
 
 
+def _primitive_reference(w, alpha, beta):
+    """The primitive in Python floats, family by family: Python's ** for
+    powers and squares, and a walk over the plconcave knots.  Kept as the
+    bit-for-bit reference of the array primitive."""
+    if alpha < -1e-12 or beta < alpha:
+        raise ValueError("reversed or negative range")
+    alpha, beta = max(alpha, 0.0), max(beta, 0.0)
+    if isinstance(w, mo.PowerModulus):
+        p = w.alpha + 1.0
+        return w.K * (beta ** p - alpha ** p) / p
+    if isinstance(w, mo.MinLinearConstant):
+        def antider(t):
+            if t <= w.knee:
+                return 0.5 * w.K * t * t
+            return 0.5 * w.K * w.knee ** 2 + w.C * (t - w.knee)
+    else:
+        def antider(t):
+            acc = 0.0
+            pts = w.points
+            for (t1, v1), (t2, v2) in zip(pts, pts[1:]):
+                if t <= t1:
+                    return acc
+                hi = min(t, t2)
+                s = (v2 - v1) / (t2 - t1)
+                acc += v1 * (hi - t1) + 0.5 * s * (hi - t1) ** 2
+            t_last, v_last = pts[-1]
+            if t > t_last:
+                s = (pts[-1][1] - pts[-2][1]) / (pts[-1][0] - pts[-2][0])
+                acc += v_last * (t - t_last) + 0.5 * s * (t - t_last) ** 2
+            return acc
+    return antider(beta) - antider(alpha)
+
+
+PRIMITIVE_FAMILIES = {
+    "power(1,0.5)": mo.power(1, 0.5), "power(1.3,0.7)": mo.power(1.3, 0.7),
+    # alpha == 1: the exponent 2, where Python's ** and x * x can differ
+    "power(2,1)": mo.power(2, 1), "minlin(1,0.4)": mo.minlin(1, 0.4),
+    "plconcave": mo.plconcave([(0, 0), (0.1, 0.3), (0.4, 0.5), (1.3, 0.8)]),
+}
+
+
+class TestArrayPrimitive:
+    """``primitive`` takes arrays elementwise, and every element equals the
+    scalar primitive and the Python-float reference bit for bit."""
+
+    @staticmethod
+    def ranges(seed):
+        # bounds past the last plconcave knot (1.3) and past the minlin knee
+        # (0.4), empty ranges, zero and dust below it
+        rng = np.random.default_rng(seed)
+        alpha = rng.uniform(0.0, 2.0, 400)
+        beta = alpha + rng.uniform(0.0, 2.0, 400)
+        alpha[:5] = [0.0, -1e-13, 0.4, 1.3, 0.7]
+        beta[:5] = [0.0, 0.4, 0.4, 2.5, 0.7]
+        return alpha, beta
+
+    @pytest.mark.parametrize("w", PRIMITIVE_FAMILIES.values(), ids=PRIMITIVE_FAMILIES.keys())
+    @pytest.mark.parametrize("seed", range(3))
+    def test_array_equals_scalar_and_reference(self, w, seed):
+        alpha, beta = self.ranges(seed)
+        got = w.primitive(alpha, beta)
+        assert got.shape == alpha.shape
+        scalar = [w.primitive(float(a), float(b)) for a, b in zip(alpha, beta)]
+        assert all(type(x) is float for x in scalar)
+        assert got.tobytes() == np.array(scalar).tobytes()
+        want = [_primitive_reference(w, float(a), float(b)) for a, b in zip(alpha, beta)]
+        assert got.tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("w", PRIMITIVE_FAMILIES.values(), ids=PRIMITIVE_FAMILIES.keys())
+    def test_broadcasts_a_scalar_bound(self, w):
+        ts = np.linspace(0.0, 3.0, 31)
+        assert w.primitive(0.0, ts).tobytes() == np.array([w.primitive(0.0, float(t)) for t in ts]).tobytes()
+        assert w.primitive(ts, 3.0).tobytes() == np.array([w.primitive(float(t), 3.0) for t in ts]).tobytes()
+
+    @pytest.mark.parametrize("w", PRIMITIVE_FAMILIES.values(), ids=PRIMITIVE_FAMILIES.keys())
+    def test_bad_pair_inside_an_array_raises(self, w):
+        alpha = np.array([0.0, 0.2, 0.5, 0.1])
+        beta = np.array([0.3, 0.4, 0.6, 0.9])
+        w.primitive(alpha, beta)
+        reversed_pair = beta.copy()
+        reversed_pair[2] = 0.45
+        with pytest.raises(ValueError, match=r"\(0\.5, 0\.45\)"):
+            w.primitive(alpha, reversed_pair)
+        negative = alpha.copy()
+        negative[1] = -1e-9
+        with pytest.raises(ValueError, match="alpha <= beta"):
+            w.primitive(negative, beta)
+
+    def test_overflow_raises(self):
+        # as Python's ** does on a finite result out of range
+        with pytest.raises(ArithmeticError):
+            mo.power(1, 1).primitive(0.0, 1e200)
+        with pytest.raises(ArithmeticError):
+            mo.power(1, 1).primitive(np.zeros(2), np.array([1.0, 1e200]))
+
+
 class TestValidation:
     def test_rejects_square_with_witness(self):
         with pytest.raises(InvalidModulus, match="subadditive"):

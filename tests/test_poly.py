@@ -24,6 +24,76 @@ def _random_polyline(seed):
     return xs, ys
 
 
+def _rearrangement_per_level(xs, ys):
+    """The rearrangement with two reductions per level, mes{f > v} and
+    mes{f = v}, one level at a time.  Kept as the reference of the
+    (levels x segments) array pass."""
+    xs = np.asarray(xs, dtype=float)
+    ys = np.maximum(np.asarray(ys, dtype=float), 0.0)
+    dx = np.diff(xs)
+    ylo = np.minimum(ys[:-1], ys[1:])
+    yhi = np.maximum(ys[:-1], ys[1:])
+    flat = yhi - ylo <= 0.0
+    r_x, r_y = [], []
+    for v in np.unique(ys)[::-1]:
+        cross = (~flat) & (yhi > v)
+        part = np.where(ylo[cross] >= v, 1.0, (yhi[cross] - v) / (yhi[cross] - ylo[cross]))
+        above = float(np.sum(dx[cross] * part) + np.sum(dx[flat & (ylo > v)]))
+        at = float(np.sum(dx[flat & (ylo == v)]))
+        for x in (above, above + at):
+            if not r_x or x > r_x[-1] + 1e-15:
+                r_x.append(x)
+                r_y.append(float(v))
+    if not r_x or r_x[0] > 0.0:
+        r_x.insert(0, 0.0)
+        r_y.insert(0, float(np.max(ys)))
+    if r_x[-1] < xs[-1] - xs[0] - 1e-15:
+        r_x.append(float(xs[-1] - xs[0]))
+        r_y.append(float(np.min(ys)))
+    return np.asarray(r_x), np.asarray(r_y)
+
+
+def _plateau_polyline(seed):
+    """A nonnegative polyline whose values take three levels, in runs."""
+    rng = np.random.default_rng(seed)
+    xs = np.cumsum(rng.uniform(0.01, 0.2, 40))
+    return xs, np.repeat(rng.integers(0, 3, 10) / 3, 4)
+
+
+# a symmetric hat, where every level is met twice; a hat with a flat top;
+# and a constant, all of whose levels are one
+EQUAL_LEVEL_HATS = {
+    "symmetric": (np.array([0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0]), np.array([0.0, 0.2, 0.6, 1.0, 0.6, 0.2, 0.0])),
+    "flat-top": (np.array([0.0, 0.25, 0.75, 1.0]), np.array([0.0, 0.5, 0.5, 0.0])),
+    "constant": (np.array([2.0, 2.3, 2.9]), np.array([0.4, 0.4, 0.4])),
+}
+
+
+class TestRearrangementReference:
+    """The one-pass level measures agree with the per-level loop to
+    4 eps times the length; the levels agree exactly."""
+
+    @staticmethod
+    def check(xs, ys):
+        rx, ry = decreasing_rearrangement(xs, ys)
+        want_x, want_y = _rearrangement_per_level(xs, ys)
+        assert ry.tolist() == want_y.tolist()
+        tol = 4 * np.finfo(float).eps * (xs[-1] - xs[0])
+        assert np.max(np.abs(rx - want_x)) <= tol
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_polylines(self, seed):
+        self.check(*_random_polyline(seed))
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_plateaus(self, seed):
+        self.check(*_plateau_polyline(seed))
+
+    @pytest.mark.parametrize("hat", EQUAL_LEVEL_HATS.values(), ids=EQUAL_LEVEL_HATS.keys())
+    def test_equal_levels(self, hat):
+        self.check(*hat)
+
+
 class TestDecreasingRearrangement:
     def test_tent(self):
         rx, ry = decreasing_rearrangement([0.0, 0.5, 1.0], [0.0, 0.5, 0.0])
