@@ -17,9 +17,8 @@ rearranged with all its levels measured in one array pass
 (``poly.decreasing_rearrangement``), and int R w' is taken by parts with
 the modulus and its primitive evaluated once over the knot arrays
 (``Modulus.primitive`` takes arrays) and the terms added in knot order.
-The two-weight bound adds its segment terms the same way.  Mass checks
-compare in units of max(1, mass), since every bound is homogeneous in
-the weights.
+Mass checks compare in units of max(1, mass), since every bound is
+homogeneous in the weights.
 """
 
 from __future__ import annotations
@@ -240,25 +239,17 @@ def solve_rho(w1: StepWeight, w2: StepWeight) -> RhoMap:
     return RhoMap(a, a1, max(a1, b1), b, tuple(_mass_refined_segments(w1, w2)))
 
 
-def _running_total(terms: np.ndarray) -> float:
-    """The sum of ``terms`` in index order, from 0.0, as a loop adds them."""
-    return float(np.cumsum(np.concatenate(([0.0], terms)))[-1])
-
-
 def _segment_bound(segments, omega: Modulus) -> float:
-    """Sum over the paired segments of the left mass times the mean of the
-    modulus over the segment's gaps rho(s) - s, in segment order; a gap
-    that barely changes takes the modulus at its midpoint."""
-    rows = np.array(segments, dtype=float).reshape(-1, 5)
-    s0, s1, r0, r1, w = rows[rows[:, 4] != 0.0].T  # support gaps carry no mass
-    v0, v1 = r0 - s0, r1 - s1
-    mass = w * (s1 - s0)
-    flat = v0 - v1 <= 1e-15
-    terms = np.empty_like(mass)
-    terms[flat] = mass[flat] * np.asarray(omega(0.5 * (v0[flat] + v1[flat])), dtype=float)
-    slope = ~flat
-    terms[slope] = mass[slope] * omega.primitive(v1[slope], v0[slope]) / (v0[slope] - v1[slope])
-    return _running_total(terms)
+    total = 0.0
+    for s0, s1, r0, r1, w in segments:
+        if w == 0.0:
+            continue
+        v0, v1 = r0 - s0, r1 - s1
+        if v0 - v1 <= 1e-15:
+            total += w * (s1 - s0) * float(omega(0.5 * (v0 + v1)))
+        else:
+            total += w * (s1 - s0) * omega.primitive(v1, v0) / (v0 - v1)
+    return total
 
 
 def ks_bound(w1: StepWeight, w2: StepWeight, omega: Modulus) -> float:
@@ -526,21 +517,25 @@ def _sum_of_hat_rearrangements(decomp: HatDecomposition) -> Tuple[np.ndarray, np
     return xs, ys
 
 
+def _running_total(terms: np.ndarray) -> float:
+    """The sum of ``terms`` in index order, from 0.0, as a loop adds them."""
+    return float(np.cumsum(np.concatenate(([0.0], terms)))[-1])
+
+
 def _pieces_by_parts(xs: np.ndarray, ys: np.ndarray, omega: Modulus):
-    """Slope and modulus primitive I(t0, t1) of each nonempty piece
-    [t0, t1] of a polyline, with the modulus values at its ends."""
+    """Mask of the nonempty pieces [t0, t1] of a polyline, with the slope
+    and the modulus primitive I(t0, t1) of each."""
     keep = xs[1:] > xs[:-1]
     t0, t1 = xs[:-1][keep], xs[1:][keep]
-    y0, y1 = ys[:-1][keep], ys[1:][keep]
-    slope = (y1 - y0) / (t1 - t0)
-    w = np.asarray(omega(xs), dtype=float)
-    return y0, y1, w[:-1][keep], w[1:][keep], slope, omega.primitive(t0, t1)
+    slope = (ys[1:][keep] - ys[:-1][keep]) / (t1 - t0)
+    return keep, slope, omega.primitive(t0, t1)
 
 
 def _integral_against_omega_prime(xs: np.ndarray, ys: np.ndarray, omega: Modulus) -> float:
     """int ys(t) w'(t) dt for a polyline, by parts on each piece (exact)."""
-    y0, y1, w0, w1, slope, prim = _pieces_by_parts(xs, ys, omega)
-    return _running_total(y1 * w1 - y0 * w0 - slope * prim)
+    keep, slope, prim = _pieces_by_parts(xs, ys, omega)
+    yw = ys * np.asarray(omega(xs), dtype=float)
+    return _running_total(yw[1:][keep] - yw[:-1][keep] - slope * prim)
 
 
 def general_bound(w1: StepWeight, w2: StepWeight, omega: Modulus) -> float:
@@ -561,7 +556,7 @@ def rearrangement_forms(w1: StepWeight, w2: StepWeight, omega: Modulus) -> Tuple
     moduli (integration by parts; R vanishes at the right endpoint)."""
     decomp = decompose_weights(w1, w2)
     xs, ys = _sum_of_hat_rearrangements(decomp)
-    *_, slope, prim = _pieces_by_parts(xs, ys, omega)
+    _, slope, prim = _pieces_by_parts(xs, ys, omega)
     return abs(_running_total(slope * prim)), _integral_against_omega_prime(xs, ys, omega)
 
 

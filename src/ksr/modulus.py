@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import accumulate
 from typing import Optional, Tuple
 
@@ -65,8 +64,8 @@ class Modulus:
         raise NotImplementedError
 
     def primitive(self, alpha, beta):
-        """I(alpha, beta) = int_alpha^beta w(s) ds, exact; elementwise for
-        arrays, with the same ufuncs for a scalar as for an array."""
+        """I(alpha, beta) = int_alpha^beta w(s) ds, exact.  Array bounds are
+        taken elementwise, and each element equals the scalar result."""
         raise NotImplementedError
 
     def spec(self) -> str:
@@ -93,11 +92,12 @@ class PowerModulus(Modulus):
     def primitive(self, alpha, beta):
         alpha, beta = _check_range(alpha, beta)
         p = self.alpha + 1.0
-        # float_power is the C library's pow for every length, as Python's **
-        # is, and an overflow raises, as it does there
+        if isinstance(alpha, float):
+            return self.K * (beta ** p - alpha ** p) / p
+        # float_power is the C library's pow, as Python's ** is (np.power can
+        # differ from it in the last bit), and an overflow raises, as there
         with np.errstate(over="raise"):
-            out = self.K * (np.float_power(beta, p) - np.float_power(alpha, p)) / p
-        return _scalar_or_array(out)
+            return self.K * (np.float_power(beta, p) - np.float_power(alpha, p)) / p
 
     def spec(self) -> str:
         return f"power:K={_fmt(self.K)},alpha={_fmt(self.alpha)}"
@@ -121,18 +121,6 @@ class PiecewiseLinearConcave(Modulus):
             (v2 - v1) / (t2 - t1) for (t1, v1), (t2, v2) in zip(pts, pts[1:])
         )
 
-    @cached_property
-    def _knots(self):
-        """Knot arrays ts and vs, the slope of each piece with the last one
-        repeated for the extension, and the integral up to each knot."""
-        ts = np.array([p[0] for p in self.points])
-        vs = np.array([p[1] for p in self.points])
-        slopes = np.array(self._slopes())
-        # squares by float_power, the pow of Python's ** (x * x can differ)
-        span = np.diff(ts)
-        full = vs[:-1] * span + 0.5 * slopes * np.float_power(span, 2.0)
-        return ts, vs, np.append(slopes, slopes[-1]), np.cumsum(np.concatenate(([0.0], full)))
-
     def __call__(self, t):
         ts = np.array([p[0] for p in self.points])
         vs = np.array([p[1] for p in self.points])
@@ -147,16 +135,44 @@ class PiecewiseLinearConcave(Modulus):
 
     def primitive(self, alpha, beta):
         alpha, beta = _check_range(alpha, beta)
-        ts, vs, slopes, acc = self._knots
+        antider = self._antider if isinstance(alpha, float) else self._array_antider()
+        return antider(beta) - antider(alpha)
+
+    def _antider(self, t: float) -> float:
+        """int_0^t w, walking the knots: whole pieces, then the piece of t."""
+        acc = 0.0
+        pts = self.points
+        for (t1, v1), (t2, v2) in zip(pts, pts[1:]):
+            if t <= t1:
+                return acc
+            hi = min(t, t2)
+            s = (v2 - v1) / (t2 - t1)
+            acc += v1 * (hi - t1) + 0.5 * s * (hi - t1) ** 2
+        t_last, v_last = pts[-1]
+        if t > t_last:
+            s = self._slopes()[-1]
+            acc += v_last * (t - t_last) + 0.5 * s * (t - t_last) ** 2
+        return acc
+
+    def _array_antider(self):
+        """``_antider`` elementwise: the same terms, the whole pieces added
+        in knot order, and squares by float_power (the pow of Python's **,
+        which can differ from x * x)."""
+        ts = np.array([p[0] for p in self.points])
+        vs = np.array([p[1] for p in self.points])
+        # the slope of each piece, the last one repeated past the last knot
+        slopes = np.array(self._slopes() + self._slopes()[-1:])
+        span = np.diff(ts)
+        whole = np.cumsum(np.concatenate(([0.0], vs[:-1] * span + 0.5 * slopes[:-1] * np.float_power(span, 2.0))))
 
         def antider(t):
             # t in (ts[j], ts[j + 1]] takes the pieces before j whole
             j = np.searchsorted(ts, t, side="left") - 1
             k = np.maximum(j, 0)
             d = t - ts[k]
-            return np.where(j < 0, 0.0, acc[k] + (vs[k] * d + 0.5 * slopes[k] * np.float_power(d, 2.0)))
+            return np.where(j < 0, 0.0, whole[k] + (vs[k] * d + 0.5 * slopes[k] * np.float_power(d, 2.0)))
 
-        return _scalar_or_array(antider(beta) - antider(alpha))
+        return antider
 
     def spec(self) -> str:
         return "plconcave:" + ";".join(f"{_fmt(t)},{_fmt(v)}" for t, v in self.points)
@@ -182,41 +198,44 @@ class MinLinearConstant(Modulus):
         alpha, beta = _check_range(alpha, beta)
         knee = self.knee
 
-        def antider(t):
-            below = t <= knee
-            if below.all():  # the linear part alone: a huge knee would overflow
-                return 0.5 * self.K * t * t
-            return np.where(below, 0.5 * self.K * t * t, 0.5 * self.K * knee ** 2 + self.C * (t - knee))
+        def linear(t):
+            return 0.5 * self.K * t * t
 
-        return _scalar_or_array(antider(beta) - antider(alpha))
+        def capped(t):
+            return 0.5 * self.K * knee ** 2 + self.C * (t - knee)
+
+        if isinstance(alpha, float):
+            def antider(t):
+                return linear(t) if t <= knee else capped(t)
+        else:
+            def antider(t):
+                below = t <= knee
+                # below the knee alone, capped() is not evaluated: a huge knee
+                # would overflow there
+                return linear(t) if below.all() else np.where(below, linear(t), capped(t))
+
+        return antider(beta) - antider(alpha)
 
     def spec(self) -> str:
         return f"minlin:K={_fmt(self.K)},C={_fmt(self.C)}"
 
 
 def _check_range(alpha, beta):
-    """Validate primitive bounds elementwise; float dust barely below zero
-    is clamped, and the first offending pair is named in the error.
+    """Validate primitive bounds; float dust barely below zero is clamped.
 
-    As in ``_nonneg``, scalar bounds skip the array reductions and come
-    back as ``np.float64``, so that the families evaluate them with the
-    same ufuncs as arrays."""
+    Two scalars come back as floats.  Otherwise the bounds are broadcast
+    to one array shape and checked elementwise, and the error names the
+    first offending pair."""
     if isinstance(alpha, (float, int)) and isinstance(beta, (float, int)):
-        lo, hi = float(alpha), float(beta)
-        if lo < -1e-12 or hi < lo:
-            raise ValueError(f"primitive requires 0 <= alpha <= beta, got ({lo}, {hi})")
-        return np.float64(max(lo, 0.0)), np.float64(max(hi, 0.0))
+        if alpha < -1e-12 or beta < alpha:
+            raise ValueError(f"primitive requires 0 <= alpha <= beta, got ({alpha}, {beta})")
+        return max(float(alpha), 0.0), max(float(beta), 0.0)
     alpha, beta = np.broadcast_arrays(np.asarray(alpha, dtype=float), np.asarray(beta, dtype=float))
     bad = (alpha < -1e-12) | (beta < alpha)
     if np.any(bad):
         i = int(np.argmax(bad))
         raise ValueError(f"primitive requires 0 <= alpha <= beta, got ({alpha.flat[i]}, {beta.flat[i]})")
     return np.maximum(alpha, 0.0), np.maximum(beta, 0.0)
-
-
-def _scalar_or_array(out):
-    """A primitive of scalar bounds is a float, as ``__call__`` returns."""
-    return float(out) if np.ndim(out) == 0 else out
 
 
 def _fmt(x: float) -> str:

@@ -599,19 +599,6 @@ def _by_parts_loop(xs, ys, omega):
     return total, deriv
 
 
-def _segment_bound_loop(segments, omega):
-    total = 0.0
-    for s0, s1, r0, r1, w in segments:
-        if w == 0.0:
-            continue
-        v0, v1 = r0 - s0, r1 - s1
-        if v0 - v1 <= 1e-15:
-            total += w * (s1 - s0) * float(omega(0.5 * (v0 + v1)))
-        else:
-            total += w * (s1 - s0) * omega.primitive(v1, v0) / (v0 - v1)
-    return total
-
-
 class TestByPartsReference:
     """The array by-parts sums add the per-piece terms of the scalar loops
     in the same order, so they agree bit for bit."""
@@ -624,22 +611,6 @@ class TestByPartsReference:
         assert _bits(ks._integral_against_omega_prime(xs, ys, omega)) == _bits(total)
         assert _bits(ks.general_bound(*pair, omega)) == _bits(total)
         assert ks.rearrangement_forms(*pair, omega) == (abs(deriv), total)
-
-    @pytest.mark.parametrize("omega", BRANCH_MODULI.values(), ids=BRANCH_MODULI.keys())
-    @pytest.mark.parametrize("pair", BRANCH_PAIRS.values(), ids=BRANCH_PAIRS.keys())
-    def test_segment_bound(self, pair, omega):
-        w1, w2 = pair
-        lo, hi = w1.support[0], w2.support[1]
-        for rho in (ks.solve_rho(w1, w2), ks.solve_rho(w2.reflect(lo, hi), w1.reflect(lo, hi))):
-            assert _bits(ks._segment_bound(rho.segments, omega)) == _bits(_segment_bound_loop(rho.segments, omega))
-
-    def test_segments_with_a_gap_and_a_flat_gap(self):
-        # a zero-weight support gap, and a segment whose gap rho(s) - s
-        # changes by less than 1e-15
-        segments = ((0.0, 0.2, 1.0, 0.8, 1.5), (0.2, 0.3, 0.8, 0.8, 0.0), (0.3, 0.4, 0.8, 0.7 + 1e-16, 2.0))
-        for omega in BRANCH_MODULI.values():
-            assert _bits(ks._segment_bound(segments, omega)) == _bits(_segment_bound_loop(segments, omega))
-        assert ks._segment_bound((), wid) == 0.0
 
 
 def _bits(x) -> bytes:
