@@ -10,15 +10,15 @@ Weights are piecewise constant by design: the pairing map is then
 piecewise affine and every bound here is a finite closed-form sum of
 modulus primitives, with no root finding or quadrature error.
 
-The general estimate runs on arrays.  Psi comes from one lookup of the
-weight heights at the cell midpoints (``StepWeight.heights``) and one
-running sum in cell order; the hats are peeled from it, each is
-rearranged with all its levels measured in one array pass
-(``poly.decreasing_rearrangement``), and int R w' is taken by parts with
-the modulus and its primitive evaluated once over the knot arrays
-(``Modulus.primitive`` takes arrays) and the terms added in knot order.
-Mass checks compare in units of max(1, mass), since every bound is
-homogeneous in the weights.
+The general estimate runs on arrays but for the hat peel.  Psi comes
+from one lookup of the weight heights at the cell midpoints
+(``StepWeight.heights``) and one running sum in cell order; the hats are
+peeled from it, each is rearranged with all its levels measured in one
+array pass (``poly.decreasing_rearrangement``), and int R w' is taken by
+parts with the modulus and its primitive evaluated once over the knot
+arrays (``Modulus.primitive`` takes arrays) and the terms added in knot
+order.  Mass checks compare in units of max(1, mass), since every bound
+is homogeneous in the weights.
 """
 
 from __future__ import annotations
