@@ -328,7 +328,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_extremal)
 
     p = sub.add_parser("recover", help="optimal-recovery experiments")
-    p.add_argument("kind", choices=["convexify", "integral", "identity", "derivative"])
+    p.add_argument("kind", choices=orc.RECOVERY_KINDS)
     p.add_argument("--n", type=_positive_int, default=2)
     p.add_argument("--h", type=_finite, default=0.05)
     p.add_argument("--ab", default="0,1")
@@ -372,7 +372,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("sweep", help="convergence table for a recovery problem")
-    p.add_argument("kind", choices=["convexify", "integral", "identity", "derivative"])
+    p.add_argument("kind", choices=orc.RECOVERY_KINDS)
     p.add_argument("--values", type=_positive_ints, default="", help="comma-separated knot counts")
     p.add_argument("--h", type=_finite, default=0.0, help="0 selects h = 0.05 (b - a) / (2n) per n")
     p.add_argument("--ab", default="0,1")

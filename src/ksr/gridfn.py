@@ -20,7 +20,7 @@ import io
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -92,32 +92,29 @@ class GridFunction:
         """Row i is the trapezoid integral of ``data`` from a to node i."""
         return cumtrapz(self.data, self.step)
 
-    def value(self, i: int) -> ls.Element:
-        return element(self.model, self.data[i])
-
     def value_at(self, t: float) -> ls.Element:
-        """Piecewise-linear evaluation for real values; nearest node otherwise."""
-        t = float(min(max(t, self.a), self.b))
-        if self.model == ls.REAL:
-            return ls.real(float(np.interp(t, self.nodes, self.data)))
-        i = int(round((t - self.a) / self.step))
-        return self.value(min(max(i, 0), self.n_cells))
+        """The value at the point t, by the rule of ``values_at``."""
+        return element(self.model, values_at(self, t))
+
+
+def values_at(f: GridFunction, ts) -> np.ndarray:
+    """The rows of ``f`` at the points ``ts`` (a float or an array), in
+    the ``data`` layout.  Real data are interpolated piecewise-linearly,
+    and ``np.interp`` holds the end values outside [a, b].  Interval data
+    take the row of the nearest node: the index ``rint((t - a) / step)``
+    (ties to even), clipped to [0, n] before the integer cast, so that
+    far-off points cannot overflow it."""
+    if f.model == ls.REAL:
+        return np.interp(ts, f.nodes, f.data)
+    i = np.minimum(np.maximum(np.rint((ts - f.a) / f.step), 0.0), f.n_cells)
+    return f.data[i.astype(np.intp)]
 
 
 def element(model: str, row) -> ls.Element:
     """The ``lspace`` element of one row of grid data in ``model``."""
     if model == ls.REAL:
         return ls.real(row)
-    return ls.interval(*row)
-
-
-def stack_payloads(values: Sequence[ls.Element]) -> Tuple[str, np.ndarray]:
-    """The common model of ``values`` and their payloads as one array, in
-    the ``GridFunction.data`` layout."""
-    model = values[0].model
-    if any(v.model != model for v in values):
-        raise ModelMismatch("all node values must share one model")
-    return _grid_model(model), np.array([v.payload for v in values], dtype=float)
+    return ls.interval(*row.tolist())
 
 
 def real_grid(f, a: float, b: float, n: int = DEFAULT_GRID) -> GridFunction:

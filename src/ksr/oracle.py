@@ -73,15 +73,12 @@ def _real_member_values(rng: np.random.Generator, omega: Modulus, ts: np.ndarray
     return lam * envelope(+1.0) + (1.0 - lam) * envelope(-1.0)
 
 
-def sample_class(spec: SampleSpec, inject: Sequence[gf.GridFunction] = ()) -> Iterator[gf.GridFunction]:
-    """Deterministic stream of class members; injected candidates (e.g.
-    constructed extremals) are emitted first."""
+def sample_class(spec: SampleSpec) -> Iterator[gf.GridFunction]:
+    """Deterministic stream of ``spec.trials`` class members."""
     rng = np.random.default_rng(spec.seed)
     # nodes in coordinates local to a: their rounding then scales with
     # b - a, not with |a|, and stays far below the membership slack
     ts = np.linspace(0.0, spec.b - spec.a, spec.grid + 1)
-    for g in inject:
-        yield g
     for _ in range(spec.trials):
         yield _one_sample(rng, spec, ts)
 
@@ -541,19 +538,8 @@ def suite_landau(trials: int, grid: int, seed: int) -> dict:
     return _suite("landau", checks)
 
 
-def recovery_extremal(kind: str, n: int, h: float, omega: Modulus, a: float, b: float, grid: int) -> gf.GridFunction:
-    """The real lower-bound profile for one recovery problem."""
-    if kind == "convexify":
-        knots, _ = rec.optimal_knots(n, a, b)
-        return rec.lower_extremal_mean(knots, h, omega, a, b, n=grid)
-    if kind == "integral":
-        knots, _ = rec.optimal_knots(n, a, b)
-        return rec.lower_extremal_integral(knots, h, omega, a, b, n=grid)
-    if kind == "identity":
-        return rec.omega_spline(n, omega, a, b, n=grid)
-    if kind == "derivative":
-        return rec.derivative_extremal(n, omega, a, b, grid_n=grid)
-    raise ValueError(f"unknown recovery problem {kind!r}")
+#: the recovery problems of ``recovery_experiment``
+RECOVERY_KINDS = ("convexify", "integral", "identity", "derivative")
 
 
 def recovery_experiment(
@@ -568,17 +554,24 @@ def recovery_experiment(
     seed: int,
 ) -> rec.RecoveryReport:
     """Two-sided certification of one recovery problem: the optimal
-    method is swept over class samples (upper side), the lifted extremal
-    pair supplies the information-indistinguishable lower bound."""
+    method is swept over class samples (upper side), and the lifted pair
+    of the real lower-bound profile ``core`` supplies the
+    information-indistinguishable lower bound."""
     length = b - a
-    if kind in ("convexify", "integral") and h == 0.0:
-        h = 0.05 * length / (2 * n)  # near the vanishing-width limit
     eps = gf.eps_tolerance(omega, length, grid)
-    core = recovery_extremal(kind, n, h, omega, a, b, grid)
-    if kind == "convexify":
+    if kind in ("convexify", "integral"):
+        if h == 0.0:
+            h = 0.05 * length / (2 * n)  # near the vanishing-width limit
         knots, _ = rec.optimal_knots(n, a, b)
-        theoretical = rec.error_convexify(n, h, omega, length)
         class_tag = HOMEGA
+    elif kind in ("identity", "derivative"):
+        partition = np.linspace(a, b, n + 1)
+        class_tag = W1HOMEGA
+    else:
+        raise ValueError(f"unknown recovery problem {kind!r}")
+    if kind == "convexify":
+        core = rec.lower_extremal_mean(knots, h, omega, a, b, n=grid)
+        theoretical = rec.error_convexify(n, h, omega, length)
 
         def err(f: gf.GridFunction) -> float:
             info = rec.mean_info(f, knots, h)
@@ -586,9 +579,8 @@ def recovery_experiment(
 
         lower = _half_target_distance(core, lambda fu, fd: gf.sup_dist(fu, fd))
     elif kind == "integral":
-        knots, _ = rec.optimal_knots(n, a, b)
+        core = rec.lower_extremal_integral(knots, h, omega, a, b, n=grid)
         theoretical = rec.error_integral(n, h, omega, length)
-        class_tag = HOMEGA
 
         def err(f: gf.GridFunction) -> float:
             info = rec.mean_info(f, knots, h)
@@ -596,28 +588,24 @@ def recovery_experiment(
 
         lower = _half_target_distance(core, lambda fu, fd: ls.dist(gf.integrate(fu), gf.integrate(fd)))
     elif kind == "identity":
-        partition = np.linspace(a, b, n + 1)
+        core = rec.omega_spline(n, omega, a, b, n=grid)
         theoretical = rec.polyline_uniform_error(n, omega, length)
-        class_tag = W1HOMEGA
 
         def err(f: gf.GridFunction) -> float:
-            values = [f.value_at(t) for t in partition]
-            return gf.sup_dist(f, rec.polyline(values, partition, n=f.n_cells))
+            rows = gf.values_at(f, partition)
+            return gf.sup_dist(f, rec.polyline(f.model, rows, partition, n=f.n_cells))
 
         lower = _half_target_distance(core, lambda fu, fd: gf.sup_dist(fu, fd))
-    elif kind == "derivative":
-        partition = np.linspace(a, b, n + 1)
+    else:
+        core = rec.derivative_extremal(n, omega, a, b, grid_n=grid)
         theoretical = rec.derivative_recovery_value(n, omega, length)
-        class_tag = W1HOMEGA
 
         def err(f: gf.GridFunction) -> float:
-            values = [f.value_at(t) for t in partition]
-            lf_prime = rec.polyline_derivative(values, partition, n=f.n_cells)
+            rows = gf.values_at(f, partition)
+            lf_prime = rec.polyline_derivative(f.model, rows, partition, n=f.n_cells)
             return gf.sup_dist(gf.hukuhara_derivative(f), lf_prime)
 
         lower = float(abs((core.data[1] - core.data[0]) / core.step))
-    else:
-        raise ValueError(f"unknown recovery problem {kind!r}")
     sup = sweep_sup(
         err, class_tag, omega, a, b, grid, trials, seed,
         inject=[gf.lift(core, ls.interval(1.0, 1.0))],

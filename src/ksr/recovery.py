@@ -5,6 +5,11 @@ from n cell means of half-width h; recovery of the identity and of the
 Hukuhara derivative from values at partition nodes; the corresponding
 optimal error values in closed form; and the lower-bound extremal
 functions whose cell means (resp. node values) vanish.
+
+Both kinds of information are arrays in the ``GridFunction.data``
+layout: the n window means (``MeanInfo.means``) and the n + 1 node
+values, one row per node, which ``gridfn.values_at`` reads off a grid
+function by its one evaluation rule.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ import numpy as np
 
 from . import gridfn as gf
 from . import lspace as ls
-from .errors import KnotViolation, NonConcave
+from .errors import KnotViolation, NoDifference, NonConcave
 from .modulus import Modulus
 
 __all__ = [
@@ -252,21 +257,19 @@ def _check_partition(partition: np.ndarray, a: Optional[float] = None, b: Option
     return partition
 
 
-def polyline(values: Sequence[ls.Element], partition: Sequence[float], n: int = gf.DEFAULT_GRID) -> gf.GridFunction:
-    """Interpolating polygonal function through convex node values."""
+def polyline(model: str, rows: np.ndarray, partition: Sequence[float], n: int = gf.DEFAULT_GRID) -> gf.GridFunction:
+    """Interpolating polygonal function through the node values ``rows``
+    of ``model``, in the ``GridFunction.data`` layout (real and interval
+    rows are convex by construction)."""
     partition = _check_partition(np.asarray(partition, dtype=float))
-    if len(values) != len(partition):
+    if len(rows) != len(partition):
         raise ValueError("one value per partition node required")
-    for v in values:
-        if not ls.is_convex(v):
-            raise ValueError("polyline interpolation requires convex node values")
-    model, ys = gf.stack_payloads(values)
     a, b = float(partition[0]), float(partition[-1])
     ts = np.linspace(a, b, n + 1)
     if model == ls.REAL:
-        return gf.GridFunction(a, b, ls.REAL, np.interp(ts, partition, ys))
-    lo = np.interp(ts, partition, ys[:, 0])
-    hi = np.interp(ts, partition, ys[:, 1])
+        return gf.GridFunction(a, b, ls.REAL, np.interp(ts, partition, rows))
+    lo = np.interp(ts, partition, rows[:, 0])
+    hi = np.interp(ts, partition, rows[:, 1])
     return gf.GridFunction(a, b, ls.INTERVAL, gf.interval_array(lo, hi))
 
 
@@ -326,20 +329,26 @@ def omega_spline(pieces: int, omega: Modulus, a: float, b: float, n: int = gf.DE
 
 
 def polyline_derivative(
-    values: Sequence[ls.Element], partition: Sequence[float], n: int = gf.DEFAULT_GRID
+    model: str, rows: np.ndarray, partition: Sequence[float], n: int = gf.DEFAULT_GRID
 ) -> gf.GridFunction:
-    """Step-function derivative of the interpolating polygonal function:
-    the per-segment Hukuhara difference quotient."""
+    """Step-function derivative of the interpolating polygonal function
+    through the node values ``rows``: the per-segment Hukuhara difference
+    quotient, by the arithmetic of ``ls.hukuhara_diff`` then ``ls.scale``.
+    Raises NoDifference where an interval shrinks by more than
+    ``ls.EQ_TOL``."""
     partition = _check_partition(np.asarray(partition, dtype=float))
-    quotients = [
-        ls.scale(1.0 / (t1 - t0), ls.hukuhara_diff(v1, v0))
-        for (t0, t1, v0, v1) in zip(partition, partition[1:], values, values[1:])
-    ]
+    diffs = rows[1:] - rows[:-1]
+    scale = 1.0 / np.diff(partition)
+    if model == ls.INTERVAL:
+        shrinks = diffs[:, 0] > diffs[:, 1] + ls.EQ_TOL
+        if np.any(shrinks):
+            raise NoDifference(f"interval width decreases on segment {int(np.argmax(shrinks))}")
+        np.maximum(diffs[:, 0], diffs[:, 1], out=diffs[:, 1])  # clamp float noise on equal widths
+        scale = scale[:, None]
     a, b = float(partition[0]), float(partition[-1])
     ts = np.linspace(a, b, n + 1)
-    idx = np.clip(np.searchsorted(partition, ts, side="right") - 1, 0, len(quotients) - 1)
-    model, data = gf.stack_payloads(quotients)
-    return gf.GridFunction(a, b, model, data[idx])
+    idx = np.clip(np.searchsorted(partition, ts, side="right") - 1, 0, len(diffs) - 1)
+    return gf.GridFunction(a, b, model, (diffs * scale)[idx])
 
 
 def derivative_recovery_value(n: int, omega: Modulus, length: float) -> float:
@@ -361,9 +370,11 @@ def derivative_extremal(n: int, omega: Modulus, a: float, b: float, grid_n: int 
     k = np.minimum(((ts - a) / delta).astype(int), n - 1)
     part = np.empty_like(ts)
     even = k % 2 == 0
-    part[even] = omega.primitive(0.0, ts[even] - nodes[k[even]])
+    # (t - a) / delta may round up to k for a t a hair below nodes[k]:
+    # clamp its distances to the cell
+    part[even] = omega.primitive(0.0, np.maximum(ts[even] - nodes[k[even]], 0.0))
     odd = ~even
-    part[odd] = omega.primitive(nodes[k[odd] + 1] - ts[odd], delta)
+    part[odd] = omega.primitive(np.minimum(nodes[k[odd] + 1] - ts[odd], delta), delta)
     vals = (k * omega.primitive(0.0, delta) + part) - mean * (ts - a)
     return gf.GridFunction(a, b, ls.REAL, vals)
 

@@ -17,8 +17,8 @@ def interval_grid(lo, hi, a: float, b: float, n: int = gf.DEFAULT_GRID) -> gf.Gr
 
 def constant_grid(x: ls.Element, a: float, b: float, n: int = gf.DEFAULT_GRID) -> gf.GridFunction:
     """The constant grid function t -> x."""
-    model, data = gf.stack_payloads([x] * (n + 1))
-    return gf.GridFunction(float(a), float(b), model, data)
+    row = np.asarray(x.payload, dtype=float)
+    return gf.GridFunction(float(a), float(b), x.model, np.repeat(row[None], n + 1, axis=0))
 
 
 def check_Homega_loop(f: gf.GridFunction, omega, spans=None):

@@ -17,6 +17,7 @@ RECOVER_SHA256 = {
     "convexify": "4152b3892d4ebda926f88620149b109c2a084b6fafedb0b3023adda0589d3ac0",
     "integral": "89e0c64d61edce25ce66713dbcc7415e516fe6db0423c9beb9c9c3ae29b29bdd",
     "identity": "851b4991d8b9183210126bb775e36307afd6176e734a0edf5ad31d44803cd4c8",
+    "derivative": "033ec03850334b9178fa8c43b7eb4574311c8315763e8eeeb6379eee033517fd",
 }
 
 
@@ -224,6 +225,22 @@ class TestRecover:
         assert code == 0
         payload = json.loads(out)
         assert payload["sound"] is True and payload["attained"] is True
+
+    def test_derivative_where_a_node_rounds_into_the_next_cell(self, capsys):
+        # on [-0.3, 2.1] a grid point a hair below the middle node falls
+        # in the second cell, one ulp more than a cell width from its end
+        code, out, err = run(capsys, "recover", "derivative", "--ab=-0.3,2.1", "--n", "2", "--grid", "64", "--trials", "4")
+        assert code == 0, err
+        payload = json.loads(out)
+        assert payload["sound"] is True and payload["attained"] is True
+
+    def test_recover_and_sweep_take_the_recovery_kinds(self):
+        from ksr import oracle as orc
+
+        for command in ("recover", "sweep"):
+            sub = cli._shared_parser()._subparsers._group_actions[0].choices[command]
+            kind = next(a for a in sub._actions if a.dest == "kind")
+            assert tuple(kind.choices) == orc.RECOVERY_KINDS
 
     @pytest.mark.parametrize("ab,attained", [
         ("0,1", True),  # lower bound 0.225 against 0.1, tolerance 1

@@ -200,7 +200,7 @@ class TestLift:
         f = gf.real_grid(lambda t: t, 0, 1, 64)
         lifted = gf.lift(f, ls.interval(1, 1))
         for i in (0, 10, 64):
-            assert ls.close(lifted.value(i), ls.scale(f.data[i], ls.interval(1, 1)))
+            assert ls.close(gf.element(lifted.model, lifted.data[i]), ls.scale(f.data[i], ls.interval(1, 1)))
 
     def test_membership_preserved(self):
         rng = np.random.default_rng(2)
@@ -223,15 +223,15 @@ class TestLift:
         lifted = gf.lift(f, x)
         assert lifted.model == x.model
         for i, r in enumerate((2.0, -3.0, 0.0)):
-            assert ls.close(lifted.value(i), ls.scale(r, x))
-        assert ls.close(lifted.value(1), ls.scale(3.0, ls.inverse(x)))
+            assert ls.close(gf.element(lifted.model, lifted.data[i]), ls.scale(r, x))
+        assert ls.close(gf.element(lifted.model, lifted.data[1]), ls.scale(3.0, ls.inverse(x)))
 
     @given(st.floats(-50, 50), st.floats(-50, 50))
     @settings(max_examples=80, deadline=None)
     def test_lift_distance_scaling(self, r, s):
         x = ls.interval(1, 1)
         lifted = gf.lift(gf.real_grid(np.array([r, s, 0.0]), 0, 1, 2), x)
-        lhs = ls.dist(lifted.value(0), lifted.value(1))
+        lhs = ls.dist(gf.element(lifted.model, lifted.data[0]), gf.element(lifted.model, lifted.data[1]))
         assert abs(lhs - abs(r - s) * ls.norm(x)) <= 1e-9
 
     def test_requires_invertible(self):
@@ -245,19 +245,19 @@ class TestDerivative:
         f = interval_grid(lambda t: 0.0, lambda t: t, 0, 1, 128)
         d = gf.hukuhara_derivative(f)
         for i in (0, 64, 128):
-            assert ls.close(d.value(i), ls.interval(0, 1), tol=1e-9)
+            assert ls.close(gf.element(d.model, d.data[i]), ls.interval(0, 1), tol=1e-9)
 
     def test_lifted_square_matches_chain_rule(self):
         n = 512
         f = gf.lift(gf.real_grid(lambda t: t * t, 0, 1, n), ls.interval(1, 1))
         d = gf.hukuhara_derivative(f)
-        mid = d.value(n // 2)
+        mid = gf.element(d.model, d.data[n // 2])
         assert ls.dist(mid, ls.interval(1, 1)) <= 2 * f.step
 
     def test_constant_gives_zero(self):
         f = constant_grid(ls.interval(1, 2), 0, 1, 64)
         d = gf.hukuhara_derivative(f)
-        assert all(ls.norm(d.value(i)) <= 1e-12 for i in range(d.n_cells + 1))
+        assert all(ls.norm(gf.element(d.model, d.data[i])) <= 1e-12 for i in range(d.n_cells + 1))
 
     def test_lift_derivative_consistency(self):
         n = 1024
@@ -289,7 +289,7 @@ class TestSerialization:
 class TestHelpers:
     def test_sup_norm_matches_pointwise(self):
         f = interval_grid(lambda t: -1 - t, lambda t: t, 0, 1, 64)
-        brute = max(ls.norm(f.value(i)) for i in range(f.n_cells + 1))
+        brute = max(ls.norm(gf.element(f.model, f.data[i])) for i in range(f.n_cells + 1))
         assert gf.sup_norm(f) == pytest.approx(brute, abs=1e-15)
 
     def test_eps_tolerance_formula(self):
@@ -307,8 +307,8 @@ interval_value = st.tuples(finite, finite).map(lambda p: ls.interval(min(p), max
 
 
 def _grid_of(values):
-    """The grid function on [0, 1] whose node values are ``values``."""
-    return gf.GridFunction(0.0, 1.0, *gf.stack_payloads(values))
+    """The interval grid function on [0, 1] whose node values are ``values``."""
+    return gf.GridFunction(0.0, 1.0, ls.INTERVAL, np.array([v.payload for v in values]))
 
 
 class TestIntervalArrays:
@@ -327,7 +327,7 @@ class TestIntervalArrays:
         assert gf._set_dist(f.data, f.data).tolist() == [0.0] * len(xs)
         assert gf.sup_dist(f, g) == max(want)
         assert gf._pair_dist(f, 1).tolist() == [ls.dist(x, y) for x, y in zip(xs, xs[1:])]
-        assert [f.value(i) for i in range(len(xs))] == xs
+        assert [gf.element(f.model, f.data[i]) for i in range(len(xs))] == xs
         assert gf.sup_norm(f) == max(ls.norm(x) for x in xs)
 
 
@@ -363,14 +363,53 @@ class TestGridModels:
     def test_interval_grid_is_an_array_of_rows(self):
         f = interval_grid(lambda t: -t, lambda t: t, 0, 1, 16)
         assert f.data.shape == (17, 2)
-        assert f.value(16) == ls.interval(-1, 1)
+        assert gf.element(f.model, f.data[16]) == ls.interval(-1, 1)
         with pytest.raises(ValueError):
             interval_grid(np.ones(17), np.zeros(17), 0, 1, 16)
 
-    def test_stack_payloads_uses_the_grid_layout(self):
-        model, data = gf.stack_payloads([ls.real(1.0), ls.real(-2.0), ls.real(3.0)])
-        assert (model, data.shape) == (ls.REAL, (3,))
-        model, data = gf.stack_payloads([ls.interval(0, 1), ls.interval(-2, 2), ls.interval(3, 3)])
-        assert (model, data.tolist()) == (ls.INTERVAL, [[0, 1], [-2, 2], [3, 3]])
-        with pytest.raises(ModelMismatch):
-            gf.stack_payloads([ls.real(0.0), ls.interval(0, 1)])
+
+def _value_at_reference(f, t):
+    """The scalar evaluation rule as a loop would write it: clip t to
+    [a, b], then interpolate real data or round to the nearest node."""
+    t = float(min(max(t, f.a), f.b))
+    if f.model == ls.REAL:
+        return ls.real(float(np.interp(t, f.nodes, f.data)))
+    i = int(round((t - f.a) / f.step))
+    return gf.element(f.model, f.data[min(max(i, 0), f.n_cells)])
+
+
+class TestValuesAt:
+    """``values_at`` is the one evaluation rule; ``value_at`` is one row of it."""
+
+    @staticmethod
+    def grids(rng, a, b, n):
+        lo = rng.standard_normal(n + 1)
+        return (
+            gf.real_grid(rng.standard_normal(n + 1), a, b, n),
+            interval_grid(lo, lo + rng.uniform(0, 1, n + 1), a, b, n),
+        )
+
+    def check(self, f, ts):
+        rows = gf.values_at(f, ts)
+        assert rows.shape == ts.shape + f.data.shape[1:]
+        for t, row in zip(ts.tolist(), rows):
+            assert gf.element(f.model, row) == f.value_at(t) == _value_at_reference(f, t)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_rows_equal_value_at(self, seed):
+        rng = np.random.default_rng(seed)
+        a, b = -0.7, 1.9
+        inside = rng.uniform(a, b, 40)
+        # far-off points would overflow an unclipped integer index
+        far = [-np.inf, -1e300, 1e300, np.inf]
+        outside = np.concatenate((rng.uniform(a - 3, a, 5), rng.uniform(b, b + 3, 5), far))
+        for f in self.grids(rng, a, b, int(rng.integers(2, 64))):
+            self.check(f, np.concatenate((inside, outside, f.nodes, [a, b])))
+
+    def test_half_step_ties_round_to_the_even_node(self):
+        n = 16
+        ts = (np.arange(n) + 0.5) / n  # exact half steps of the grid on [0, 1]
+        f = interval_grid(np.arange(n + 1.0), np.arange(n + 1.0) + 1, 0, 1, n)  # row i is [i, i + 1]
+        assert gf.values_at(f, ts)[:, 0].tolist() == [2 * ((k + 1) // 2) for k in range(n)]
+        for g in (f, *self.grids(np.random.default_rng(5), 0.0, 1.0, n)):
+            self.check(g, ts)

@@ -7,6 +7,7 @@ from ksr import kscore as ks
 from ksr import lspace as ls
 from ksr import modulus as mo
 from ksr import oracle as orc
+from ksr import recovery as rec
 
 from grid_fixtures import check_Homega_loop, constant_grid
 
@@ -108,9 +109,10 @@ class TestSampling:
 
     def test_injection_comes_first(self):
         marker = constant_grid(ls.real(123.0), 0, 1, 256)
-        stream = orc.sample_class(_spec(trials=2), inject=[marker])
+        stream = orc._mixed_stream(orc.HOMEGA, wid, 0.0, 1.0, 256, 3, 11, inject=[marker])
         first = next(stream)
         assert float(np.max(first.data)) == 123.0
+        assert sum(1 for _ in stream) == 3  # then the class samples
 
 
 class TestEmpiricalSup:
@@ -140,7 +142,7 @@ class TestEmpiricalSup:
         g = gf.lift(ks.ks_extremal(w1, w2, wid, n=256), ls.interval(1, 1))
         sup, arg = orc.empirical_sup(
             lambda f: ks.functional_S(f, w1, w2),
-            orc.sample_class(_spec(trials=5), inject=[g]),
+            orc._mixed_stream(orc.HOMEGA, wid, 0.0, 1.0, 256, 5, 11, inject=[g]),
         )
         assert sup >= 0.1875 - gf.eps_tolerance(wid, 1.0, 256)
         assert arg == 0
@@ -180,11 +182,13 @@ class TestRecoveryExperiment:
 
     def test_report_carries_its_extremal(self):
         report = orc.recovery_experiment("convexify", 2, 0.1, wid, 0.0, 1.0, 2, 256, 7)
-        core = orc.recovery_extremal("convexify", 2, 0.1, wid, 0.0, 1.0, 256)
+        knots, _ = rec.optimal_knots(2, 0.0, 1.0)
+        core = rec.lower_extremal_mean(knots, 0.1, wid, 0.0, 1.0, n=256)
         assert np.array_equal(report.extremal.data, core.data)
         assert "extremal" not in report.as_dict()
 
     def test_extremal_export(self):
-        core = orc.recovery_extremal("identity", 2, 0.0, wid, 0.0, 1.0, 256)
+        core = orc.recovery_experiment("identity", 2, 0.0, wid, 0.0, 1.0, 2, 256, 7).extremal
+        assert np.array_equal(core.data, rec.omega_spline(2, wid, 0.0, 1.0, n=256).data)
         assert core.model == ls.REAL
         assert float(np.max(np.abs(core.data))) == pytest.approx(1 / 32, abs=1e-9)

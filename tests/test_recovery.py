@@ -7,7 +7,7 @@ from ksr import gridfn as gf
 from ksr import lspace as ls
 from ksr import modulus as mo
 from ksr import recovery as rec
-from ksr.errors import KnotViolation, NonConcave
+from ksr.errors import KnotViolation, NoDifference, NonConcave
 
 from grid_fixtures import constant_grid, interval_grid
 
@@ -172,32 +172,34 @@ def _blend_bound(t, lo, hi, omega):
 
 class TestPolyline:
     def test_interpolates_nodes(self):
-        vals = [ls.interval(0, 1), ls.interval(1, 3), ls.interval(0.5, 1.5)]
-        pl = rec.polyline(vals, [0, 0.5, 1], n=512)
-        for t, v in zip([0, 0.5, 1], vals):
-            assert ls.close(pl.value_at(t), v, tol=1e-12)
+        rows = np.array([[0, 1], [1, 3], [0.5, 1.5]], dtype=float)
+        partition = np.array([0, 0.5, 1])
+        pl = rec.polyline(ls.INTERVAL, rows, partition, n=512)
+        np.testing.assert_allclose(gf.values_at(pl, partition), rows, rtol=0, atol=1e-12)
+        real = rec.polyline(ls.REAL, rows[:, 1], partition, n=512)
+        np.testing.assert_allclose(gf.values_at(real, partition), rows[:, 1], rtol=0, atol=1e-12)
+
+    def test_one_row_per_node(self):
+        with pytest.raises(ValueError, match="one value per partition node"):
+            rec.polyline(ls.REAL, np.zeros(2), [0, 0.5, 1])
 
     def test_linear_function_reproduced(self):
         f = gf.lift(gf.real_grid(lambda t: 2 * t - 0.3, 0, 1, 512), ls.interval(1, 1))
         partition = np.linspace(0, 1, 3)
-        pl = rec.polyline([f.value_at(t) for t in partition], partition, n=512)
+        pl = rec.polyline(f.model, gf.values_at(f, partition), partition, n=512)
         assert gf.sup_dist(f, pl) <= 1e-12
 
     def test_pointwise_bound_midpoint(self):
         # f(t) = t^2 / 2 has f' = t in H^omega for omega(t) = t; the chord over
         # [0, 1] misses f(1/2) by exactly the pointwise bound 1/8, and f(0) by 0
         f = gf.lift(gf.real_grid(lambda t: 0.5 * t * t, 0, 1, 512), ls.interval(1, 1))
-        pl = rec.polyline([f.value_at(0.0), f.value_at(1.0)], [0, 1], n=512)
+        pl = rec.polyline(f.model, gf.values_at(f, np.array([0.0, 1.0])), [0, 1], n=512)
         assert ls.dist(f.value_at(0.5), pl.value_at(0.5)) == pytest.approx(1 / 8, abs=1e-15)
         assert ls.dist(f.value_at(0.5), pl.value_at(0.5)) == pytest.approx(_blend_bound(0.5, 0, 1, wid), abs=1e-15)
         assert ls.dist(f.value_at(0.0), pl.value_at(0.0)) == 0.0
 
     def test_uniform_bound(self):
         assert rec.polyline_uniform_error(2, wid, 1.0) == pytest.approx(1 / 32, abs=1e-15)
-
-    def test_nonconvex_value_rejected(self):
-        with pytest.raises(ValueError):
-            rec.polyline([ls.union([(0, 0), (1, 1)]), ls.union([(0, 0), (1, 1)])], [0, 1])
 
     def test_deviation_bound_on_samples(self):
         from ksr import oracle as orc
@@ -210,7 +212,7 @@ class TestPolyline:
         eps = gf.eps_tolerance(wid, 1.0, 512)
         spec = orc.SampleSpec(orc.W1HOMEGA, "interval", wid, 0.0, 1.0, 512, 30, 5)
         for f in orc.sample_class(spec):
-            pl = rec.polyline([f.value_at(t) for t in partition], partition, n=512)
+            pl = rec.polyline(f.model, gf.values_at(f, partition), partition, n=512)
             assert gf.sup_dist(f, pl) <= bound + eps
             # pointwise form at a few interior points
             for t in (0.1, 0.3, 0.6):
@@ -269,15 +271,46 @@ class TestDerivativeRecovery:
         assert rec.derivative_recovery_value(4, wid, 1.0) == pytest.approx(0.125, abs=1e-15)
 
     def test_step_derivative_of_polyline(self):
-        vals = [ls.interval(0, 0), ls.interval(0, 1), ls.interval(1, 3)]
-        d = rec.polyline_derivative(vals, [0, 0.5, 1], n=512)
+        rows = np.array([[0, 0], [0, 1], [1, 3]], dtype=float)
+        d = rec.polyline_derivative(ls.INTERVAL, rows, [0, 0.5, 1], n=512)
         assert ls.close(d.value_at(0.2), ls.interval(0, 2), tol=1e-12)
         assert ls.close(d.value_at(0.9), ls.interval(2, 4), tol=1e-12)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_quotients_match_lspace(self, seed):
+        # the array quotients are ls.hukuhara_diff then ls.scale, bit for bit,
+        # including widths that shrink by less than EQ_TOL
+        rng = np.random.default_rng(seed)
+        partition = np.cumsum(rng.uniform(0.1, 1.0, 7)) - 0.5
+        lo = rng.uniform(-2, 2, 7)
+        width = 1.0 + np.cumsum(rng.uniform(0, 1, 7) * (rng.random(7) < 0.6))
+        width[3] = width[2] - 0.4 * ls.EQ_TOL
+        rows = np.stack([lo, lo + width], axis=1)
+        for model, data in ((ls.INTERVAL, rows), (ls.REAL, lo)):
+            d = rec.polyline_derivative(model, data, partition, n=256)
+            values = [gf.element(model, row) for row in data]
+            want = [
+                ls.scale(1.0 / (t1 - t0), ls.hukuhara_diff(v1, v0))
+                for t0, t1, v0, v1 in zip(partition, partition[1:], values, values[1:])
+            ]
+            segment = np.clip(np.searchsorted(partition, d.nodes, side="right") - 1, 0, len(want) - 1)
+            assert [gf.element(d.model, d.data[i]) for i in range(d.n_cells + 1)] == [want[k] for k in segment]
+
+    def test_shrinking_rows_raise(self):
+        rows = np.array([[0.0, 1.0], [0.0, 2.0], [0.5, 2.5 - 2 * ls.EQ_TOL]])
+        with pytest.raises(NoDifference, match="segment 1"):
+            rec.polyline_derivative(ls.INTERVAL, rows, [0, 0.5, 1], n=16)
+
+    def test_shrink_within_eq_tol_accepted(self):
+        rows = np.array([[0.0, 1.0], [0.0, 1.0 - 0.5 * ls.EQ_TOL]])
+        d = rec.polyline_derivative(ls.INTERVAL, rows, [0, 0.5], n=16)
+        # the difference is clamped to the point 0
+        assert np.all(d.data == 0.0)
 
     def test_lifted_linear_exact(self):
         f = gf.lift(gf.real_grid(lambda t: 3 * t, 0, 1, 512), ls.interval(1, 1))
         partition = np.linspace(0, 1, 5)
-        d = rec.polyline_derivative([f.value_at(t) for t in partition], partition, n=512)
+        d = rec.polyline_derivative(f.model, gf.values_at(f, partition), partition, n=512)
         expect = constant_grid(ls.interval(3, 3), 0, 1, 512)
         assert gf.sup_dist(d, expect) <= 1e-12
 
@@ -292,11 +325,21 @@ class TestDerivativeRecovery:
             for t in (0.3, 0.25, 0.6):
                 I = omega.primitive
                 vals = [I(t - s, t) if s <= t else I(0.0, t) + I(0.0, s - t) for s in partition]
-                d = rec.polyline_derivative([ls.interval(v, v) for v in vals], partition, n=512)
+                rows = np.array([[v, v] for v in vals])
+                d = rec.polyline_derivative(ls.INTERVAL, rows, partition, n=512)
                 k = min(int(np.searchsorted(partition, t, side="right")) - 1, len(partition) - 2)
                 c, e = partition[k], partition[k + 1]
                 got = ls.dist(d.value_at(0.5 * (c + e)), ls.interval(0, 0))
                 assert got == pytest.approx(point_vs_mean_bound(t, c, e, omega), abs=1e-12)
+
+    @pytest.mark.parametrize("a,b,n,grid_n", [
+        (-0.3, 2.1, 2, 64),  # a grid point a hair below a node, odd cell
+        (-1.5971800090969577, -0.48256579568775204, 8, 40),  # the same, even cell
+    ])
+    def test_extremal_where_grid_points_round_into_the_next_cell(self, a, b, n, grid_n):
+        f = rec.derivative_extremal(n, wid, a, b, grid_n=grid_n)
+        slope = np.diff(f.data) / f.step
+        assert float(np.max(np.abs(slope))) <= rec.derivative_recovery_value(n, wid, b - a) + 1e-9
 
     @pytest.mark.parametrize("n,omega", [(4, wid), (3, wsq)])
     def test_extremal_construction(self, n, omega):
