@@ -29,7 +29,7 @@ from . import landau as la
 from . import lspace as ls
 from . import oracle as orc
 from . import ostrowski as ost
-from .errors import KsrError
+from .errors import DomainViolation, KsrError
 from .modulus import parse_modulus
 
 _DIAGNOSTICS = {
@@ -38,6 +38,7 @@ _DIAGNOSTICS = {
     "BadSupportOrder": "weight supports are not ordered left before right",
     "KnotViolation": "knot/half-width configuration violates the admissibility constraints",
     "WindowViolation": "difference windows violate the nesting constraints",
+    "DomainViolation": "point lies outside the domain of the function",
     "NonIsotropic": "operation requires an isotropic model",
     "NoDifference": "required Hukuhara difference does not exist",
     "NotInvertible": "element has no additive inverse",
@@ -48,9 +49,28 @@ _DIAGNOSTICS = {
 
 
 def _emit(payload: dict) -> None:
-    # a nan or infinite value raises ValueError (exit 2) instead of printing
-    # the non-standard JSON constants NaN and Infinity
-    sys.stdout.write(json.dumps(payload, sort_keys=True, allow_nan=False) + "\n")
+    # a nan or infinite value raises ValueError (exit 2) that names its
+    # field, instead of printing the non-standard JSON constants NaN and
+    # Infinity
+    try:
+        text = json.dumps(payload, sort_keys=True, allow_nan=False)
+    except ValueError as e:
+        fields = ", ".join(_nonfinite_fields(payload))
+        raise ValueError(f"result not finite: {fields} ({e})") from None
+    sys.stdout.write(text + "\n")
+
+
+def _nonfinite_fields(obj, path: str = "") -> List[str]:
+    """``path = value`` for each nan or infinite float of a JSON payload."""
+    if isinstance(obj, float):
+        return [] if math.isfinite(obj) else [f"{path} = {obj}"]
+    if isinstance(obj, dict):
+        items = [(f"{path}.{k}" if path else str(k), v) for k, v in sorted(obj.items())]
+    elif isinstance(obj, (list, tuple)):
+        items = [(f"{path}[{i}]", v) for i, v in enumerate(obj)]
+    else:
+        return []
+    return [field for key, v in items for field in _nonfinite_fields(v, key)]
 
 
 def _finite(text: str) -> float:
@@ -154,7 +174,12 @@ def cmd_extremal(args) -> int:
     elif args.kind == "point-mean":
         c, d = _pair(args.cd)
         a, b = _pair(args.ab) if args.ab else (c, d)
-        g = ost.point_vs_mean_extremal(args.t, omega, min(a, c), max(b, d), n=n)
+        lo, hi = min(a, c), max(b, d)
+        # value_at holds the end values outside the grid, which would
+        # compare a point the extremal does not reach against the bound
+        if not lo <= args.t <= hi:
+            raise DomainViolation(f"t = {args.t} lies outside the extremal's domain [{lo}, {hi}]")
+        g = ost.point_vs_mean_extremal(args.t, omega, lo, hi, n=n)
         lift = gf.lift(g, ls.interval(1, 1))
         mean_w = ks.indicator_weight(c, d, 1.0 / (d - c), domain=(lift.a, lift.b))
         attained = ls.dist(ls.convexify(lift.value_at(args.t)), ks.integrate_weighted(lift, mean_w))

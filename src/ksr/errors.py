@@ -49,5 +49,9 @@ class WindowViolation(KsrError):
     """Divided-difference window parameters are inadmissible."""
 
 
+class DomainViolation(KsrError):
+    """A point lies outside the domain of the function evaluated there."""
+
+
 class PeelingFailed(KsrError):
     """Hat peeling exceeded its iteration guard."""

@@ -43,24 +43,33 @@ def _nonneg(t):
     A Python or NumPy scalar skips the array reductions and comes back as
     an ``np.float64``, so the families still evaluate it with the same
     ufuncs as an array; ``0.0 if x <= 0.0`` maps -0.0 to +0.0 and keeps nan,
-    as ``np.maximum(x, 0.0)`` does."""
+    as ``np.maximum(x, 0.0)`` does.  An array whose least number is > 0
+    needs no clamp and comes back as it is."""
     if isinstance(t, (float, int)):
         x = float(t)
         if x < -1e-12:
             raise ValueError("modulus arguments must be >= 0")
         return np.float64(0.0 if x <= 0.0 else x)
     t = np.asarray(t, dtype=float)
-    if np.any(t < -1e-12):
+    # one reduction: fmin passes over nan, so a negative element is seen
+    # even beside a nan
+    lo = np.fmin.reduce(t, axis=None) if t.size else 0.0
+    if lo < -1e-12:
         raise ValueError("modulus arguments must be >= 0")
-    return np.maximum(t, 0.0)
+    return t if lo > 0.0 else np.maximum(t, 0.0)
 
 
 class Modulus:
-    """Common interface; concrete families override the three primitives."""
+    """Common interface; concrete families override the three primitives.
+
+    ``w(t, out=None)`` evaluates elementwise, as a numpy ufunc does: a
+    scalar gives a float, an array a fresh array, and with ``out`` the
+    values are written into that array (which may be ``t`` itself) and
+    it is returned.  Both ways give the same values bit for bit."""
 
     concave: bool = True
 
-    def __call__(self, t):
+    def __call__(self, t, out=None):
         raise NotImplementedError
 
     def primitive(self, alpha, beta):
@@ -84,10 +93,20 @@ class PowerModulus(Modulus):
     def concave(self) -> bool:
         return 0.0 < self.alpha <= 1.0
 
-    def __call__(self, t):
+    def __call__(self, t, out=None):
         t = _nonneg(t)
-        out = self.K * np.power(t, self.alpha)
-        return float(out) if out.ndim == 0 else out
+        # t^1 = t and t^(1/2) = sqrt(t) exactly (sqrt is correctly rounded;
+        # a test pins np.power to both), and both skip the general pow
+        if self.alpha == 1.0:
+            r = t
+        elif self.alpha == 0.5:
+            r = np.sqrt(t, out=out)
+        else:
+            r = np.power(t, self.alpha, out=out)
+        if out is None:
+            r = self.K * r
+            return float(r) if r.ndim == 0 else r
+        return np.multiply(r, self.K, out=out)
 
     def primitive(self, alpha, beta):
         alpha, beta = _check_range(alpha, beta)
@@ -121,17 +140,20 @@ class PiecewiseLinearConcave(Modulus):
             (v2 - v1) / (t2 - t1) for (t1, v1), (t2, v2) in zip(pts, pts[1:])
         )
 
-    def __call__(self, t):
+    def __call__(self, t, out=None):
         ts = np.array([p[0] for p in self.points])
         vs = np.array([p[1] for p in self.points])
         t = _nonneg(t)
         last_slope = self._slopes()[-1] if len(self.points) > 1 else 0.0
-        out = np.where(
+        r = np.where(
             t <= ts[-1],
             np.interp(t, ts, vs),
             vs[-1] + last_slope * (t - ts[-1]),
         )
-        return float(out) if out.ndim == 0 else out
+        if out is None:
+            return float(r) if r.ndim == 0 else r
+        out[...] = r
+        return out
 
     def primitive(self, alpha, beta):
         alpha, beta = _check_range(alpha, beta)
@@ -189,10 +211,12 @@ class MinLinearConstant(Modulus):
     def knee(self) -> float:
         return self.C / self.K
 
-    def __call__(self, t):
+    def __call__(self, t, out=None):
         t = _nonneg(t)
-        out = np.minimum(self.K * t, self.C)
-        return float(out) if out.ndim == 0 else out
+        if out is None:
+            r = np.minimum(self.K * t, self.C)
+            return float(r) if r.ndim == 0 else r
+        return np.minimum(np.multiply(t, self.K, out=out), self.C, out=out)
 
     def primitive(self, alpha, beta):
         alpha, beta = _check_range(alpha, beta)

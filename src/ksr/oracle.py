@@ -47,30 +47,40 @@ class SampleSpec:
 # class samplers
 
 
-def _real_member_values(rng: np.random.Generator, omega: Modulus, ts: np.ndarray) -> np.ndarray:
-    """A random member of the oscillation class, exact by construction."""
+#: most cones in one envelope; the rows of a stream's cone workspace
+MAX_CONES = 8
+
+
+def _real_member_values(rng: np.random.Generator, omega: Modulus, ts: np.ndarray,
+                        scale: float, work: np.ndarray) -> np.ndarray:
+    """A random member of the oscillation class, exact by construction.
+
+    ``scale`` is ``omega(b - a)``; the cones are built in ``work``, a
+    ``(MAX_CONES, len(ts))`` array that the stream reuses, so that no
+    sample allocates them afresh.  The sample itself is always a new
+    array."""
     a, b = ts[0], ts[-1]
-    scale = float(omega(b - a))
     kind = int(rng.integers(0, 4))
     if kind == 0:
         return np.full_like(ts, float(rng.uniform(-scale, scale)))
 
-    def envelope(sign: float) -> np.ndarray:
-        m = int(rng.integers(2, 9))
+    def envelope(lower: bool) -> np.ndarray:
+        m = int(rng.integers(2, MAX_CONES + 1))
         centers = rng.uniform(a, b, size=m)
         levels = np.cumsum(rng.uniform(-scale / 2, scale / 2, size=m))
         # cone-major (m, N+1): the reduction runs over contiguous rows
-        cones = levels[:, None] + sign * np.asarray(
-            omega(np.abs(ts[None, :] - centers[:, None])), dtype=float
-        )
-        return cones.min(axis=0) if sign > 0 else cones.max(axis=0)
+        cones = np.abs(np.subtract(ts, centers[:, None], out=work[:m]), out=work[:m])
+        omega(cones, out=cones)
+        if lower:
+            return np.add(levels[:, None], cones, out=cones).min(axis=0)
+        return np.subtract(levels[:, None], cones, out=cones).max(axis=0)
 
     if kind == 1:
-        return envelope(+1.0)
+        return envelope(lower=True)
     if kind == 2:
-        return envelope(-1.0)
+        return envelope(lower=False)
     lam = float(rng.uniform(0.0, 1.0))
-    return lam * envelope(+1.0) + (1.0 - lam) * envelope(-1.0)
+    return lam * envelope(lower=True) + (1.0 - lam) * envelope(lower=False)
 
 
 def sample_class(spec: SampleSpec) -> Iterator[gf.GridFunction]:
@@ -79,30 +89,38 @@ def sample_class(spec: SampleSpec) -> Iterator[gf.GridFunction]:
     # nodes in coordinates local to a: their rounding then scales with
     # b - a, not with |a|, and stays far below the membership slack
     ts = np.linspace(0.0, spec.b - spec.a, spec.grid + 1)
+    scale = float(spec.omega(ts[-1] - ts[0]))
+    work = np.empty((MAX_CONES, ts.size))
+
+    def member() -> np.ndarray:
+        return _real_member_values(rng, spec.omega, ts, scale, work)
+
     for _ in range(spec.trials):
-        yield _one_sample(rng, spec, ts)
+        yield _one_sample(rng, spec, member)
 
 
-def _one_sample(rng: np.random.Generator, spec: SampleSpec, ts: np.ndarray) -> gf.GridFunction:
+def _one_sample(rng: np.random.Generator, spec: SampleSpec,
+                member: Callable[[], np.ndarray]) -> gf.GridFunction:
     if spec.class_tag == HOMEGA:
-        return _homega_sample(rng, spec, ts)
+        return _homega_sample(rng, spec, member)
     if spec.class_tag == W1HOMEGA:
-        return _antiderivative(rng, _homega_sample(rng, spec, ts))
+        return _antiderivative(rng, _homega_sample(rng, spec, member))
     raise ValueError(f"unknown class tag {spec.class_tag!r}")
 
 
-def _homega_sample(rng: np.random.Generator, spec: SampleSpec, ts: np.ndarray) -> gf.GridFunction:
-    """An oscillation-class member of ``spec.model``: a real member, its
-    lift, or the interval [min(g1, g2), max(g1, g2) + c] of two real
-    members."""
-    omega, a, b = spec.omega, spec.a, spec.b
+def _homega_sample(rng: np.random.Generator, spec: SampleSpec,
+                   member: Callable[[], np.ndarray]) -> gf.GridFunction:
+    """An oscillation-class member of ``spec.model``: a real member (the
+    values ``member()`` draws from ``rng``), its lift, or the interval
+    [min(g1, g2), max(g1, g2) + c] of two real members."""
+    a, b = spec.a, spec.b
     if spec.model in (ls.REAL, "lifted"):
-        core = gf.GridFunction(a, b, ls.REAL, _real_member_values(rng, omega, ts))
+        core = gf.GridFunction(a, b, ls.REAL, member())
         return core if spec.model == ls.REAL else gf.lift(core, ls.interval(1.0, 1.0))
     if spec.model != ls.INTERVAL:
         raise ValueError(f"unknown sample model {spec.model!r}")
-    g1 = _real_member_values(rng, omega, ts)
-    g2 = _real_member_values(rng, omega, ts)
+    g1 = member()
+    g2 = member()
     lo = np.minimum(g1, g2)
     hi = np.maximum(g1, g2) + float(rng.uniform(0.0, 1.0))
     return gf.GridFunction(a, b, ls.INTERVAL, gf.interval_array(lo, hi))

@@ -164,6 +164,16 @@ class TestExitCodes:
         code, out, _ = run(capsys, "bound", "ks", "--psi2", "0,1; 0.75,1,1")  # no --psi1
         assert (code, out) == (2, "")
 
+    def test_nonfinite_result_names_its_field(self, capsys):
+        # h = 1e-320 leaves 1/h = inf in the operator-norm budget
+        code, out, err = run(capsys, "landau", "--t", "0.5", "--h", "1e-320", "--ab", "0,1")
+        assert (code, out) == (2, "")
+        assert err.startswith("ValueError: result not finite: norm_budget = inf")
+
+    def test_nonfinite_fields_are_listed_with_their_paths(self):
+        payload = {"a": 1.0, "w": {"h1": float("nan"), "h2": 0.5}, "s": [{"got": -math.inf}], "k": "x"}
+        assert cli._nonfinite_fields(payload) == ["s[0].got = -inf", "w.h1 = nan"]
+
     def test_peeling_failure_is_two(self, capsys, monkeypatch):
         from ksr import kscore as ks
 
@@ -510,6 +520,26 @@ class TestExtremalExport:
         t, v = np.loadtxt(path, delimiter=",", skiprows=1, unpack=True)
         assert len(t) == 257 and path.read_text().startswith("t,v\n")
         assert np.max(np.abs(v - (t - 0.5))) <= 1e-12
+
+
+class TestExtremalDomain:
+    """``extremal point-mean`` evaluates its extremal at t, so t must lie in
+    the extremal's domain [min(a, c), max(b, d)]; at grid nodes the
+    attained value is the target."""
+
+    @pytest.mark.parametrize("t,extra", [("5", ()), ("-0.25", ()), ("1e300", ()), ("1.5", ("--ab=-1,1.25",))])
+    def test_t_outside_the_domain_is_two(self, capsys, t, extra):
+        code, out, err = run(capsys, "extremal", "point-mean", "--t", t, "--cd", "0,1", "--grid", "64", *extra)
+        assert (code, out) == (2, "")
+        assert err.startswith("DomainViolation") and f"t = {float(t)}" in err and "domain [" in err
+
+    @pytest.mark.parametrize("t,extra", [("0", ()), ("1", ()), ("0.25", ()), ("-1", ("--ab=-1,0.5",)),
+                                         ("1.25", ("--ab=-1,1.25",))])
+    def test_t_in_the_domain_attains_the_target(self, capsys, t, extra):
+        code, out, _ = run(capsys, "extremal", "point-mean", "--t", t, "--cd", "0,1", "--grid", "64", *extra)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["attained"] == pytest.approx(payload["target"], abs=1e-9)
 
 
 class TestUnwritableOut:

@@ -68,6 +68,97 @@ class TestScalarPath:
         assert scalar.tobytes() == np.asarray(w(ts), dtype=float).tobytes()
 
 
+# the general pow, the alpha = 1 and alpha = 1/2 paths, and the other families
+OUT_FAMILIES = FAMILIES + [mo.power(3, 0.25), mo.minlin(2, 0.3)]
+
+
+def _kernel_inputs():
+    """Arrays that exercise every branch of ``_nonneg``: all positive (no
+    clamp), -0.0 and zeros, dust below zero, nan, empty and 0-d."""
+    pos = np.random.default_rng(3).uniform(1e-9, 3.0, 64)
+    mixed = pos.copy()
+    mixed[[0, 5, 9, 13, 20]] = [-0.0, 0.0, -1e-13, np.nan, -5e-13]
+    return [pos, mixed, np.array([np.nan, 0.5]), np.array([-0.0]), np.empty(0),
+            np.empty((0, 3)), np.array(0.7), pos.reshape(8, 8)]
+
+
+class TestOutKernel:
+    """``w(t, out=buf)`` writes into ``buf`` and returns it, with the values
+    of ``w(t)`` bit for bit; ``w(t)`` returns a fresh array."""
+
+    @pytest.mark.parametrize("w", OUT_FAMILIES)
+    def test_out_equals_fresh_result(self, w):
+        for t in _kernel_inputs():
+            want = np.asarray(w(t), dtype=float)
+            buf = np.full(t.shape, 9.0)
+            assert w(t, out=buf) is buf
+            assert buf.tobytes() == want.tobytes()
+            # in place, as the sampler evaluates its cones
+            inplace = t.copy()
+            assert w(inplace, out=inplace) is inplace
+            assert inplace.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("w", OUT_FAMILIES)
+    def test_fresh_result_never_returns_its_input(self, w):
+        for t in _kernel_inputs():
+            if t.ndim == 0:
+                continue
+            got = w(t)
+            assert got is not t and not np.shares_memory(got, t)
+
+    @pytest.mark.parametrize("w", OUT_FAMILIES)
+    def test_below_dust_raises_with_out(self, w):
+        for bad in ([0.5, -1e-11], [np.nan, -1.0], [-1.0, np.nan], [-2.0]):
+            t = np.array(bad)
+            with pytest.raises(ValueError, match="modulus arguments must be >= 0"):
+                w(t)
+            with pytest.raises(ValueError, match="modulus arguments must be >= 0"):
+                w(t, out=np.empty_like(t))
+
+    def test_positive_array_passes_unchanged(self):
+        t = np.array([1e-300, 0.5, 2.0])
+        assert mo._nonneg(t) is t
+        clamped = mo._nonneg(np.array([-0.0, -1e-13, 0.5]))
+        assert clamped.tobytes() == np.array([0.0, 0.0, 0.5]).tobytes()
+
+
+def _wide_draws(seed):
+    """Nonnegative floats over the whole exponent range: 0, subnormals,
+    the least normal, random magnitudes 1e-320..1e308, 1e300 and the largest float."""
+    rng = np.random.default_rng(seed)
+    x = 10.0 ** rng.uniform(-320.0, 307.0, 200_000) * rng.uniform(1.0, 9.9, 200_000)
+    edges = [0.0, 5e-324, 1e-320, 2.2250738585072014e-308, 1e-300, 0.25, 1.0, 2.0, 1e300,
+             np.finfo(float).max]
+    return np.concatenate((edges, x))
+
+
+class TestPowerShortcuts:
+    """``PowerModulus`` evaluates t^1 as t and t^(1/2) by ``np.sqrt``; the
+    values equal ``np.power``'s, which the class used for every alpha, so
+    that no sample or bound moves.  sqrt is correctly rounded and pow is
+    not specified to be: if a C library breaks either identity, these
+    tests fail, not a pinned digest."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_sqrt_is_power_one_half(self, seed):
+        x = _wide_draws(seed)
+        assert np.sqrt(x).tobytes() == np.power(x, 0.5).tobytes()
+        assert all(_bits(np.sqrt(v)) == _bits(np.power(v, 0.5)) for v in x[:2000])
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_power_one_is_identity(self, seed):
+        x = _wide_draws(seed)
+        assert np.power(x, 1.0).tobytes() == x.tobytes()
+        assert all(_bits(np.power(v, 1.0)) == _bits(v) for v in x[:2000])
+
+    @pytest.mark.parametrize("K,alpha", [(1.0, 1.0), (2.5, 1.0), (1.0, 0.5), (1e4, 0.5)])
+    def test_shortcut_equals_general_pow(self, K, alpha):
+        x = _wide_draws(7)[:5000]
+        w = mo.PowerModulus(K, alpha)
+        with np.errstate(over="ignore"):
+            assert w(x).tobytes() == (K * np.power(x, alpha)).tobytes()
+
+
 class TestPrimitive:
     def test_linear(self):
         assert mo.power(1, 1).primitive(0, 1) == pytest.approx(0.5, abs=1e-15)

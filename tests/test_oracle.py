@@ -115,6 +115,86 @@ class TestSampling:
         assert sum(1 for _ in stream) == 3  # then the class samples
 
 
+def _reference_real_member_values(rng, omega, ts):
+    """The real member as the sampler built it before the cone workspace:
+    the scale evaluated per member, and every cone step a fresh array."""
+    a, b = ts[0], ts[-1]
+    scale = float(omega(b - a))
+    kind = int(rng.integers(0, 4))
+    if kind == 0:
+        return np.full_like(ts, float(rng.uniform(-scale, scale)))
+
+    def envelope(sign):
+        m = int(rng.integers(2, 9))
+        centers = rng.uniform(a, b, size=m)
+        levels = np.cumsum(rng.uniform(-scale / 2, scale / 2, size=m))
+        cones = levels[:, None] + sign * np.asarray(
+            omega(np.abs(ts[None, :] - centers[:, None])), dtype=float
+        )
+        return cones.min(axis=0) if sign > 0 else cones.max(axis=0)
+
+    if kind == 1:
+        return envelope(+1.0)
+    if kind == 2:
+        return envelope(-1.0)
+    lam = float(rng.uniform(0.0, 1.0))
+    return lam * envelope(+1.0) + (1.0 - lam) * envelope(-1.0)
+
+
+_KERNEL_MODULI = {
+    "power(1,1)": wid,
+    "power(1,1/2)": wsq,
+    "power(2,0.7)": mo.power(2, 0.7),
+    "minlin": mo.minlin(1, 0.3),
+    "plconcave": mo.plconcave([(0, 0), (0.5, 0.4), (1, 0.6)]),
+}
+
+
+class TestConeWorkspace:
+    """The sampler builds its cones in one ``(MAX_CONES, N+1)`` array per
+    stream; the members equal the fresh-array construction bit for bit,
+    and no member shares memory with the workspace or another member."""
+
+    @pytest.mark.parametrize("omega", _KERNEL_MODULI.values(), ids=_KERNEL_MODULI.keys())
+    @pytest.mark.parametrize("grid", [64, 4096])
+    @pytest.mark.parametrize("seed", [1, 2, 5, 11])
+    @pytest.mark.parametrize("length", [1.0, 3.5])
+    def test_members_equal_the_fresh_array_reference(self, omega, grid, seed, length):
+        ts = np.linspace(0.0, length, grid + 1)
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        scale = float(omega(ts[-1] - ts[0]))
+        work = np.empty((orc.MAX_CONES, ts.size))
+        for _ in range(12):
+            got = orc._real_member_values(rng, omega, ts, scale, work)
+            want = _reference_real_member_values(ref_rng, omega, ts)
+            assert got.tobytes() == want.tobytes()
+        # the two constructions drew the same numbers
+        assert rng.random() == ref_rng.random()
+
+    @pytest.mark.parametrize("cls", [orc.HOMEGA, orc.W1HOMEGA])
+    @pytest.mark.parametrize("model", orc.MODEL_MIX)
+    def test_samples_own_their_memory(self, cls, model):
+        spec = _spec(model=model, cls=cls, grid=64)
+        rng = np.random.default_rng(spec.seed)
+        ts = np.linspace(0.0, 1.0, spec.grid + 1)
+        work = np.empty((orc.MAX_CONES, ts.size))
+        scale = float(spec.omega(1.0))
+
+        def member():
+            return orc._real_member_values(rng, spec.omega, ts, scale, work)
+
+        samples = [orc._one_sample(rng, spec, member) for _ in range(spec.trials)]
+        assert not any(np.shares_memory(f.data, work) for f in samples)
+        for f, g in zip(samples, samples[1:]):
+            assert not np.shares_memory(f.data, g.data)
+        stream = list(orc.sample_class(spec))
+        for f, g in zip(stream, stream[1:]):
+            assert not np.shares_memory(f.data, g.data)
+        # a stream's samples stay as they were drawn
+        for f, g in zip(stream, orc.sample_class(spec)):
+            assert f.data.tobytes() == g.data.tobytes()
+
+
 class TestEmpiricalSup:
     def test_constant_samples_give_zero(self):
         w1 = ks.indicator_weight(0, 0.25, 1.0, domain=(0, 1))
