@@ -613,6 +613,63 @@ class TestByPartsReference:
         assert ks.rearrangement_forms(*pair, omega) == (abs(deriv), total)
 
 
+# general_bound and ks_bound on PEEL_PAIRS x BRANCH_MODULI (in that order of
+# moduli), as hex floats recorded before the one-pass peel; None where
+# ks_bound refuses the pair (supports that overlap)
+GENERAL_BOUND_BITS = {
+    "common-k1": ("0x1.968b313af859bp-4", "0x1.8fbcb77aebebdp-3", "0x1.2dddcc1708626p-2", "0x1.647c5bb7f56a5p-4", "0x1.453c27626047cp-4"),
+    "common-k2": ("0x1.a7736b8f1840ep-5", "0x1.7da2f2c63ef22p-4", "0x1.2a71df09763f5p-3", "0x1.49573456db517p-5", "0x1.4ccc11426c366p-5"),
+    "common-k3": ("0x1.dd5dd1c2555f2p-5", "0x1.f54c9aa9242a5p-4", "0x1.6cc12fb5c9fc6p-3", "0x1.8b6254844b9fep-5", "0x1.7de4a7ceaab27p-5"),
+    "common-k5": ("0x1.5456c5c885404p-3", "0x1.064d06f2f5c50p-2", "0x1.b1534b50d659cp-2", "0x1.88b44a400e4f0p-4", "0x1.f1f737b402840p-4"),
+    "common-k8": ("0x1.052a2ef361f17p-5", "0x1.4fb804c977281p-4", "0x1.c3669fd593e3fp-4", "0x1.e0dda738a4edap-6", "0x1.a1dd17ebcfe8bp-6"),
+    "common-k13": ("0x1.43e11d5aee340p-5", "0x1.93c692841c661p-4", "0x1.10fdce6dd7100p-3", "0x1.2433e05ff7dbap-5", "0x1.031a7de258298p-5"),
+    "common-k21": ("0x1.32be26313f08ap-6", "0x1.a91b4822913b2p-5", "0x1.120f743013386p-4", "0x1.0ff66b4af0ab5p-6", "0x1.eac9d6b531a6ep-7"),
+    "common-k34": ("0x1.2a5590bf6cc71p-5", "0x1.625225616c7a4p-4", "0x1.dc5cd37deeb88p-4", "0x1.bd02145206e29p-6", "0x1.c1c3aa5102e3fp-6"),
+    "common-k64": ("0x1.59385ef396b46p-7", "0x1.66279effac185p-5", "0x1.84a074a58d359p-5", "0x1.50499f85afd50p-7", "0x1.142d18c2def69p-7"),
+    "disjoint-k1": ("0x1.8b8c261cc63f2p-4", "0x1.15b6c6fa69c81p-3", "0x1.e3df24580da96p-3", "0x1.db054c86424f8p-5", "0x1.2a9f6deabe00bp-4"),
+    "disjoint-k4": ("0x1.16bb7c4b35612p-3", "0x1.7dfacf2f84e51p-3", "0x1.4e0ad35fd6f3ep-2", "0x1.3348c164f9176p-4", "0x1.8d67801f9814dp-4"),
+    "disjoint-k16": ("0x1.777d1876854fbp-3", "0x1.e49d40c6db4a1p-3", "0x1.b16dff24d27d7p-2", "0x1.6ca07fb383a5ap-4", "0x1.01f422b390982p-3"),
+    "disjoint-k64": ("0x1.47d74be32cc82p-3", "0x1.bc2341134e65cp-3", "0x1.857ef8480ffd9p-2", "0x1.59bfe3b366051p-4", "0x1.cfc90627abcbap-4"),
+    "touching": ("0x1.cac083126e976p-5", "0x1.55eefd481a759p-4", "0x1.208990650b4fdp-3", "0x1.178d4fdf3b645p-5", "0x1.5532617c1bda3p-5"),
+    "touching-3": ("0x1.0000000000000p-3", "0x1.e2b7dddfefa67p-3", "0x1.72caaec3ba95ep-2", "0x1.ae147ae147ae1p-4", "0x1.999999999999ap-4"),
+}
+KS_BOUND_BITS = {
+    "common-k1": None,
+    "common-k2": None,
+    "common-k3": None,
+    "common-k5": None,
+    "common-k8": None,
+    "common-k13": None,
+    "common-k21": None,
+    "common-k34": None,
+    "common-k64": None,
+    "disjoint-k1": ("0x1.8b8c261cc63f1p-4", "0x1.15b6c6fa69c80p-3", "0x1.e3df24580da96p-3", "0x1.db054c86424f8p-5", "0x1.2a9f6deabe00bp-4"),
+    "disjoint-k4": ("0x1.16bb7c4b35613p-3", "0x1.7dfacf2f84e52p-3", "0x1.4e0ad35fd6f3ep-2", "0x1.3348c164f9177p-4", "0x1.8d67801f9814fp-4"),
+    "disjoint-k16": ("0x1.777d1876854fcp-3", "0x1.e49d40c6db4a3p-3", "0x1.b16dff24d27d8p-2", "0x1.6ca07fb383a5cp-4", "0x1.01f422b390981p-3"),
+    "disjoint-k64": ("0x1.47d74be32cc82p-3", "0x1.bc2341134e654p-3", "0x1.857ef8480ffd6p-2", "0x1.59bfe3b366049p-4", "0x1.cfc90627abcc2p-4"),
+    "touching": ("0x1.cac083126e97ap-5", "0x1.55eefd481a75ap-4", "0x1.208990650b4fep-3", "0x1.178d4fdf3b645p-5", "0x1.5532617c1bda5p-5"),
+    "touching-3": None,
+}
+
+
+class TestPinnedBits:
+    """The bounds on every peel pair and modulus keep their recorded bits."""
+
+    @pytest.mark.parametrize("name", PEEL_PAIRS)
+    def test_general_bound(self, name):
+        got = [float(ks.general_bound(*PEEL_PAIRS[name], omega)).hex() for omega in BRANCH_MODULI.values()]
+        assert got == list(GENERAL_BOUND_BITS[name])
+
+    @pytest.mark.parametrize("name", PEEL_PAIRS)
+    def test_ks_bound(self, name):
+        pair, want = PEEL_PAIRS[name], KS_BOUND_BITS[name]
+        if want is None:
+            with pytest.raises(BadSupportOrder):
+                ks.ks_bound(*pair, wid)
+            return
+        assert [float(ks.ks_bound(*pair, omega)).hex() for omega in BRANCH_MODULI.values()] == list(want)
+
+
 def _scaled(w, c):
     return ks.step_weight(w.domain, [(u, v, c * h) for u, v, h in w.pieces])
 
