@@ -44,7 +44,6 @@ _DIAGNOSTICS = {
     "NotInvertible": "element has no additive inverse",
     "CannotCertify": "extremal candidate could not be certified as a class member",
     "InvalidModulus": "candidate modulus failed validation",
-    "PeelingFailed": "hat decomposition did not terminate",
 }
 
 

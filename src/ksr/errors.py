@@ -52,6 +52,3 @@ class WindowViolation(KsrError):
 class DomainViolation(KsrError):
     """A point lies outside the domain of the function evaluated there."""
 
-
-class PeelingFailed(KsrError):
-    """Hat peeling exceeded its iteration guard."""

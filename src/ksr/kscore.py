@@ -10,11 +10,13 @@ Weights are piecewise constant by design: the pairing map is then
 piecewise affine and every bound here is a finite closed-form sum of
 modulus primitives, with no root finding or quadrature error.
 
-The general estimate runs on arrays but for the hat peel.  Psi comes
-from one lookup of the weight heights at the cell midpoints
-(``StepWeight.heights``) and one running sum in cell order; the hats are
-peeled from it, each is rearranged with all its levels measured in one
-array pass (``poly.decreasing_rearrangement``), and int R w' is taken by
+The general estimate runs on arrays.  Psi comes from one lookup of the
+weight heights at the cell midpoints (``StepWeight.heights``) and one
+running sum in cell order.  Its hats are peeled in one pass over Python
+lists: the peaks and their prominences are found once, and a peel redoes
+only the prominence walks that stopped on the range it flattens (see
+``_peel_hats``).  Each hat is rearranged with all its levels measured in
+one array pass (``poly.decreasing_rearrangement``), and int R w' is taken by
 parts with the modulus and its primitive evaluated once over the knot
 arrays (``Modulus.primitive`` takes arrays) and the terms added in knot
 order.  Mass checks compare in units of max(1, mass), since every bound
@@ -24,7 +26,7 @@ is homogeneous in the weights.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -35,7 +37,6 @@ from .errors import (
     CannotCertify,
     MassMismatch,
     NonConcave,
-    PeelingFailed,
 )
 from .modulus import Modulus
 from .poly import (
@@ -372,74 +373,57 @@ def _find_peaks(y: np.ndarray, tol: float) -> Tuple[np.ndarray, np.ndarray]:
     return l[keep], r[keep]
 
 
-# the most entries of one (peaks x breakpoints) temporary in _prominence
-PROMINENCE_BLOCK = 1 << 16
-
-
-def _prominence(y: np.ndarray, l: np.ndarray, r: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Prominence and saddle level of each plateau peak [l, r].  Each side
-    reaches to the nearest index whose value is not below the peak height
-    h and takes the minimum of y (and h) strictly between; a side that
-    reaches the boundary has minimum 0, as the boundary values vanish."""
-    n = len(y)
-    rows = max(1, PROMINENCE_BLOCK // n)
-    if len(l) > rows:  # in blocks of peaks, so that memory stays bounded
-        parts = [_prominence(y, l[i : i + rows], r[i : i + rows]) for i in range(0, len(l), rows)]
-        return np.concatenate([p for p, _ in parts]), np.concatenate([s for _, s in parts])
-    h = y[l][:, None]
-    idx = np.arange(n)
-    stop = ~(y < h)
-    left = np.where(stop & (idx < l[:, None]), idx, -1).max(axis=1)
-    right = np.where(stop & (idx > r[:, None]), idx, n).min(axis=1)
-    lmin = np.where((idx > left[:, None]) & (idx < l[:, None]), y, h).min(axis=1)
-    rmin = np.where((idx > r[:, None]) & (idx < right[:, None]), y, h).min(axis=1)
-    lmin[left < 0] = 0.0
-    rmin[right >= n] = 0.0
-    saddle = np.maximum(lmin, rmin)
-    return h[:, 0] - saddle, saddle
-
-
-def _lowest_peak(y: np.ndarray, tol: float) -> Optional[Tuple[float, int, int]]:
-    """Saddle level v and plateau [l, r] of the peak of least prominence,
-    or None when y has no peak.  Peaks are scanned left to right, and a
-    later one wins only when its prominence is smaller by more than 1e-15."""
-    lefts, rights = _find_peaks(y, tol)
-    if not len(lefts):
-        return None
-    proms, saddles = _prominence(y, lefts, rights)
-    proms = proms.tolist()
-    best = 0
-    for k in range(1, len(proms)):
-        if proms[k] < proms[best] - 1e-15:
-            best = k
-    return saddles[best], int(lefts[best]), int(rights[best])
-
-
-def _insert_point(xs: np.ndarray, arrays: List[np.ndarray], idx: int, x: float, vals: List[float]):
-    xs = np.insert(xs, idx, x)
-    arrays = [np.insert(arr, idx, v) for arr, v in zip(arrays, vals)]
-    return xs, arrays
+def _walk(y: List[float], l: int, r: int) -> List:
+    """[prominence, saddle, left stop, right stop] of the plateau peak
+    [l, r] of y.  Each side walks outward while y stays below the height
+    y[l] and stops at the first index where it does not, or past the
+    boundary (-1 or len(y)); the saddle is the higher of the two least
+    values passed, a side that passes the boundary counting 0."""
+    h = y[l]
+    j, k = l - 1, r + 1
+    while j >= 0 and y[j] < h:
+        j -= 1
+    while k < len(y) and y[k] < h:
+        k += 1
+    saddle = max(min(y[j + 1 : l]) if j >= 0 else 0.0, min(y[r + 1 : k]) if k < len(y) else 0.0)
+    return [h - saddle, saddle, j, k]
 
 
 def _peel_hats(xs: np.ndarray, ys: np.ndarray, tol: float) -> List[Hat]:
-    """Iteratively peel the smallest-prominence peak of |ys| at its saddle
-    level; level-crossing breakpoints are inserted so every hat vanishes
-    exactly at shared breakpoints."""
+    """Peel the peak of |ys| of least prominence at its saddle level until
+    none is left; level-crossing breakpoints are inserted so every hat
+    vanishes exactly at shared breakpoints.  Peaks are scanned left to
+    right, and a later one wins only when its prominence is smaller by
+    more than 1e-15.
+
+    The peaks and their walks are found once.  Peeling flattens [i0, i1]
+    to the saddle v: the peaks there go, none is made (on the saddle side
+    the flat run meets a value >= v), and a walk that crosses [lo, hi] =
+    [i0 - 1, i1 + 1] keeps its least value, which is at most v at both
+    ends; only the walks that stopped in [lo, hi] are redone.
+    """
     y = np.abs(ys).astype(float)
-    src = ys.astype(float)
+    lefts, rights = _find_peaks(y, tol)
+    y, xs, src = y.tolist(), xs.tolist(), ys.astype(float).tolist()
+    # [l, r, prominence, saddle, left stop, right stop], left to right
+    peaks = [[l, r, *_walk(y, l, r)] for l, r in zip(lefts.tolist(), rights.tolist())]
+
+    def insert(idx: int, x: float, val: float, s: float) -> None:
+        xs.insert(idx, x)
+        y.insert(idx, val)
+        src.insert(idx, s)
+        for p in peaks:
+            for f in (0, 1, 4, 5):
+                if p[f] >= idx:
+                    p[f] += 1
+
     hats: List[Hat] = []
-    # fixed up front: a pass may insert breakpoints, so a limit read off
-    # the growing arrays could recede forever
-    limit = 10 * len(y) + 100
-    guard = 0
-    while True:
-        guard += 1
-        if guard > limit:
-            raise PeelingFailed("peeling failed to terminate")
-        peak = _lowest_peak(y, tol)
-        if peak is None:
-            break
-        v, l, r = peak
+    while peaks:
+        best = peaks[0]
+        for p in peaks[1:]:
+            if p[2] < best[2] - 1e-15:
+                best = p
+        l, r, _, v, _, _ = best
         # expand the superlevel component around the peak
         i0 = l
         while i0 - 1 >= 0 and y[i0 - 1] > v:
@@ -452,22 +436,26 @@ def _peel_hats(xs: np.ndarray, ys: np.ndarray, tol: float) -> List[Hat]:
             frac = (v - y[i0 - 1]) / (y[i0] - y[i0 - 1])
             xa = xs[i0 - 1] + frac * (xs[i0] - xs[i0 - 1])
             sa = src[i0 - 1] + frac * (src[i0] - src[i0 - 1])
-            xs, (y, src) = _insert_point(xs, [y, src], i0, xa, [v, sa])
+            insert(i0, xa, v, sa)
             i0 += 1
             i1 += 1
         if y[i1 + 1] < v:
             frac = (v - y[i1 + 1]) / (y[i1] - y[i1 + 1])
             xb = xs[i1 + 1] - frac * (xs[i1 + 1] - xs[i1])
             sb = src[i1 + 1] - frac * (src[i1 + 1] - src[i1])
-            xs, (y, src) = _insert_point(xs, [y, src], i1 + 1, xb, [v, sb])
+            insert(i1 + 1, xb, v, sb)
         lo, hi = i0 - 1, i1 + 1
-        mag = y[lo : hi + 1] - v
+        mag = np.array(y[lo : hi + 1]) - v
         mag[0] = 0.0
         mag[-1] = 0.0
         peak_idx = lo + int(np.argmax(mag))
         sign = 1.0 if src[peak_idx] >= 0.0 else -1.0
-        hats.append(Hat(xs[lo : hi + 1].copy(), mag, sign))
-        y[i0 : i1 + 1] = v
+        hats.append(Hat(np.array(xs[lo : hi + 1]), mag, sign))
+        y[i0 : i1 + 1] = [v] * (i1 + 1 - i0)
+        peaks = [p for p in peaks if not i0 <= p[0] <= i1]
+        for p in peaks:
+            if lo <= p[4] <= hi or lo <= p[5] <= hi:
+                p[2:] = _walk(y, p[0], p[1])
     return hats
 
 

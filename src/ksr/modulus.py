@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate
 from typing import Optional, Tuple
 
@@ -131,20 +132,30 @@ class PiecewiseLinearConcave(Modulus):
     def concave(self) -> bool:
         # each slope against the least slope before it, so that rises below
         # the 1e-12 slack cannot add up along many knots
-        slopes = self._slopes()
+        slopes = self._slopes
         return all(s <= low + 1e-12 for low, s in zip(accumulate(slopes, min), slopes[1:]))
 
-    def _slopes(self):
+    # ``points`` is frozen, so the slopes and the knot arrays are built once
+    # per instance, on first use
+    @cached_property
+    def _slopes(self) -> Tuple[float, ...]:
         pts = self.points
         return tuple(
             (v2 - v1) / (t2 - t1) for (t1, v1), (t2, v2) in zip(pts, pts[1:])
         )
 
-    def __call__(self, t, out=None):
+    @cached_property
+    def _knots(self) -> Tuple[np.ndarray, np.ndarray, float]:
+        """Knot abscissae and values as read-only arrays, and the slope
+        past the last knot."""
         ts = np.array([p[0] for p in self.points])
         vs = np.array([p[1] for p in self.points])
+        ts.flags.writeable = vs.flags.writeable = False
+        return ts, vs, (self._slopes[-1] if len(self.points) > 1 else 0.0)
+
+    def __call__(self, t, out=None):
+        ts, vs, last_slope = self._knots
         t = _nonneg(t)
-        last_slope = self._slopes()[-1] if len(self.points) > 1 else 0.0
         r = np.where(
             t <= ts[-1],
             np.interp(t, ts, vs),
@@ -172,7 +183,7 @@ class PiecewiseLinearConcave(Modulus):
             acc += v1 * (hi - t1) + 0.5 * s * (hi - t1) ** 2
         t_last, v_last = pts[-1]
         if t > t_last:
-            s = self._slopes()[-1]
+            s = self._slopes[-1]
             acc += v_last * (t - t_last) + 0.5 * s * (t - t_last) ** 2
         return acc
 
@@ -180,10 +191,9 @@ class PiecewiseLinearConcave(Modulus):
         """``_antider`` elementwise: the same terms, the whole pieces added
         in knot order, and squares by float_power (the pow of Python's **,
         which can differ from x * x)."""
-        ts = np.array([p[0] for p in self.points])
-        vs = np.array([p[1] for p in self.points])
+        ts, vs, _ = self._knots
         # the slope of each piece, the last one repeated past the last knot
-        slopes = np.array(self._slopes() + self._slopes()[-1:])
+        slopes = np.array(self._slopes + self._slopes[-1:])
         span = np.diff(ts)
         whole = np.cumsum(np.concatenate(([0.0], vs[:-1] * span + 0.5 * slopes[:-1] * np.float_power(span, 2.0))))
 
@@ -296,7 +306,7 @@ def validate(omega: Modulus) -> ValidationReport:
             return ValidationReport(False, "polyline must start at (0, 0)")
         if any(t2 <= t1 for (t1, _), (t2, _) in zip(pts, pts[1:])):
             return ValidationReport(False, "polyline knots must be strictly increasing")
-        if any(s < -1e-12 for s in omega._slopes()):
+        if any(s < -1e-12 for s in omega._slopes):
             return ValidationReport(False, "polyline must be nondecreasing")
 
     t_max = _default_scale(omega)

@@ -113,16 +113,26 @@ def symmetric_bound(a: float, b: float, c: float, d: float, omega: Modulus) -> f
     return 4.0 * (c - a) / (b - a) * omega.primitive(0.0, 0.5 * (b - a))
 
 
+def _primitive(omega: Modulus, lo: float, hi: float, name: str) -> float:
+    """``omega.primitive(lo, hi)``; an overflow names the integral ``name``
+    and its range, instead of the bare ``(34, 'Numerical result out of
+    range')`` of float pow."""
+    try:
+        return omega.primitive(lo, hi)
+    except OverflowError:
+        raise OverflowError(f"{name}, the integral of the modulus over [{lo!r}, {hi!r}], overflows") from None
+
+
 def point_vs_mean_bound(t: float, c: float, d: float, omega: Modulus) -> float:
     """Sharp bound for dist(P f(t), mean of f over [c, d]), any modulus."""
     if d <= c:
         raise ValueError("segment [c, d] must have positive length")
-    I = omega.primitive
     if t <= c:
-        return I(c - t, d - t) / (d - c)
+        return _primitive(omega, c - t, d - t, "point-mean I(c - t, d - t)") / (d - c)
     if t >= d:
-        return I(t - d, t - c) / (d - c)
-    return (I(0.0, t - c) + I(0.0, d - t)) / (d - c)
+        return _primitive(omega, t - d, t - c, "point-mean I(t - d, t - c)") / (d - c)
+    left = _primitive(omega, 0.0, t - c, "point-mean I(0, t - c)")
+    return (left + _primitive(omega, 0.0, d - t, "point-mean I(0, d - t)")) / (d - c)
 
 
 def point_vs_mean_extremal(
@@ -139,8 +149,8 @@ def symmetrized_pair_bound(t: float, a: float, b: float, omega: Modulus) -> floa
     the mean of f over [a, b], for t in [a, (a+b)/2)."""
     if not (a <= t < 0.5 * (a + b)):
         raise ValueError("t must lie in [a, (a+b)/2)")
-    I = omega.primitive
-    return 2.0 / (b - a) * (I(0.0, t - a) + I(0.0, 0.5 * (a + b) - t))
+    left = _primitive(omega, 0.0, t - a, "pair I(0, t - a)")
+    return 2.0 / (b - a) * (left + _primitive(omega, 0.0, 0.5 * (a + b) - t, "pair I(0, (a + b) / 2 - t)"))
 
 
 def symmetrized_pair_extremal(

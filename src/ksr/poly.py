@@ -21,19 +21,17 @@ def merge_breakpoints(*xss) -> np.ndarray:
 
 
 def insert_zero_crossings(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Add breakpoints (with value exactly 0) where the polyline crosses 0."""
-    out_x = [xs[0]]
-    out_y = [ys[0]]
-    for i in range(len(xs) - 1):
-        y0, y1 = ys[i], ys[i + 1]
-        if (y0 > 0.0 > y1) or (y0 < 0.0 < y1):
-            xc = xs[i] + (xs[i + 1] - xs[i]) * (0.0 - y0) / (y1 - y0)
-            if xs[i] < xc < xs[i + 1]:
-                out_x.append(xc)
-                out_y.append(0.0)
-        out_x.append(xs[i + 1])
-        out_y.append(y1)
-    return np.asarray(out_x), np.asarray(out_y)
+    """Add breakpoints (with value exactly 0) where the polyline crosses 0,
+    at x0 + (dx * (0 - y0)) / (y1 - y0) on each crossing segment, kept
+    where that lands strictly inside the segment."""
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    x0, x1, y0, y1 = xs[:-1], xs[1:], ys[:-1], ys[1:]
+    i = np.flatnonzero(((y0 > 0.0) & (y1 < 0.0)) | ((y0 < 0.0) & (y1 > 0.0)))
+    xc = x0[i] + (x1[i] - x0[i]) * (0.0 - y0[i]) / (y1[i] - y0[i])
+    inside = (x0[i] < xc) & (xc < x1[i])
+    i = i[inside] + 1
+    return np.insert(xs, i, xc[inside]), np.insert(ys, i, 0.0)
 
 
 def decreasing_rearrangement(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -174,15 +174,18 @@ class TestExitCodes:
         payload = {"a": 1.0, "w": {"h1": float("nan"), "h2": 0.5}, "s": [{"got": -math.inf}], "k": "x"}
         assert cli._nonfinite_fields(payload) == ["s[0].got = -inf", "w.h1 = nan"]
 
-    def test_peeling_failure_is_two(self, capsys, monkeypatch):
-        from ksr import kscore as ks
-
-        # the same plateau [1, 1] forever: the peeling never runs out of peaks
-        monkeypatch.setattr(ks, "_find_peaks", lambda y, tol: (np.array([1]), np.array([1])))
-        code, out, err = run(
-            capsys, "bound", "general", "--psi1", "0,1; 0,0.25,1", "--psi2", "0,1; 0.75,1,1",
-        )
-        assert (code, out) == (2, "") and "PeelingFailed" in err
+    @pytest.mark.parametrize("argv, quantity", [
+        (("bound", "point-mean", "--t", "1e300", "--cd", "0,1"), "point-mean I(t - d, t - c)"),
+        (("bound", "point-mean", "--t", "0.5", "--cd", "0,1e308"), "point-mean I(0, d - t)"),
+        (("bound", "point-mean", "--t=-1e300", "--cd", "0,1", "--omega", "plconcave:0,0;1,1;2,1.5"),
+         "point-mean I(c - t, d - t)"),
+        (("bound", "pair", "--t", "0.1", "--ab", "0,1e308"), "pair I(0, (a + b) / 2 - t)"),
+    ])
+    def test_overflow_names_its_quantity(self, capsys, argv, quantity):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"OverflowError: {quantity}, the integral of the modulus over [")
+        assert err.rstrip().endswith("overflows")
 
     def test_verify_failure_is_three(self, capsys, monkeypatch):
         from ksr import oracle as orc

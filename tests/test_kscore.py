@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ksr import gridfn as gf
 from ksr import kscore as ks
@@ -382,7 +383,8 @@ def _find_peaks_loop(y, tol):
 
 
 def _prominence_loop(y, l, r):
-    """The walk from one peak that ``ks._prominence`` vectorises."""
+    """The walk from one peak, as ``ks._walk`` does it: prominence and
+    saddle level.  Kept as the reference."""
     h = y[l]
     lmin = h
     j = l - 1
@@ -403,14 +405,57 @@ def _prominence_loop(y, l, r):
 
 
 def _lowest_peak_loop(y, tol):
-    """The peak selection of ``ks._lowest_peak`` as a loop over
-    ``_find_peaks_loop`` and ``_prominence_loop``."""
+    """Saddle level and plateau (v, l, r) of the peak to peel, or None:
+    the peaks of ``_find_peaks_loop`` with ``_prominence_loop``, scanned
+    left to right; a later one wins only when its prominence is smaller by
+    more than 1e-15."""
     best = None
     for (l, r) in _find_peaks_loop(y, tol):
         prom, saddle = _prominence_loop(y, l, r)
         if best is None or prom < best[0] - 1e-15:
             best = (prom, saddle, l, r)
     return None if best is None else best[1:]
+
+
+def _peel_hats_loop(xs, ys, tol):
+    """The iterative peel that ``ks._peel_hats`` does in one pass: after
+    every hat, find the peaks and their prominences again on the whole
+    polyline.  Kept as the reference."""
+    y = np.abs(ys).astype(float)
+    src = ys.astype(float)
+    hats = []
+    for _ in range(10 * len(y) + 100):
+        peak = _lowest_peak_loop(y, tol)
+        if peak is None:
+            return hats
+        v, l, r = peak
+        i0 = l
+        while i0 - 1 >= 0 and y[i0 - 1] > v:
+            i0 -= 1
+        i1 = r
+        while i1 + 1 < len(y) and y[i1 + 1] > v:
+            i1 += 1
+        if y[i0 - 1] < v:
+            frac = (v - y[i0 - 1]) / (y[i0] - y[i0 - 1])
+            xa = xs[i0 - 1] + frac * (xs[i0] - xs[i0 - 1])
+            sa = src[i0 - 1] + frac * (src[i0] - src[i0 - 1])
+            xs, y, src = np.insert(xs, i0, xa), np.insert(y, i0, v), np.insert(src, i0, sa)
+            i0 += 1
+            i1 += 1
+        if y[i1 + 1] < v:
+            frac = (v - y[i1 + 1]) / (y[i1] - y[i1 + 1])
+            xb = xs[i1 + 1] - frac * (xs[i1 + 1] - xs[i1])
+            sb = src[i1 + 1] - frac * (src[i1 + 1] - src[i1])
+            xs, y, src = np.insert(xs, i1 + 1, xb), np.insert(y, i1 + 1, v), np.insert(src, i1 + 1, sb)
+        lo, hi = i0 - 1, i1 + 1
+        mag = y[lo : hi + 1] - v
+        mag[0] = 0.0
+        mag[-1] = 0.0
+        peak_idx = lo + int(np.argmax(mag))
+        sign = 1.0 if src[peak_idx] >= 0.0 else -1.0
+        hats.append(ks.Hat(xs[lo : hi + 1].copy(), mag, sign))
+        y[i0 : i1 + 1] = v
+    raise AssertionError("the reference peel did not terminate")
 
 
 def _bounds_pieces(rng, k, lo, hi):
@@ -455,37 +500,65 @@ PEEL_PAIRS = {
                    ks.step_weight((0, 1), [(0.25, 0.5, 1.0), (0.75, 1.0, 1.0)])),
 }
 # peaks whose prominences differ by less than, about, and more than 1e-15;
-# in "chain" the rule picks the middle peak, not the lowest one
+# in "chain" the rule picks the middle peak, not the lowest one, and in
+# "covered" the peak at 3 is peeled first and its range covers the peak at 5
 NEAR_TIES = {
     "equal": np.array([0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0]),
     "below-tol": np.array([0.0, 1.0, 0.0, 1.0 - 5e-16, 0.0]),
     "above-tol": np.array([0.0, 1.0, 0.0, 1.0 - 1.5e-15, 0.0]),
     "chain": np.array([0.0, 1.0, 0.0, 1.0 - 1.2e-15, 0.0, 1.0 - 2e-15, 0.0]),
     "nested": np.array([0.0, 0.7, 0.5 + 1e-16, 0.7, 0.5, 0.7, 0.0]),
+    "covered": np.array([0.0, 2.0, 0.5, 1.0, 0.5 + 1e-16, 1.0 - 2e-16, 0.5, 2.0, 0.0]),
 }
 
 
-def _hat_bytes(decomp):
-    return [(h.xs.tobytes(), h.mag.tobytes(), h.sign) for h in decomp.hats]
+def _random_pair(seed):
+    """A balanced pair on a common support with 1-64 pieces on each side."""
+    rng = np.random.default_rng(seed)
+    p1 = _bounds_pieces(rng, int(rng.integers(1, 65)), 0.0, 1.0)
+    p2 = _bounds_pieces(rng, int(rng.integers(1, 65)), 0.0, 1.0)
+    m1 = sum(w * (v - u) for u, v, w in p1)
+    m2 = sum(w * (v - u) for u, v, w in p2)
+    return ks.step_weight((0, 1), p1), ks.step_weight((0, 1), [(u, v, w * m1 / m2) for u, v, w in p2])
+
+
+PSI_PAIRS = {**PEEL_PAIRS, **{f"random-{seed}": _random_pair(seed) for seed in range(12)}}
+
+
+def _hat_bytes(hats):
+    return [(h.xs.tobytes(), h.mag.tobytes(), h.sign) for h in hats]
+
+
+def _near_tie_polyline(draw):
+    """Peaks of a few levels, some nudged by less than, about or more than
+    1e-15, on a random grid."""
+    n = draw(st.integers(3, 40))
+    levels = draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n))
+    nudges = draw(st.lists(st.sampled_from([0.0, 0.0, 1e-16, -1e-16, 5e-16, -1.2e-15, 2e-15]), min_size=n, max_size=n))
+    widths = draw(st.lists(st.floats(0.01, 0.1), min_size=n, max_size=n))
+    ys = np.array(levels) / 4 + np.array(nudges)
+    ys[0] = ys[-1] = 0.0
+    return np.cumsum(widths), ys
 
 
 class TestPeelingReference:
-    """The array peak search peels exactly the hats of the per-peak loops."""
+    """The one-pass peel gives exactly the hats, in order, of the peel that
+    finds every peak and prominence again after each hat."""
 
     @staticmethod
     def check(monkeypatch, decompose, *args):
         got = decompose(*args)
         with monkeypatch.context() as m:
-            m.setattr(ks, "_lowest_peak", _lowest_peak_loop)
+            m.setattr(ks, "_peel_hats", _peel_hats_loop)
             want = decompose(*args)
-        assert _hat_bytes(got) == _hat_bytes(want)
+        assert _hat_bytes(got.hats) == _hat_bytes(want.hats)
         return got
 
     @staticmethod
     def check_polyline(monkeypatch, xs, ys):
         return TestPeelingReference.check(monkeypatch, ks._decompose_polyline, xs, ys, (xs[0], xs[-1]))
 
-    @pytest.mark.parametrize("pair", PEEL_PAIRS.values(), ids=PEEL_PAIRS.keys())
+    @pytest.mark.parametrize("pair", PSI_PAIRS.values(), ids=PSI_PAIRS.keys())
     def test_weight_pairs(self, monkeypatch, pair):
         assert self.check(monkeypatch, ks.decompose_weights, *pair).hats
 
@@ -497,18 +570,26 @@ class TestPeelingReference:
     def test_near_equal_prominences(self, monkeypatch, ys):
         self.check_polyline(monkeypatch, np.linspace(0.0, 1.0, len(ys)), ys)
 
-    def test_blocks_of_peaks(self, monkeypatch):
-        # about 140 breakpoints: blocks of 2 peaks and of 1 (rows >= 1)
-        w1, w2 = PEEL_PAIRS["common-k34"]
-        want = ks.decompose_weights(w1, w2)
-        for block in (300, 40):
-            monkeypatch.setattr(ks, "PROMINENCE_BLOCK", block)
-            assert _hat_bytes(ks.decompose_weights(w1, w2)) == _hat_bytes(want)
+    @given(st.data(), st.sampled_from([0.0, 1e-12, 1.0 / 3.0]))
+    @settings(max_examples=200, deadline=None)
+    def test_hats_in_peel_order(self, data, tol):
+        # _peel_hats itself, before _decompose_polyline sorts the hats
+        if data.draw(st.booleans()):
+            xs, ys = _quantized_polyline(data.draw(st.integers(0, 2**32 - 1)), n=data.draw(st.integers(3, 60)))
+        else:
+            xs, ys = _near_tie_polyline(data.draw)
+        xs, ys = insert_zero_crossings(xs, ys)
+        assert _hat_bytes(ks._peel_hats(xs, ys, tol)) == _hat_bytes(_peel_hats_loop(xs, ys, tol))
 
     def test_chain_rule_is_not_argmin(self):
+        # prominences 1, 1 - 1.2e-15 and 1 - 2e-15: the middle peak beats the
+        # first by more than 1e-15, the last does not beat the middle one
         y = NEAR_TIES["chain"]
-        assert ks._lowest_peak(y, 0.0) == _lowest_peak_loop(y, 0.0)
-        assert ks._lowest_peak(y, 0.0)[1:] == (3, 3)
+        xs = np.linspace(0.0, 1.0, len(y))
+        assert _lowest_peak_loop(y, 0.0)[1:] == (3, 3)
+        hats = ks._peel_hats(xs, y, 0.0)
+        assert hats[0].support == (xs[2], xs[4])
+        assert _hat_bytes(hats) == _hat_bytes(_peel_hats_loop(xs, y, 0.0))
 
     @pytest.mark.parametrize("seed", range(12))
     def test_peaks_and_prominences(self, seed):
@@ -519,12 +600,15 @@ class TestPeelingReference:
         for tol in (0.0, 1.0 / 3.0):
             lefts, rights = ks._find_peaks(y, tol)
             assert list(zip(lefts.tolist(), rights.tolist())) == _find_peaks_loop(y, tol)
-            if len(lefts):
-                proms, saddles = ks._prominence(y, lefts, rights)
-                want = [_prominence_loop(y, l, r) for l, r in zip(lefts.tolist(), rights.tolist())]
-                assert proms.tolist() == [p for p, _ in want]
-                assert saddles.tolist() == [s for _, s in want]
-            assert ks._lowest_peak(y, tol) == _lowest_peak_loop(y, tol)
+            for l, r in zip(lefts.tolist(), rights.tolist()):
+                prom, saddle, j, k = ks._walk(y.tolist(), l, r)
+                assert (prom, saddle) == _prominence_loop(y, l, r)
+                # each walk stops at the first value not below the peak
+                # height, or past the boundary
+                h = y[l]
+                assert j == -1 or y[j] >= h
+                assert k == len(y) or y[k] >= h
+                assert np.all(y[j + 1 : l] < h) and np.all(y[r + 1 : k] < h)
 
 
 def _height_loop(w, t):
@@ -545,19 +629,6 @@ def _psi_loop(w1, w2, xs):
         mid = 0.5 * (xs[i] + xs[i + 1])
         ys[i + 1] = ys[i] + (_height_loop(w1, mid) - _height_loop(w2, mid)) * (xs[i + 1] - xs[i])
     return ys
-
-
-def _random_pair(seed):
-    """A balanced pair on a common support with 1-64 pieces on each side."""
-    rng = np.random.default_rng(seed)
-    p1 = _bounds_pieces(rng, int(rng.integers(1, 65)), 0.0, 1.0)
-    p2 = _bounds_pieces(rng, int(rng.integers(1, 65)), 0.0, 1.0)
-    m1 = sum(w * (v - u) for u, v, w in p1)
-    m2 = sum(w * (v - u) for u, v, w in p2)
-    return ks.step_weight((0, 1), p1), ks.step_weight((0, 1), [(u, v, w * m1 / m2) for u, v, w in p2])
-
-
-PSI_PAIRS = {**PEEL_PAIRS, **{f"random-{seed}": _random_pair(seed) for seed in range(12)}}
 
 
 class TestPsiReference:

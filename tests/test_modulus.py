@@ -295,6 +295,70 @@ class TestArrayPrimitive:
             mo.power(1, 1).primitive(np.zeros(2), np.array([1.0, 1e200]))
 
 
+def _plconcave_uncached(w, t, out=None):
+    """``PiecewiseLinearConcave.__call__`` with the knot arrays and the last
+    slope rebuilt from ``points`` on every call.  Kept as the reference of
+    the cached arrays."""
+    ts = np.array([p[0] for p in w.points])
+    vs = np.array([p[1] for p in w.points])
+    t = mo._nonneg(t)
+    pts = w.points
+    slopes = tuple((v2 - v1) / (t2 - t1) for (t1, v1), (t2, v2) in zip(pts, pts[1:]))
+    last_slope = slopes[-1] if len(pts) > 1 else 0.0
+    r = np.where(t <= ts[-1], np.interp(t, ts, vs), vs[-1] + last_slope * (t - ts[-1]))
+    if out is None:
+        return float(r) if r.ndim == 0 else r
+    out[...] = r
+    return out
+
+
+PLCONCAVE = {
+    "three-knots": mo.plconcave([(0, 0), (0.5, 0.4), (1, 0.6)]),
+    "two-knots": mo.plconcave([(0, 0), (0.3, 0.7)]),
+    "dyadic": mo.parse_modulus("plconcave:0,0;0.25,0.75;0.625,1.5;1.125,1.875;1.5,2.0"),
+    "flat-tail": mo.plconcave([(0, 0), (0.2, 0.3), (0.7, 0.3)]),
+}
+
+
+class TestPlconcaveCache:
+    """The knot arrays and slopes are built once per instance; every output
+    equals the rebuilt expression bit for bit."""
+
+    @staticmethod
+    def points(w, seed):
+        # inside, at every knot, past the last knot (far too), dust below 0
+        rng = np.random.default_rng(seed)
+        last = w.points[-1][0]
+        return np.concatenate(([0.0, -1e-14, last, 2.0 * last, 1e6 * last], [t for t, _ in w.points],
+                               rng.uniform(0.0, 3.0 * last, 200)))
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("w", PLCONCAVE.values(), ids=PLCONCAVE.keys())
+    def test_matches_rebuilt_arrays(self, w, seed):
+        ts = self.points(w, seed)
+        for _ in range(2):  # the first call fills the cache, the second reads it
+            assert w(ts).tobytes() == _plconcave_uncached(w, ts).tobytes()
+            for t in ts.tolist():
+                got = w(t)
+                assert type(got) is float and _bits(got) == _bits(_plconcave_uncached(w, t))
+            out = np.full(ts.shape, np.nan)
+            assert w(ts, out=out) is out
+            assert out.tobytes() == _plconcave_uncached(w, ts, out=np.empty_like(ts)).tobytes()
+            grid = ts[:200].reshape(10, -1)
+            assert w(grid).tobytes() == _plconcave_uncached(w, grid).tobytes()
+
+    @pytest.mark.parametrize("w", PLCONCAVE.values(), ids=PLCONCAVE.keys())
+    def test_cache_is_read_only_and_not_shared(self, w):
+        ts, vs, _ = w._knots
+        assert not ts.flags.writeable and not vs.flags.writeable
+        assert w._knots is w._knots and w._slopes is w._slopes
+        r = w(ts)
+        assert not np.shares_memory(r, ts) and not np.shares_memory(r, vs)
+        # equal instances still compare and hash by their points alone
+        twin = mo.plconcave(w.points)
+        assert twin == w and hash(twin) == hash(w)
+
+
 class TestValidation:
     def test_rejects_square_with_witness(self):
         with pytest.raises(InvalidModulus, match="subadditive"):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ksr.poly import decreasing_rearrangement
+from ksr.poly import decreasing_rearrangement, insert_zero_crossings
 
 
 def _mes_above(xs, ys, y):
@@ -130,3 +130,59 @@ class TestDecreasingRearrangement:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             decreasing_rearrangement([0.0, 0.5, 1.0], [0.0, -0.5, 0.0])
+
+
+def _zero_crossings_loop(xs, ys):
+    """The segment loop that ``insert_zero_crossings`` does in one array
+    pass.  Kept as the reference."""
+    out_x = [xs[0]]
+    out_y = [ys[0]]
+    for i in range(len(xs) - 1):
+        y0, y1 = ys[i], ys[i + 1]
+        if (y0 > 0.0 > y1) or (y0 < 0.0 < y1):
+            xc = xs[i] + (xs[i + 1] - xs[i]) * (0.0 - y0) / (y1 - y0)
+            if xs[i] < xc < xs[i + 1]:
+                out_x.append(xc)
+                out_y.append(0.0)
+        out_x.append(xs[i + 1])
+        out_y.append(y1)
+    return np.asarray(out_x), np.asarray(out_y)
+
+
+def _signed_polyline(seed):
+    """A polyline on a random grid with sign changes, zeros (also -0.0),
+    plateaus, and crossings so steep or near an end that the crossing point
+    rounds onto a breakpoint."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 60))
+    xs = np.cumsum(rng.uniform(1e-3, 0.2, n))
+    ys = rng.choice([-1.0, -0.25, -0.0, 0.0, 0.5, 1.0, 1e-300, -1e-300, 1e300, -1e300], n)
+    ys = ys * rng.uniform(0.5, 2.0, n) if seed % 2 else ys
+    return xs, ys
+
+
+class TestZeroCrossings:
+    """The array pass inserts the crossings of the loop, bit for bit."""
+
+    @staticmethod
+    def check(xs, ys):
+        got_x, got_y = insert_zero_crossings(xs, ys)
+        want_x, want_y = _zero_crossings_loop(xs, ys)
+        assert (got_x.tobytes(), got_y.tobytes()) == (want_x.tobytes(), want_y.tobytes())
+        return got_x, got_y
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_signed_polylines(self, seed):
+        self.check(*_signed_polyline(seed))
+
+    def test_crossing_rounds_onto_an_end(self):
+        # one end's value dwarfs the other's, so each crossing rounds onto
+        # that segment's other end and is not inserted
+        xs, ys = np.array([0.0, 1.0, 2.0]), np.array([1e-300, -1e300, 1.0])
+        got_x, got_y = self.check(xs, ys)
+        assert got_x.tolist() == [0.0, 1.0, 2.0]
+
+    def test_two_points_and_no_crossing(self):
+        self.check(np.array([0.0, 1.0]), np.array([1.0, -1.0]))
+        got_x, got_y = self.check(np.array([0.0, 1.0, 2.0]), np.array([0.0, 1.0, 0.0]))
+        assert got_x.tolist() == [0.0, 1.0, 2.0]
