@@ -398,9 +398,10 @@ def _peel_hats(xs: np.ndarray, ys: np.ndarray, tol: float) -> List[Hat]:
 
     The peaks and their walks are found once.  Peeling flattens [i0, i1]
     to the saddle v: the peaks there go, none is made (on the saddle side
-    the flat run meets a value >= v), and a walk that crosses [lo, hi] =
-    [i0 - 1, i1 + 1] keeps its least value, which is at most v at both
-    ends; only the walks that stopped in [lo, hi] are redone.
+    the flat run meets a value >= v), and a walk that crosses all of
+    [lo, hi] = [i0 - 1, i1 + 1] keeps its least value, as it also passes
+    the range's original ends, whose values are at most v.  So only the
+    walks that stopped in [lo, hi] are redone.
     """
     y = np.abs(ys).astype(float)
     lefts, rights = _find_peaks(y, tol)

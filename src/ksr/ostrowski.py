@@ -114,9 +114,8 @@ def symmetric_bound(a: float, b: float, c: float, d: float, omega: Modulus) -> f
 
 
 def _primitive(omega: Modulus, lo: float, hi: float, name: str) -> float:
-    """``omega.primitive(lo, hi)``; an overflow names the integral ``name``
-    and its range, instead of the bare ``(34, 'Numerical result out of
-    range')`` of float pow."""
+    """``omega.primitive(lo, hi)``; an overflow raises an OverflowError
+    that names the integral ``name`` and its range."""
     try:
         return omega.primitive(lo, hi)
     except OverflowError:
