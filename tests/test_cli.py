@@ -20,6 +20,66 @@ RECOVER_SHA256 = {
     "derivative": "033ec03850334b9178fa8c43b7eb4574311c8315763e8eeeb6379eee033517fd",
 }
 
+_PM = ("--cd", "0.2,0.7", "--ab", "0,1", "--omega", "power:K=1,alpha=0.5")
+_PAIR = ("--ab", "0,1", "--omega", "minlin:K=2,C=0.5")
+# (argv, exit code, sha256 of stdout) of each `extremal` kind and of the
+# ostrowski and landau suites; the functionals behind them compare rows
+# of grid data, and these digests keep their values bit for bit
+PINNED_OUTPUTS = {
+    "point-mean t=0": (
+        ("extremal", "point-mean", "--t", "0", *_PM), 0,
+        "c50eee1bf7060ce852a287be8d3b5775e4a64850a08b88a6768509376d9390fd",
+    ),
+    "point-mean t=0.1": (
+        ("extremal", "point-mean", "--t", "0.1", *_PM), 0,
+        "6bdf378e77e0119e4d067d86ec253b13bba1f8f331dde39ed8e052fe156a0521",
+    ),
+    "point-mean t=0.5": (
+        ("extremal", "point-mean", "--t", "0.5", *_PM), 0,
+        "f9e6555f74792504d1e819b57f9a184b49321bf6c9e68f49b01533552ea0d6b7",
+    ),
+    "point-mean t=0.9": (
+        ("extremal", "point-mean", "--t", "0.9", *_PM), 0,
+        "f40adbc4f761c0e070a8f8ffaeaa68fbde7ce8796495c41ec4a396a98dcd8bc9",
+    ),
+    "point-mean t=1": (
+        ("extremal", "point-mean", "--t", "1", *_PM), 0,
+        "ff1a10b966cfa0e85d5627e0cb7f9c492fcfc19d04e2e52a80d2292ee29973e6",
+    ),
+    "pair t=0": (
+        ("extremal", "pair", "--t", "0", *_PAIR), 0,
+        "7d3974fe962bcebb9e086802b876c8ec98ee5e4972be5fa01c2c23f5f6ac4558",
+    ),
+    "pair t=0.1": (
+        ("extremal", "pair", "--t", "0.1", *_PAIR), 0,
+        "81e6079c90baa0487b5535010afc38b0276fd1ebc52b146c178964fa62dcd3e0",
+    ),
+    "pair t=0.3": (
+        ("extremal", "pair", "--t", "0.3", *_PAIR), 0,
+        "4e6e75f8c84d1c5d25fc523c935b791c71204ec977605ee4ce14cb168f3c77a8",
+    ),
+    "ks": (
+        ("extremal", "ks", "--psi1", "0,1; 0,0.25,1", "--psi2", "0,1; 0.75,1,1"), 0,
+        "41e12e331d1f8240d71c678d5d36e6039b94784adc8f9ed2b29f4331bdc07229",
+    ),
+    "general": (
+        ("extremal", "general", "--psi1", "0,1; 0,0.1,2; 0.1,0.3,0.5", "--psi2", "0,1; 0.8,1,1.5"), 0,
+        "bc06e9e069b79ffd72aaf81d4da8a3c2017ca987c5845f43c397be23d36a2933",
+    ),
+    "ostrowski": (
+        ("extremal", "ostrowski", "--ab", "0,1", "--cd", "0.25,0.75"), 0,
+        "00efa2754e2d4c013aabc447eaaf22a15dcb40534cae913be37774472d67203b",
+    ),
+    "verify ostrowski": (
+        ("verify", "--suite", "ostrowski", "--trials", "200", "--grid", "1024"), 0,
+        "e5bd5e3af37e658d581a717873dbed89cd41831dfa4e62b194936f49f931d095",
+    ),
+    "verify landau": (
+        ("verify", "--suite", "landau", "--trials", "200", "--grid", "1024"), 0,
+        "85cf917b4882908c5a02d4dad55d9892ae7c1d8291904bfd6a006a297253f40c",
+    ),
+}
+
 
 def run(capsys, *argv):
     code = cli.main(list(argv))
@@ -583,3 +643,11 @@ def test_delta_recover_rejects_a_one_point_domain(capsys):
     for argv in (("delta-recover",), ("landau", "--variant", "e")):
         code, out, err = run(capsys, *argv, "--ab", "0.5,0.5", "--t", "0.5", "--h", "0.1")
         assert (code, out) == (2, "") and err.startswith("WindowViolation")
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_OUTPUTS))
+def test_pinned_output(capsys, name):
+    argv, want_code, digest = PINNED_OUTPUTS[name]
+    code, out, _ = run(capsys, *argv)
+    assert code == want_code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
