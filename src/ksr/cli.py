@@ -174,28 +174,22 @@ def cmd_extremal(args) -> int:
         c, d = _pair(args.cd)
         a, b = _pair(args.ab) if args.ab else (c, d)
         lo, hi = min(a, c), max(b, d)
-        # value_at holds the end values outside the grid, which would
+        # values_at holds the end values outside the grid, which would
         # compare a point the extremal does not reach against the bound
         if not lo <= args.t <= hi:
             raise DomainViolation(f"t = {args.t} lies outside the extremal's domain [{lo}, {hi}]")
         g = ost.point_vs_mean_extremal(args.t, omega, lo, hi, n=n)
         lift = gf.lift(g, ls.interval(1, 1))
         mean_w = ks.indicator_weight(c, d, 1.0 / (d - c), domain=(lift.a, lift.b))
-        attained = ls.dist(ls.convexify(lift.value_at(args.t)), ks.integrate_weighted(lift, mean_w))
+        attained = float(gf.row_dist(lift.model, gf.values_at(lift, args.t), ks.integrate_weighted(lift, mean_w)))
         target = ost.point_vs_mean_bound(args.t, c, d, omega)
     elif args.kind == "pair":
         a, b = _pair(args.ab)
         g = ost.symmetrized_pair_extremal(args.t, a, b, omega, n=n)
         lift = gf.lift(g, ls.interval(1, 1))
         mean_w = ks.indicator_weight(a, b, 1.0 / (b - a), domain=(a, b))
-        half = ls.scale(
-            0.5,
-            ls.add(
-                ls.convexify(lift.value_at(args.t)),
-                ls.convexify(lift.value_at(a + b - args.t)),
-            ),
-        )
-        attained = ls.dist(half, ks.integrate_weighted(lift, mean_w))
+        r0, r1 = gf.values_at(lift, args.t), gf.values_at(lift, a + b - args.t)
+        attained = float(gf.row_dist(lift.model, 0.5 * (r0 + r1), ks.integrate_weighted(lift, mean_w)))
         target = ost.symmetrized_pair_bound(args.t, a, b, omega)
     else:
         raise ValueError(f"unknown extremal kind {args.kind!r}")

@@ -9,8 +9,10 @@ path: ``integral_to`` adds to ``F`` the exact quadratic term of the cell
 that holds each end point, so it is exact for the piecewise-linear
 interpolant of each endpoint array.  Its cumulative sum drifts from a
 local trapezoid by at most ``n * eps * (b - a) * max(1, sup |f|)``.
-Other ``lspace`` models (vectors, unions, max-space values) stay node
-values only: no grid layout carries them.
+A value is a row of ``data`` (a float, or a ``(lo, hi)`` pair): point
+values, integrals, distances, norms and Hukuhara quotients take and
+return rows, by the ``lspace`` arithmetic bit for bit.  Other ``lspace``
+models (vectors, unions, max-space values) have no grid layout.
 """
 
 from __future__ import annotations
@@ -92,10 +94,6 @@ class GridFunction:
         """Row i is the trapezoid integral of ``data`` from a to node i."""
         return cumtrapz(self.data, self.step)
 
-    def value_at(self, t: float) -> ls.Element:
-        """The value at the point t, by the rule of ``values_at``."""
-        return element(self.model, values_at(self, t))
-
 
 def values_at(f: GridFunction, ts) -> np.ndarray:
     """The rows of ``f`` at the points ``ts`` (a float or an array), in
@@ -108,13 +106,6 @@ def values_at(f: GridFunction, ts) -> np.ndarray:
         return np.interp(ts, f.nodes, f.data)
     i = np.minimum(np.maximum(np.rint((ts - f.a) / f.step), 0.0), f.n_cells)
     return f.data[i.astype(np.intp)]
-
-
-def element(model: str, row) -> ls.Element:
-    """The ``lspace`` element of one row of grid data in ``model``."""
-    if model == ls.REAL:
-        return ls.real(row)
-    return ls.interval(*row.tolist())
 
 
 def real_grid(f, a: float, b: float, n: int = DEFAULT_GRID) -> GridFunction:
@@ -134,18 +125,41 @@ def interval_array(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return np.stack([lo, hi], axis=1)
 
 
-def _set_dist(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Node-wise Hausdorff distance max(|lo - lo'|, |hi - hi'|) between two
-    (m, 2) interval arrays; equals ``lspace.dist`` of the node values bit
-    for bit."""
-    return np.maximum(np.abs(x[:, 0] - y[:, 0]), np.abs(x[:, 1] - y[:, 1]))
+def row_dist(model: str, x, y):
+    """``lspace.dist`` of rows of ``model`` data, or row-wise of stacks of
+    rows, bit for bit: |x - y| for reals, the Hausdorff distance
+    max(|lo - lo'|, |hi - hi'|) for intervals."""
+    if model == ls.REAL:
+        return np.abs(x - y)
+    return np.maximum(np.abs(x[..., 0] - y[..., 0]), np.abs(x[..., 1] - y[..., 1]))
+
+
+def row_norm(rows) -> float:
+    """The largest ``lspace.norm`` of one row or a stack of rows: max |entry|."""
+    return float(np.max(np.abs(rows)))
+
+
+def hukuhara_quotient(model: str, upper, lower, scale):
+    """``scale * (upper -_H lower)`` for rows of ``model`` data, or for
+    stacks of rows with one ``scale > 0`` each: ``lspace.hukuhara_diff``
+    then ``lspace.scale``, bit for bit.  Raises NoDifference where an
+    interval shrinks by more than ``ls.EQ_TOL``."""
+    diff = upper - lower
+    if model == ls.REAL:
+        return scale * diff
+    shrinks = diff[..., 0] > diff[..., 1] + ls.EQ_TOL
+    if np.any(shrinks):
+        raise NoDifference(f"interval width decreases on segment {int(np.argmax(shrinks))}")
+    q = np.expand_dims(scale, -1) * diff
+    # clamp float noise on equal widths; on ties np.maximum keeps its
+    # second argument, the lower end, as max() does in lspace
+    np.maximum(q[..., 1], q[..., 0], out=q[..., 1])
+    return q
 
 
 def _pair_dist(f: GridFunction, k: int) -> np.ndarray:
     """Distances dist(f(t_i), f(t_{i+k})) for all i."""
-    if f.model == ls.REAL:
-        return np.abs(f.data[k:] - f.data[:-k])
-    return _set_dist(f.data[:-k], f.data[k:])
+    return row_dist(f.model, f.data[k:], f.data[:-k])
 
 
 @dataclass(frozen=True)
@@ -203,18 +217,16 @@ def omega_seminorm(f: GridFunction, omega: Modulus) -> float:
 def sup_norm(f: GridFunction) -> float:
     """Max over nodes of dist(f(t), 0): for an interval, the larger
     endpoint magnitude."""
-    return float(np.max(np.abs(f.data)))
+    return row_norm(f.data)
 
 
 def sup_dist(f: GridFunction, g: GridFunction) -> float:
     """C-metric (max over nodes) between two grid functions on one grid."""
     if f.n_cells != g.n_cells or abs(f.a - g.a) > 1e-12 or abs(f.b - g.b) > 1e-12:
         raise ValueError("grids differ")
-    if f.model == g.model == ls.REAL:
-        return float(np.max(np.abs(f.data - g.data)))
-    if ls.REAL in (f.model, g.model):
+    if f.model != g.model:
         raise ModelMismatch(f"cannot compare {f.model} with {g.model}")
-    return float(np.max(_set_dist(f.data, g.data)))
+    return float(np.max(row_dist(f.model, f.data, g.data)))
 
 
 def cumtrapz(y: np.ndarray, step: float) -> np.ndarray:
@@ -236,14 +248,14 @@ def integral_to(f: GridFunction, xs) -> np.ndarray:
     return f.running_integral[i] + s * (y[i] + s * slope)
 
 
-def integrate(f: GridFunction, c: Optional[float] = None, d: Optional[float] = None) -> ls.Element:
-    """Integral over [c, d] (default: full domain); the result is convex."""
+def integrate(f: GridFunction, c: Optional[float] = None, d: Optional[float] = None) -> np.ndarray:
+    """Integral over [c, d] (default: full domain), as a row of ``f.data``."""
     c = f.a if c is None else float(c)
     d = f.b if d is None else float(d)
     if c < f.a - 1e-12 or d > f.b + 1e-12 or d < c:
         raise ValueError(f"integration range [{c}, {d}] is reversed or outside [{f.a}, {f.b}]")
     lo, hi = integral_to(f, (c, d))
-    return element(f.model, hi - lo)
+    return hi - lo
 
 
 def lift(f: GridFunction, x: ls.Element) -> GridFunction:

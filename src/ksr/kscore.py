@@ -325,18 +325,19 @@ def ks_extremal(w1: StepWeight, w2: StepWeight, omega: Modulus, n: int = gf.DEFA
 # weighted integrals and the comparison functional
 
 
-def integrate_weighted(f: gf.GridFunction, w: StepWeight) -> ls.Element:
-    """Exact integral of w(t) f(t) dt (trapezoid payloads, step weight)."""
+def integrate_weighted(f: gf.GridFunction, w: StepWeight) -> np.ndarray:
+    """Exact integral of w(t) f(t) dt (trapezoid payloads, step weight), as
+    a row of ``f.data``."""
     if w.support[0] < f.a - 1e-9 or w.support[1] > f.b + 1e-9:
         raise ValueError("weight support outside the function domain")
     us, vs, heights = np.array(w.pieces).T
     lo, hi = gf.integral_to(f, (us, vs))
-    return gf.element(f.model, heights @ (hi - lo))
+    return heights @ (hi - lo)
 
 
 def functional_S(f: gf.GridFunction, w1: StepWeight, w2: StepWeight) -> float:
     """dist(int w1 f, int w2 f) -- the quantity the sharp bound controls."""
-    return ls.dist(integrate_weighted(f, w1), integrate_weighted(f, w2))
+    return float(gf.row_dist(f.model, integrate_weighted(f, w1), integrate_weighted(f, w2)))
 
 
 # ---------------------------------------------------------------------------

@@ -75,13 +75,12 @@ def clamped_outer(t: float, h: float, a: float, b: float) -> Tuple[float, float]
     return (min(h, t - a), min(h, b - t))
 
 
-def divided_difference(f: gf.GridFunction, t: float, g1: float, g2: float) -> ls.Element:
-    """(f(t + g2) -_H f(t - g1)) / (g1 + g2)."""
+def divided_difference(f: gf.GridFunction, t: float, g1: float, g2: float) -> np.ndarray:
+    """(f(t + g2) -_H f(t - g1)) / (g1 + g2), as a row of ``f.data``."""
     if g1 + g2 <= 0.0:
         raise WindowViolation("window must be nondegenerate")
-    upper = f.value_at(t + g2)
-    lower = f.value_at(t - g1)
-    return ls.scale(1.0 / (g1 + g2), ls.hukuhara_diff(upper, lower))
+    lower, upper = gf.values_at(f, np.array([t - g1, t + g2]))
+    return gf.hukuhara_quotient(f.model, upper, lower, 1.0 / (g1 + g2))
 
 
 def K_value(w: WindowConfig, omega: Modulus) -> float:
@@ -166,11 +165,8 @@ def _oriented_window_slope(w: WindowConfig, omega: Modulus, n: int) -> np.ndarra
     inner_w = ks.indicator_weight(w.inner[0], w.inner[1], 1.0 / inner_len, domain=(lo, hi))
     decomp = ks.decompose_weights(outer_w, inner_w)
     glued = ks.glue_extremal(decomp, omega, n=n)
-    diff = ks.integrate_weighted(glued, inner_w).payload - ks.integrate_weighted(glued, outer_w).payload
-    vals = glued.data
-    if diff < 0.0:
-        vals = -vals
-    return vals
+    diff = ks.integrate_weighted(glued, inner_w) - ks.integrate_weighted(glued, outer_w)
+    return -glued.data if diff < 0.0 else glued.data
 
 
 def landau_extremal(variant: str, w: WindowConfig, omega: Modulus, n: int = gf.DEFAULT_GRID) -> gf.GridFunction:

@@ -207,19 +207,6 @@ def norm(x: Element) -> float:
     return dist(x, zero_like(x))
 
 
-def convexify(x: Element) -> Element:
-    """Convexifying operator P: hull for set models, identity on convex ones.
-
-    In max-space the only convex element is 0, so P collapses everything
-    to the zero element.
-    """
-    if x.model == UNION:
-        return interval(x.payload[0][0], x.payload[-1][1])
-    if x.model == MAX:
-        return maxval(0.0)
-    return x
-
-
 def is_convex(x: Element) -> bool:
     if x.model in (REAL, VECTOR, INTERVAL):
         return True

@@ -111,12 +111,15 @@ def _one_sample(rng: np.random.Generator, spec: SampleSpec,
 def _homega_sample(rng: np.random.Generator, spec: SampleSpec,
                    member: Callable[[], np.ndarray]) -> gf.GridFunction:
     """An oscillation-class member of ``spec.model``: a real member (the
-    values ``member()`` draws from ``rng``), its lift, or the interval
-    [min(g1, g2), max(g1, g2) + c] of two real members."""
+    values ``member()`` draws from ``rng``), its lift through the point
+    interval [1, 1], or the interval [min(g1, g2), max(g1, g2) + c] of two
+    real members."""
     a, b = spec.a, spec.b
-    if spec.model in (ls.REAL, "lifted"):
-        core = gf.GridFunction(a, b, ls.REAL, member())
-        return core if spec.model == ls.REAL else gf.lift(core, ls.interval(1.0, 1.0))
+    if spec.model == ls.REAL:
+        return gf.GridFunction(a, b, ls.REAL, member())
+    if spec.model == "lifted":
+        v = member()  # the lift t -> v(t) [1, 1] is the point interval [v, v]
+        return gf.GridFunction(a, b, ls.INTERVAL, gf.interval_array(v, v))
     if spec.model != ls.INTERVAL:
         raise ValueError(f"unknown sample model {spec.model!r}")
     g1 = member()
@@ -340,27 +343,24 @@ def suite_ostrowski(trials: int, grid: int, seed: int) -> dict:
 
     mean_w = ks.indicator_weight(0.0, 1.0, 1.0, domain=(0.0, 1.0))
 
-    def point_mid_err(f: gf.GridFunction) -> float:
-        return ls.dist(ls.convexify(f.value_at(0.5)), ks.integrate_weighted(f, mean_w))
+    def point_err(t: float) -> Callable[[gf.GridFunction], float]:
+        """f -> dist(P f(t), mean of f over [0, 1])."""
+        return lambda f: gf.row_dist(f.model, gf.values_at(f, t), ks.integrate_weighted(f, mean_w))
 
     ext = gf.lift(ost.point_vs_mean_extremal(0.5, omega, 0.0, 1.0, n=grid), ls.interval(1, 1))
-    sup = sweep_sup(point_mid_err, HOMEGA, omega, 0, 1, grid, trials, seed, inject=[ext])
+    sup = sweep_sup(point_err(0.5), HOMEGA, omega, 0, 1, grid, trials, seed, inject=[ext])
     checks.append(_leq("point-vs-mean soundness", sup, pm, eps))
     checks.append(_geq("point-vs-mean attained", sup, pm, eps))
 
     ext_sqrt = gf.lift(ost.point_vs_mean_extremal(0.0, omega_sqrt, 0.0, 1.0, n=grid), ls.interval(1, 1))
     eps_sqrt = gf.eps_tolerance(omega_sqrt, 1.0, grid)
-
-    def point_zero_err(f: gf.GridFunction) -> float:
-        return ls.dist(ls.convexify(f.value_at(0.0)), ks.integrate_weighted(f, mean_w))
-
-    sup = sweep_sup(point_zero_err, HOMEGA, omega_sqrt, 0, 1, grid, trials, seed + 1, inject=[ext_sqrt])
+    sup = sweep_sup(point_err(0.0), HOMEGA, omega_sqrt, 0, 1, grid, trials, seed + 1, inject=[ext_sqrt])
     checks.append(_leq("point-vs-mean sqrt soundness", sup, pm_sqrt, eps_sqrt))
     checks.append(_geq("point-vs-mean sqrt attained", sup, pm_sqrt, eps_sqrt))
 
     def pair_err(f: gf.GridFunction) -> float:
-        half = ls.scale(0.5, ls.add(ls.convexify(f.value_at(0.0)), ls.convexify(f.value_at(1.0))))
-        return ls.dist(half, ks.integrate_weighted(f, mean_w))
+        r0, r1 = gf.values_at(f, np.array([0.0, 1.0]))
+        return gf.row_dist(f.model, 0.5 * (r0 + r1), ks.integrate_weighted(f, mean_w))
 
     pair_ext = gf.lift(ost.symmetrized_pair_extremal(0.0, 0.0, 1.0, omega, n=grid), ls.interval(1, 1))
     sup = sweep_sup(pair_err, HOMEGA, omega, 0, 1, grid, trials, seed + 2, inject=[pair_ext])
@@ -381,7 +381,7 @@ def suite_ostrowski(trials: int, grid: int, seed: int) -> dict:
     sb = ost.symmetric_bound(0.0, 1.0, 0.25, 0.75, omega)
 
     def sym_err(f: gf.GridFunction) -> float:
-        return ls.dist(gf.integrate(f), ls.scale(2.0, gf.integrate(f, 0.25, 0.75)))
+        return gf.row_dist(f.model, gf.integrate(f), 2.0 * gf.integrate(f, 0.25, 0.75))
 
     sup = sweep_sup(sym_err, HOMEGA, omega, 0, 1, grid, trials, seed + 4, inject=[ext2])
     checks.append(_leq("symmetric soundness", sup, sb, eps))
@@ -392,7 +392,7 @@ def suite_ostrowski(trials: int, grid: int, seed: int) -> dict:
 def _half_target_distance(core: gf.GridFunction, target: Callable) -> float:
     up = gf.lift(core, ls.interval(1.0, 1.0))
     dn = gf.lift(core, ls.interval(-1.0, -1.0))
-    return 0.5 * target(up, dn)
+    return 0.5 * float(target(up, dn))
 
 
 def suite_recovery(trials: int, grid: int, seed: int) -> dict:
@@ -468,12 +468,13 @@ def suite_landau(trials: int, grid: int, seed: int) -> dict:
         omega_norm = max(1.0, gf.omega_seminorm(df, omega))
         dd_gamma = la.divided_difference(f, t, wc.g1, wc.g2)
         dd_h = la.divided_difference(f, t, wc.h1, wc.h2)
-        d_gamma = ls.norm(dd_gamma)
-        d_h = ls.norm(dd_h)
-        d_t = ls.norm(df.value_at(t))
+        df_t = gf.values_at(df, t)
+        d_gamma = gf.row_norm(dd_gamma)
+        d_h = gf.row_norm(dd_h)
+        d_t = gf.row_norm(df_t)
         sup_f = gf.sup_norm(f)
-        viol_quot = max(viol_quot, ls.dist(dd_gamma, dd_h) - kval * omega_norm)
-        viol_deriv = max(viol_deriv, ls.dist(df.value_at(t), dd_h) - dval * omega_norm)
+        viol_quot = max(viol_quot, gf.row_dist(f.model, dd_gamma, dd_h) - kval * omega_norm)
+        viol_deriv = max(viol_deriv, gf.row_dist(f.model, df_t, dd_h) - dval * omega_norm)
         viol["b"] = max(viol["b"], d_gamma - la.landau_rhs("b", wc, omega, omega_norm, d_h))
         viol["c"] = max(viol["c"], d_t - la.landau_rhs("c", wc, omega, omega_norm, d_h))
         viol["d"] = max(viol["d"], d_gamma - la.landau_rhs("d", wc, omega, omega_norm, sup_f))
@@ -488,12 +489,12 @@ def suite_landau(trials: int, grid: int, seed: int) -> dict:
         f = la.landau_extremal(variant, wconf, omega, n=grid)
         df = gf.hukuhara_derivative(f)
         omega_norm = gf.omega_seminorm(df, omega)
-        d_h = ls.norm(la.divided_difference(f, wconf.t, wconf.h1, wconf.h2))
-        sup_f = float(np.max(np.abs(f.data)))
+        d_h = gf.row_norm(la.divided_difference(f, wconf.t, wconf.h1, wconf.h2))
+        sup_f = gf.sup_norm(f)
         if variant in ("b", "d"):
-            lhs = ls.norm(la.divided_difference(f, wconf.t, wconf.g1, wconf.g2))
+            lhs = gf.row_norm(la.divided_difference(f, wconf.t, wconf.g1, wconf.g2))
         else:
-            lhs = ls.norm(df.value_at(wconf.t))
+            lhs = gf.row_norm(gf.values_at(df, wconf.t))
         companion = d_h if variant in ("b", "c") else sup_f
         rhs = la.landau_rhs(variant, wconf, omega, omega_norm, companion)
         checks.append(_geq(f"variant {variant} attained", lhs, rhs, 4.0 * eps))
@@ -508,7 +509,7 @@ def suite_landau(trials: int, grid: int, seed: int) -> dict:
         sup_f = float(np.max(np.abs(vals)))
         if sup_f == 0.0:
             continue
-        worst = max(worst, ls.norm(la.divided_difference(f, t, wc.h1, wc.h2)) / sup_f)
+        worst = max(worst, gf.row_norm(la.divided_difference(f, t, wc.h1, wc.h2)) / sup_f)
     checks.append(_leq("divided-difference norm bound", worst, nbound, 1e-9))
 
     # best-approximation lower bound: no scaled divided difference within
@@ -526,8 +527,8 @@ def suite_landau(trials: int, grid: int, seed: int) -> dict:
             err = 0.0
             for g in (fup, fdn):
                 dg = gf.hukuhara_derivative(g)
-                approx = ls.scale(float(lam), la.divided_difference(g, we.t, hh, hh))
-                err = max(err, ls.dist(dg.value_at(we.t), approx))
+                approx = lam * la.divided_difference(g, we.t, hh, hh)
+                err = max(err, gf.row_dist(g.model, gf.values_at(dg, we.t), approx))
             worst_gap = min(worst_gap, err)
     checks.append(_geq("candidate operators cannot beat the value", worst_gap, val, 4.0 * eps))
 
@@ -544,14 +545,14 @@ def suite_landau(trials: int, grid: int, seed: int) -> dict:
             g = gf.GridFunction(f.a, f.b, ls.REAL, f.data + noise)
         else:  # W1HOMEGA samples are REAL or INTERVAL
             g = gf.GridFunction(f.a, f.b, ls.INTERVAL, f.data + noise[:, None])
-        worst = max(worst, ls.dist(df.value_at(0.5), la.divided_difference(g, 0.5, h1, h2)))
+        worst = max(worst, gf.row_dist(f.model, gf.values_at(df, 0.5), la.divided_difference(g, 0.5, h1, h2)))
     checks.append(_leq("inexact-data recovery soundness", worst, value, 4.0 * eps))
     # adversarial perturbation of the extremal forces the value
     fband = la.landau_extremal("e", la.WindowConfig(0.5, 0, 0, h1, h2, 0, 1), omega, n=grid)
     ramp = np.interp(fband.nodes, [0.0, 0.5 - h1, 0.5 + h2, 1.0], [delta, delta, -delta, -delta])
     g = gf.GridFunction(0.0, 1.0, ls.REAL, fband.data + ramp)
     dfb = gf.hukuhara_derivative(fband)
-    got = ls.dist(dfb.value_at(0.5), la.divided_difference(g, 0.5, h1, h2))
+    got = gf.row_dist(g.model, gf.values_at(dfb, 0.5), la.divided_difference(g, 0.5, h1, h2))
     checks.append(_geq("perturbed extremal reaches the value", got, value, 4.0 * eps))
     return _suite("landau", checks)
 
@@ -602,9 +603,9 @@ def recovery_experiment(
 
         def err(f: gf.GridFunction) -> float:
             info = rec.mean_info(f, knots, h)
-            return ls.dist(gf.integrate(f), rec.recover_integral(info))
+            return gf.row_dist(f.model, gf.integrate(f), rec.recover_integral(info))
 
-        lower = _half_target_distance(core, lambda fu, fd: ls.dist(gf.integrate(fu), gf.integrate(fd)))
+        lower = _half_target_distance(core, lambda fu, fd: gf.row_dist(fu.model, gf.integrate(fu), gf.integrate(fd)))
     elif kind == "identity":
         core = rec.omega_spline(n, omega, a, b, n=grid)
         theoretical = rec.polyline_uniform_error(n, omega, length)

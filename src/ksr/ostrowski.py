@@ -11,7 +11,7 @@ rather than by per-case formulas.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -81,11 +81,19 @@ def two_interval_bound(cfg: TwoIntervalConfig, omega: Modulus) -> float:
         if M - m <= 1e-15:
             return 0.0  # identical segments
         q = M / (M - m)
-        return (M - m) / M ** 2 * (I(0.0, q * (c - a)) + I(0.0, q * (b - d)))
+        return (M - m) / _square(M) * (I(0.0, q * (c - a)) + I(0.0, q * (b - d)))
     first = I(M * (b - c) / m, d - a) / (M + m)
     if M - m <= 1e-15:
         return first
-    return first + (M - m) / M ** 2 * I(0.0, M * (b - c) / m)
+    return first + (M - m) / _square(M) * I(0.0, M * (b - c) / m)
+
+
+def _square(M: float) -> float:
+    """``M ** 2``, or an OverflowError that names it."""
+    try:
+        return M ** 2
+    except OverflowError:
+        raise OverflowError(f"two-interval M ** 2, the square of the longer length M = {M!r}, overflows") from None
 
 
 def two_interval_weights(cfg: TwoIntervalConfig) -> Tuple[ks.StepWeight, ks.StepWeight]:
@@ -113,13 +121,18 @@ def symmetric_bound(a: float, b: float, c: float, d: float, omega: Modulus) -> f
     return 4.0 * (c - a) / (b - a) * omega.primitive(0.0, 0.5 * (b - a))
 
 
-def _primitive(omega: Modulus, lo: float, hi: float, name: str) -> float:
+def _primitive(omega: Modulus, lo: float, hi: float, name: str, width: Optional[float] = None) -> float:
     """``omega.primitive(lo, hi)``; an overflow raises an OverflowError
-    that names the integral ``name`` and its range."""
+    that names the integral ``name`` and its range.  Given the true
+    ``width`` of the range, a float range whose width rounding changed by
+    more than 1e-9 of it raises an ArithmeticError: its integral is wrong."""
     try:
-        return omega.primitive(lo, hi)
+        value = omega.primitive(lo, hi)
     except OverflowError:
         raise OverflowError(f"{name}, the integral of the modulus over [{lo!r}, {hi!r}], overflows") from None
+    if width is not None and abs((hi - lo) - width) > 1e-9 * width:
+        raise ArithmeticError(f"{name}: the range [{lo!r}, {hi!r}] has float width {hi - lo!r}, not d - c = {width!r}")
+    return value
 
 
 def point_vs_mean_bound(t: float, c: float, d: float, omega: Modulus) -> float:
@@ -127,9 +140,9 @@ def point_vs_mean_bound(t: float, c: float, d: float, omega: Modulus) -> float:
     if d <= c:
         raise ValueError("segment [c, d] must have positive length")
     if t <= c:
-        return _primitive(omega, c - t, d - t, "point-mean I(c - t, d - t)") / (d - c)
+        return _primitive(omega, c - t, d - t, "point-mean I(c - t, d - t)", d - c) / (d - c)
     if t >= d:
-        return _primitive(omega, t - d, t - c, "point-mean I(t - d, t - c)") / (d - c)
+        return _primitive(omega, t - d, t - c, "point-mean I(t - d, t - c)", d - c) / (d - c)
     left = _primitive(omega, 0.0, t - c, "point-mean I(0, t - c)")
     return (left + _primitive(omega, 0.0, d - t, "point-mean I(0, d - t)")) / (d - c)
 

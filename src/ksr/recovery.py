@@ -21,7 +21,7 @@ import numpy as np
 
 from . import gridfn as gf
 from . import lspace as ls
-from .errors import KnotViolation, NoDifference, NonConcave
+from .errors import KnotViolation, NonConcave
 from .modulus import Modulus
 
 __all__ = [
@@ -120,10 +120,10 @@ def error_convexify(n: int, h: float, omega: Modulus, length: float) -> float:
 # recovery of the integral
 
 
-def recover_integral(info: MeanInfo) -> ls.Element:
-    """Method ((b-a)/n) * sum of cell means."""
+def recover_integral(info: MeanInfo) -> np.ndarray:
+    """Method ((b-a)/n) * sum of cell means, as a row of ``info.means``."""
     total = np.sum(info.means, axis=0)
-    return gf.element(info.model, (info.b - info.a) / len(info.knots) * total)
+    return (info.b - info.a) / len(info.knots) * total
 
 
 def error_integral(n: int, h: float, omega: Modulus, length: float) -> float:
@@ -333,22 +333,14 @@ def polyline_derivative(
 ) -> gf.GridFunction:
     """Step-function derivative of the interpolating polygonal function
     through the node values ``rows``: the per-segment Hukuhara difference
-    quotient, by the arithmetic of ``ls.hukuhara_diff`` then ``ls.scale``.
-    Raises NoDifference where an interval shrinks by more than
-    ``ls.EQ_TOL``."""
+    quotient ``gf.hukuhara_quotient``.  Raises NoDifference where an
+    interval shrinks by more than ``ls.EQ_TOL``."""
     partition = _check_partition(np.asarray(partition, dtype=float))
-    diffs = rows[1:] - rows[:-1]
-    scale = 1.0 / np.diff(partition)
-    if model == ls.INTERVAL:
-        shrinks = diffs[:, 0] > diffs[:, 1] + ls.EQ_TOL
-        if np.any(shrinks):
-            raise NoDifference(f"interval width decreases on segment {int(np.argmax(shrinks))}")
-        np.maximum(diffs[:, 0], diffs[:, 1], out=diffs[:, 1])  # clamp float noise on equal widths
-        scale = scale[:, None]
+    quotients = gf.hukuhara_quotient(model, rows[1:], rows[:-1], 1.0 / np.diff(partition))
     a, b = float(partition[0]), float(partition[-1])
     ts = np.linspace(a, b, n + 1)
-    idx = np.clip(np.searchsorted(partition, ts, side="right") - 1, 0, len(diffs) - 1)
-    return gf.GridFunction(a, b, model, (diffs * scale)[idx])
+    idx = np.clip(np.searchsorted(partition, ts, side="right") - 1, 0, len(quotients) - 1)
+    return gf.GridFunction(a, b, model, quotients[idx])
 
 
 def derivative_recovery_value(n: int, omega: Modulus, length: float) -> float:

@@ -6,6 +6,25 @@ from ksr import gridfn as gf
 from ksr import lspace as ls
 
 
+def element(model: str, row) -> ls.Element:
+    """The ``lspace`` element of one row of grid data in ``model``: the
+    bridge from the rows that grid functionals return to the ``lspace``
+    reference arithmetic."""
+    if model == ls.REAL:
+        return ls.real(row)
+    return ls.interval(*row.tolist())
+
+
+def value_at(f: gf.GridFunction, t: float) -> ls.Element:
+    """The value of ``f`` at the point t, by the rule of ``gf.values_at``."""
+    return element(f.model, gf.values_at(f, t))
+
+
+def integral(f: gf.GridFunction, c=None, d=None) -> ls.Element:
+    """``gf.integrate(f, c, d)`` as an ``lspace`` element."""
+    return element(f.model, gf.integrate(f, c, d))
+
+
 def interval_grid(lo, hi, a: float, b: float, n: int = gf.DEFAULT_GRID) -> gf.GridFunction:
     """Interval-valued grid function t -> [lo(t), hi(t)]; ``lo`` and ``hi``
     are callables or arrays of n + 1 node values."""

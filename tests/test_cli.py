@@ -247,6 +247,28 @@ class TestExitCodes:
         assert err.startswith(f"OverflowError: {quantity}, the integral of the modulus over [")
         assert err.rstrip().endswith("overflows")
 
+    @pytest.mark.parametrize("b", ["1e308", "1e200"])
+    def test_ostrowski_overflow_names_its_quantity(self, capsys, b):
+        code, out, err = run(capsys, "bound", "ostrowski", "--ab", f"0,{b}", "--cd", "0,1")
+        assert (code, out) == (2, "")
+        assert err.startswith(f"OverflowError: two-interval M ** 2, the square of the longer length M = {float(b)!r}")
+        assert err.rstrip().endswith("overflows")
+
+    @pytest.mark.parametrize("t, quantity", [
+        ("1e16", "I(t - d, t - c)"), ("1e300", "I(t - d, t - c)"), ("-1e16", "I(c - t, d - t)"),
+    ])
+    def test_point_mean_refuses_a_lost_width(self, capsys, t, quantity):
+        # t - d and t - c round to one float, so the integral over the
+        # distance range would read 0 where the bound is 1
+        code, out, err = run(capsys, "bound", "point-mean", f"--t={t}", "--cd", "0,1", "--omega", "minlin:K=1,C=1")
+        assert (code, out) == (2, "")
+        assert err.startswith(f"ArithmeticError: point-mean {quantity}: the range [")
+        assert "has float width 0.0, not d - c = 1.0" in err
+
+    def test_point_mean_far_but_wide_enough(self, capsys):
+        code, out, _ = run(capsys, "bound", "point-mean", "--t", "1e6", "--cd", "0,1", "--omega", "minlin:K=1,C=1")
+        assert code == 0 and json.loads(out)["bound"] == 1.0
+
     def test_verify_failure_is_three(self, capsys, monkeypatch):
         from ksr import oracle as orc
 

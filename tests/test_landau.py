@@ -10,7 +10,7 @@ from ksr import modulus as mo
 from ksr import ostrowski as ost
 from ksr.errors import NonConcave, WindowViolation
 
-from grid_fixtures import constant_grid, interval_grid
+from grid_fixtures import constant_grid, element, interval_grid, value_at
 
 wid = mo.power(1, 1)
 wsq = mo.power(1, 0.5)
@@ -41,16 +41,16 @@ class TestWindows:
 class TestDividedDifference:
     def test_lifted_square(self):
         f = gf.lift(gf.real_grid(lambda t: t * t, 0, 1, 4096), ls.interval(1, 1))
-        dd = la.divided_difference(f, 0.5, 0.1, 0.1)
+        dd = element(f.model, la.divided_difference(f, 0.5, 0.1, 0.1))
         assert ls.dist(dd, ls.interval(1, 1)) <= 4 * f.step / 0.2
 
     def test_constant_gives_zero(self):
         f = constant_grid(ls.interval(1, 2), 0, 1, 256)
-        assert ls.norm(la.divided_difference(f, 0.5, 0.1, 0.1)) <= 1e-12
+        assert ls.norm(element(f.model, la.divided_difference(f, 0.5, 0.1, 0.1))) <= 1e-12
 
     def test_growing_interval(self):
         f = interval_grid(lambda t: 0.0, lambda t: t, 0, 1, 4096)
-        dd = la.divided_difference(f, 0.5, 0.1, 0.1)
+        dd = element(f.model, la.divided_difference(f, 0.5, 0.1, 0.1))
         assert ls.dist(dd, ls.interval(0, 1)) <= 4 * f.step / 0.2
 
     def test_degenerate_window_rejected(self):
@@ -143,12 +143,12 @@ class TestExtremals:
         df = gf.hukuhara_derivative(f)
         omega_norm = gf.omega_seminorm(df, omega)
         assert omega_norm <= 1 + 1e-6
-        d_h = ls.norm(la.divided_difference(f, w.t, w.h1, w.h2))
+        d_h = ls.norm(element(f.model, la.divided_difference(f, w.t, w.h1, w.h2)))
         sup_f = float(np.max(np.abs(np.asarray(f.data))))
         if variant in ("b", "d"):
-            lhs = ls.norm(la.divided_difference(f, w.t, w.g1, w.g2))
+            lhs = ls.norm(element(f.model, la.divided_difference(f, w.t, w.g1, w.g2)))
         else:
-            lhs = ls.norm(df.value_at(w.t))
+            lhs = ls.norm(value_at(df, w.t))
         companion = d_h if variant in ("b", "c") else sup_f
         rhs = la.landau_rhs(variant, w, omega, omega_norm, companion)
         eps = gf.eps_tolerance(omega, 1.0, n)
@@ -158,7 +158,7 @@ class TestExtremals:
     def test_boundary_clamped_variant_d(self):
         w = la.clamped_windows(0.15, 0.05, 0.2, 0, 1)
         f = la.landau_extremal("d", w, wid, n=4096)
-        dg = ls.norm(la.divided_difference(f, w.t, w.g1, w.g2))
+        dg = ls.norm(element(f.model, la.divided_difference(f, w.t, w.g1, w.g2)))
         supf = float(np.max(np.abs(f.data)))
         rhs = la.K_value(w, wid) + 2 / (w.h1 + w.h2) * supf
         assert dg == pytest.approx(rhs, abs=4 * gf.eps_tolerance(wid, 1.0, 4096))
@@ -197,7 +197,7 @@ class TestStechkin:
         for _ in range(100):
             vals = rng.uniform(-1, 1, 129)
             f = gf.real_grid(vals, 0, 1, 128)
-            norm = ls.norm(la.divided_difference(f, 0.5, w.h1, w.h2))
+            norm = ls.norm(element(f.model, la.divided_difference(f, 0.5, w.h1, w.h2)))
             assert norm <= bound * float(np.max(np.abs(vals))) + 1e-9
 
 

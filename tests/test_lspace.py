@@ -106,31 +106,6 @@ class TestDist:
         assert abs(ls.dist(ls.scale(lam, x), ls.scale(lam, y)) - abs(lam) * ls.dist(x, y)) <= 1e-9
 
 
-class TestConvexify:
-    def test_union_hull(self):
-        assert ls.close(ls.convexify(ls.union([(0, 1), (3, 4)])), ls.interval(0, 4))
-
-    def test_idempotent_on_convex(self):
-        x = ls.interval(1, 2)
-        assert ls.close(ls.convexify(x), x)
-        assert ls.close(ls.convexify(ls.convexify(ls.union([(0, 1), (2, 5)]))),
-                        ls.convexify(ls.union([(0, 1), (2, 5)])))
-
-    def test_identity_on_reals(self):
-        assert ls.convexify(ls.real(5)).payload == 5
-
-    @given(st.lists(st.tuples(finite, finite), min_size=1, max_size=3),
-           st.lists(st.tuples(finite, finite), min_size=1, max_size=3))
-    @settings(max_examples=60, deadline=None)
-    def test_nonexpansive(self, ca, cb):
-        A = ls.union([(min(p), max(p)) for p in ca])
-        B = ls.union([(min(p), max(p)) for p in cb])
-        assert ls.dist(ls.convexify(A), ls.convexify(B)) <= ls.dist(A, B) + 1e-12
-
-    def test_maxspace_collapses_to_zero(self):
-        assert ls.convexify(ls.maxval(7)).payload == 0.0
-
-
 class TestHukuhara:
     def test_interval_difference(self):
         assert ls.close(ls.hukuhara_diff(ls.interval(1, 4), ls.interval(0, 1)), ls.interval(1, 3))

@@ -7,6 +7,8 @@ from ksr import lspace as ls
 from ksr import modulus as mo
 from ksr import ostrowski as ost
 
+from grid_fixtures import element, value_at
+
 wid = mo.power(1, 1)
 wsq = mo.power(1, 0.5)
 
@@ -142,7 +144,7 @@ class TestPointVsMean:
         assert gf.check_Homega(g, omega).member
         lifted = gf.lift(g, ls.interval(1, 1))
         mean_w = ks.indicator_weight(0, 1, 1.0, domain=(0, 1))
-        lhs = ls.dist(ls.convexify(lifted.value_at(t)), ks.integrate_weighted(lifted, mean_w))
+        lhs = ls.dist(value_at(lifted, t), element(lifted.model, ks.integrate_weighted(lifted, mean_w)))
         assert lhs >= ost.point_vs_mean_bound(t, 0, 1, omega) - gf.eps_tolerance(omega, 1.0, n)
 
 
@@ -171,11 +173,8 @@ class TestSymmetrizedPair:
         assert gf.check_Homega(g, omega).member
         lifted = gf.lift(g, ls.interval(1, 1))
         mean_w = ks.indicator_weight(0, 1, 1.0, domain=(0, 1))
-        half = ls.scale(
-            0.5,
-            ls.add(ls.convexify(lifted.value_at(t)), ls.convexify(lifted.value_at(1 - t))),
-        )
-        lhs = ls.dist(half, ks.integrate_weighted(lifted, mean_w))
+        half = ls.scale(0.5, ls.add(value_at(lifted, t), value_at(lifted, 1 - t)))
+        lhs = ls.dist(half, element(lifted.model, ks.integrate_weighted(lifted, mean_w)))
         assert lhs >= ost.symmetrized_pair_bound(t, 0, 1, omega) - gf.eps_tolerance(omega, 1.0, n)
 
 
@@ -191,5 +190,5 @@ class TestSoundness:
         mean_w = ks.indicator_weight(0, 1, 1.0, domain=(0, 1))
         for f in orc.sample_class(spec):
             assert ks.functional_S(f, w1, w2) <= 0.125 + eps
-            lhs = ls.dist(ls.convexify(f.value_at(0.5)), ks.integrate_weighted(f, mean_w))
+            lhs = ls.dist(value_at(f, 0.5), element(f.model, ks.integrate_weighted(f, mean_w)))
             assert lhs <= 0.25 + eps

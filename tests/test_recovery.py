@@ -9,7 +9,7 @@ from ksr import modulus as mo
 from ksr import recovery as rec
 from ksr.errors import KnotViolation, NoDifference, NonConcave
 
-from grid_fixtures import constant_grid, interval_grid
+from grid_fixtures import constant_grid, element, integral, interval_grid, value_at
 
 wid = mo.power(1, 1)
 wsq = mo.power(1, 0.5)
@@ -70,7 +70,7 @@ class TestRecoveryMethods:
         f = constant_grid(ls.interval(0, 1), 0, 1, 256)
         knots, _ = rec.optimal_knots(2, 0, 1)
         info = rec.mean_info(f, knots, 0.1)
-        out = rec.recover_integral(info)
+        out = element(info.model, rec.recover_integral(info))
         assert ls.close(out, ls.interval(0, 1), tol=1e-10)
 
     def test_mean_info_values(self):
@@ -89,8 +89,8 @@ class TestRecoveryMethods:
             info = rec.mean_info(f, knots, h)
             assert info.model == f.model and info.means.shape == (n,) + f.data.shape[1:]
             for t, row in zip(knots, info.means):
-                want = ls.scale(1.0 / (2.0 * h), gf.integrate(f, t - h, t + h))
-                assert gf.element(f.model, row) == want
+                want = ls.scale(1.0 / (2.0 * h), integral(f, t - h, t + h))
+                assert element(f.model, row) == want
 
 
 class TestLowerExtremalMean:
@@ -99,7 +99,7 @@ class TestLowerExtremalMean:
         knots, _ = rec.optimal_knots(2, 0, 1)
         f = rec.lower_extremal_mean(knots, 0.1, omega, 0, 1, n=4096)
         for t in knots:
-            mean = ls.scale(1 / 0.2, gf.integrate(f, t - 0.1, t + 0.1))
+            mean = ls.scale(1 / 0.2, integral(f, t - 0.1, t + 0.1))
             assert ls.norm(mean) <= gf.eps_tolerance(omega, 1.0, 4096)
         target = rec.error_convexify(2, 0.1, omega, 1.0)
         assert float(np.max(np.abs(f.data))) >= target - gf.eps_tolerance(omega, 1.0, 4096)
@@ -110,7 +110,7 @@ class TestLowerExtremalMean:
         f = rec.lower_extremal_mean(knots, 0.1, wid, 0, 1, n=2048)
         # the construction centers its profile at tau_1 = a
         assert f.data[0] == pytest.approx(float(np.max(f.data)), abs=1e-12)
-        mean = ls.scale(1 / 0.2, gf.integrate(f, knots[0] - 0.1, knots[0] + 0.1))
+        mean = ls.scale(1 / 0.2, integral(f, knots[0] - 0.1, knots[0] + 0.1))
         assert ls.norm(mean) <= 1e-7
 
     def test_windows_filling_the_cells(self):
@@ -119,14 +119,14 @@ class TestLowerExtremalMean:
         h = 0.1666666666666667
         f = rec.lower_extremal_mean(knots, h, wid, 0, 1, n=3072)
         for t in knots:
-            assert ls.norm(ls.scale(1 / (2 * h), gf.integrate(f, t - h, t + h))) <= 1e-9
+            assert ls.norm(ls.scale(1 / (2 * h), integral(f, t - h, t + h))) <= 1e-9
         assert float(np.max(np.abs(f.data))) == pytest.approx(rec.error_convexify(3, h, wid, 1.0), abs=1e-9)
 
     def test_nonuniform_knots(self):
         knots = np.array([0.2, 0.8])
         f = rec.lower_extremal_mean(knots, 0.05, wsq, 0, 1, n=4096)
         for t in knots:
-            mean = ls.scale(1 / 0.1, gf.integrate(f, t - 0.05, t + 0.05))
+            mean = ls.scale(1 / 0.1, integral(f, t - 0.05, t + 0.05))
             assert ls.norm(mean) <= 1e-6
         assert gf.check_Homega(f, wsq).member
         # the longest cell is [0.5, 0.8], so the sup exceeds the uniform value
@@ -137,11 +137,11 @@ class TestLowerExtremalIntegral:
     def test_uniform_equality(self):
         knots, _ = rec.optimal_knots(2, 0, 1)
         f = rec.lower_extremal_integral(knots, 0.05, wid, 0, 1, n=4096)
-        val = gf.integrate(f).payload
+        val = integral(f).payload
         assert val >= 0.1 - gf.eps_tolerance(wid, 1.0, 4096)
         assert val == pytest.approx(0.1, abs=1e-4)
         for t in knots:
-            mean = ls.scale(1 / 0.1, gf.integrate(f, t - 0.05, t + 0.05))
+            mean = ls.scale(1 / 0.1, integral(f, t - 0.05, t + 0.05))
             assert ls.norm(mean) <= 1e-9
         assert gf.check_Homega(f, wid).member
 
@@ -149,7 +149,7 @@ class TestLowerExtremalIntegral:
         knots, _ = rec.optimal_knots(2, 0, 1)
         f = rec.lower_extremal_integral(knots, 1e-4, wsq, 0, 1, n=4096)
         limit = 4 * wsq.primitive(0, 0.25)
-        assert gf.integrate(f).payload == pytest.approx(limit, rel=2e-2)
+        assert integral(f).payload == pytest.approx(limit, rel=2e-2)
 
     def test_membership_sqrt(self):
         knots, _ = rec.optimal_knots(3, 0, 1)
@@ -194,9 +194,9 @@ class TestPolyline:
         # [0, 1] misses f(1/2) by exactly the pointwise bound 1/8, and f(0) by 0
         f = gf.lift(gf.real_grid(lambda t: 0.5 * t * t, 0, 1, 512), ls.interval(1, 1))
         pl = rec.polyline(f.model, gf.values_at(f, np.array([0.0, 1.0])), [0, 1], n=512)
-        assert ls.dist(f.value_at(0.5), pl.value_at(0.5)) == pytest.approx(1 / 8, abs=1e-15)
-        assert ls.dist(f.value_at(0.5), pl.value_at(0.5)) == pytest.approx(_blend_bound(0.5, 0, 1, wid), abs=1e-15)
-        assert ls.dist(f.value_at(0.0), pl.value_at(0.0)) == 0.0
+        assert ls.dist(value_at(f, 0.5), value_at(pl, 0.5)) == pytest.approx(1 / 8, abs=1e-15)
+        assert ls.dist(value_at(f, 0.5), value_at(pl, 0.5)) == pytest.approx(_blend_bound(0.5, 0, 1, wid), abs=1e-15)
+        assert ls.dist(value_at(f, 0.0), value_at(pl, 0.0)) == 0.0
 
     def test_uniform_bound(self):
         assert rec.polyline_uniform_error(2, wid, 1.0) == pytest.approx(1 / 32, abs=1e-15)
@@ -218,7 +218,7 @@ class TestPolyline:
             for t in (0.1, 0.3, 0.6):
                 k = 0 if t < 0.5 else 1
                 ptbound = _blend_bound(t, partition[k], partition[k + 1], wid)
-                assert ls.dist(f.value_at(t), pl.value_at(t)) <= ptbound + eps
+                assert ls.dist(value_at(f, t), value_at(pl, t)) <= ptbound + eps
 
     def test_chain_bound_on_samples(self):
         from ksr import oracle as orc
@@ -226,10 +226,10 @@ class TestPolyline:
         spec = orc.SampleSpec(orc.W1HOMEGA, "real", wid, 0.0, 1.0, 512, 30, 6)
         eps = gf.eps_tolerance(wid, 1.0, 512)
         for f in orc.sample_class(spec):
-            fa, fb = f.value_at(0.0), f.value_at(1.0)
+            fa, fb = value_at(f, 0.0), value_at(f, 1.0)
             for t in (0.25, 0.5, 0.8):
                 blend = ls.add(ls.scale(1 - t, fa), ls.scale(t, fb))
-                assert ls.dist(f.value_at(t), blend) <= _blend_bound(t, 0, 1, wid) + eps
+                assert ls.dist(value_at(f, t), blend) <= _blend_bound(t, 0, 1, wid) + eps
 
 
 class TestOmegaSpline:
@@ -273,8 +273,8 @@ class TestDerivativeRecovery:
     def test_step_derivative_of_polyline(self):
         rows = np.array([[0, 0], [0, 1], [1, 3]], dtype=float)
         d = rec.polyline_derivative(ls.INTERVAL, rows, [0, 0.5, 1], n=512)
-        assert ls.close(d.value_at(0.2), ls.interval(0, 2), tol=1e-12)
-        assert ls.close(d.value_at(0.9), ls.interval(2, 4), tol=1e-12)
+        assert ls.close(value_at(d, 0.2), ls.interval(0, 2), tol=1e-12)
+        assert ls.close(value_at(d, 0.9), ls.interval(2, 4), tol=1e-12)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_quotients_match_lspace(self, seed):
@@ -288,13 +288,13 @@ class TestDerivativeRecovery:
         rows = np.stack([lo, lo + width], axis=1)
         for model, data in ((ls.INTERVAL, rows), (ls.REAL, lo)):
             d = rec.polyline_derivative(model, data, partition, n=256)
-            values = [gf.element(model, row) for row in data]
+            values = [element(model, row) for row in data]
             want = [
                 ls.scale(1.0 / (t1 - t0), ls.hukuhara_diff(v1, v0))
                 for t0, t1, v0, v1 in zip(partition, partition[1:], values, values[1:])
             ]
             segment = np.clip(np.searchsorted(partition, d.nodes, side="right") - 1, 0, len(want) - 1)
-            assert [gf.element(d.model, d.data[i]) for i in range(d.n_cells + 1)] == [want[k] for k in segment]
+            assert [element(d.model, d.data[i]) for i in range(d.n_cells + 1)] == [want[k] for k in segment]
 
     def test_shrinking_rows_raise(self):
         rows = np.array([[0.0, 1.0], [0.0, 2.0], [0.5, 2.5 - 2 * ls.EQ_TOL]])
@@ -329,7 +329,7 @@ class TestDerivativeRecovery:
                 d = rec.polyline_derivative(ls.INTERVAL, rows, partition, n=512)
                 k = min(int(np.searchsorted(partition, t, side="right")) - 1, len(partition) - 2)
                 c, e = partition[k], partition[k + 1]
-                got = ls.dist(d.value_at(0.5 * (c + e)), ls.interval(0, 0))
+                got = ls.dist(value_at(d, 0.5 * (c + e)), ls.interval(0, 0))
                 assert got == pytest.approx(point_vs_mean_bound(t, c, e, omega), abs=1e-12)
 
     @pytest.mark.parametrize("a,b,n,grid_n", [
