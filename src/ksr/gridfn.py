@@ -1,14 +1,14 @@
 """Functions [a, b] -> X on a uniform grid.
 
-A grid function carries real or interval values.  Real payloads carry
-piecewise-linear semantics between nodes; interval payloads use per-node
-step semantics.  Every integral is a difference of one running trapezoid
-``F(t_i) = int_a^{t_i} f``, cached per grid function and taken along
-axis 0, so real ``(n+1,)`` and interval ``(n+1, 2)`` data share one code
-path: ``integral_to`` adds to ``F`` the exact quadratic term of the cell
-that holds each end point, so it is exact for the piecewise-linear
-interpolant of each endpoint array.  Its cumulative sum drifts from a
-local trapezoid by at most ``n * eps * (b - a) * max(1, sup |f|)``.
+A grid function carries real or interval values.  Point values of real
+payloads are piecewise linear between nodes; point values of interval
+payloads take the nearest node (``values_at``).  Integrals of both are
+integrals of the piecewise-linear interpolant of each endpoint array:
+``window_integrals`` integrates each window [c, d] over the nodes it
+covers only, as one dot product of cached trapezoid weights with that
+slice of ``data``.  The weights are nonnegative, so an interval row with
+lo <= hi integrates to one with lo <= hi, and a window's row has the same
+bits whether it is integrated alone or with other windows.
 A value is a row of ``data`` (a float, or a ``(lo, hi)`` pair): point
 values, integrals, distances, norms and Hukuhara quotients take and
 return rows, by the ``lspace`` arithmetic bit for bit.  Other ``lspace``
@@ -88,11 +88,6 @@ class GridFunction:
     @cached_property
     def nodes(self) -> np.ndarray:
         return np.linspace(self.a, self.b, self.n_cells + 1)
-
-    @cached_property
-    def running_integral(self) -> np.ndarray:
-        """Row i is the trapezoid integral of ``data`` from a to node i."""
-        return cumtrapz(self.data, self.step)
 
 
 def values_at(f: GridFunction, ts) -> np.ndarray:
@@ -236,16 +231,59 @@ def cumtrapz(y: np.ndarray, step: float) -> np.ndarray:
     return np.concatenate((np.zeros_like(y[:1]), steps))
 
 
-def integral_to(f: GridFunction, xs) -> np.ndarray:
-    """Exact integral of the piecewise-linear interpolant of ``f.data``
-    from a to each point of ``xs`` (clipped to [a, b]); the result has
-    shape ``xs.shape`` followed by the shape of one data row."""
-    xs = np.clip(np.asarray(xs, dtype=float), f.a, f.b)
-    y = f.data
-    i = np.clip(np.searchsorted(f.nodes, xs, side="right") - 1, 0, f.n_cells)
-    s = (xs - f.nodes[i]).reshape(xs.shape + (1,) * (y.ndim - 1))
-    slope = (y[np.minimum(i + 1, f.n_cells)] - y[i]) / (2.0 * f.step)
-    return f.running_integral[i] + s * (y[i] + s * slope)
+@lru_cache(maxsize=16)
+def _window_weights(a: float, b: float, n: int, cs: Tuple[float, ...], ds: Tuple[float, ...]):
+    """Compile the windows [cs[k], ds[k]], clipped to [a, b], on the grid of
+    n cells over [a, b] into trapezoid weights, grouped by the number of
+    nodes a window covers: a tuple of read-only ``(rows, index, weights)``,
+    ``index`` and ``weights`` of shape (windows, nodes), where the integral
+    over window ``rows[j]`` is ``weights[j] . data[index[j]]``.
+
+    A window covers the cells from the one that holds c to the one that
+    holds d.  On a cell [t, t + h], h the difference of its nodes, it covers
+    [t + p, t + r] with 0 <= p <= r <= h, and the exact integral of the
+    linear interpolant there puts (r - p)(2h - r - p)/(2h) on the node t and
+    (r - p)(r + p)/(2h) on t + h.  Taken in this factored form the weights
+    cannot round below 0, and a whole cell puts h/2 on each node."""
+    nodes = np.linspace(a, b, n + 1)
+    c = np.clip(np.array(cs, dtype=float), a, b)
+    d = np.clip(np.array(ds, dtype=float), a, b)
+    if np.any(d < c):
+        raise ValueError("windows [c, d] need c <= d")
+    first = np.clip(np.searchsorted(nodes, c, side="right") - 1, 0, n - 1)
+    last = np.maximum(first, np.clip(np.searchsorted(nodes, d, side="left") - 1, 0, n - 1))
+    counts = last - first + 1
+    groups = []
+    for cells in sorted(set(counts.tolist())):
+        rows = np.flatnonzero(counts == cells)
+        index = first[rows, None] + np.arange(cells + 1)
+        t = nodes[index]
+        h = np.diff(t, axis=1)
+        p = np.clip(c[rows, None] - t[:, :-1], 0.0, h)
+        r = np.clip(d[rows, None] - t[:, :-1], 0.0, h)
+        weights = np.zeros(index.shape)
+        weights[:, :-1] = (r - p) * (((2.0 * h - r) - p) / (2.0 * h))
+        weights[:, 1:] += (r - p) * ((r + p) / (2.0 * h))
+        for arr in (rows, index, weights):
+            arr.flags.writeable = False
+        groups.append((rows, index, weights))
+    return tuple(groups)
+
+
+def window_integrals(f: GridFunction, cs, ds) -> np.ndarray:
+    """Exact integrals of the piecewise-linear interpolant of ``f.data``
+    over the windows [cs[k], ds[k]] (clipped to [a, b]): row k of the result
+    is window k's integral, in the ``data`` layout.  Each window is one
+    dot product over the nodes it covers; windows with one node count are
+    reduced together, one ``vecdot`` row each, so a window's row has the
+    same bits alone as in any batch."""
+    cs = tuple(np.asarray(cs, dtype=float).tolist())
+    ds = tuple(np.asarray(ds, dtype=float).tolist())
+    out = np.empty((len(cs),) + f.data.shape[1:])
+    row_axes = (1,) * (f.data.ndim - 1)
+    for rows, index, weights in _window_weights(f.a, f.b, f.n_cells, cs, ds):
+        out[rows] = np.vecdot(np.take(f.data, index, axis=0), weights.reshape(weights.shape + row_axes), axis=1)
+    return out
 
 
 def integrate(f: GridFunction, c: Optional[float] = None, d: Optional[float] = None) -> np.ndarray:
@@ -254,8 +292,7 @@ def integrate(f: GridFunction, c: Optional[float] = None, d: Optional[float] = N
     d = f.b if d is None else float(d)
     if c < f.a - 1e-12 or d > f.b + 1e-12 or d < c:
         raise ValueError(f"integration range [{c}, {d}] is reversed or outside [{f.a}, {f.b}]")
-    lo, hi = integral_to(f, (c, d))
-    return hi - lo
+    return window_integrals(f, (c,), (d,))[0]
 
 
 def lift(f: GridFunction, x: ls.Element) -> GridFunction:

@@ -76,7 +76,7 @@ def two_interval_bound(cfg: TwoIntervalConfig, omega: Modulus) -> float:
     a, b, c, d = cfg.a, cfg.b, cfg.c, cfg.d
     I = omega.primitive
     if cfg.case == DISJOINT:
-        return (I(c - b, d - a)) / (M + m)
+        return _primitive(omega, c - b, d - a, "two-interval I(c - b, d - a)", M + m, "M + m") / (M + m)
     if cfg.case == NESTED:
         if M - m <= 1e-15:
             return 0.0  # identical segments
@@ -121,17 +121,20 @@ def symmetric_bound(a: float, b: float, c: float, d: float, omega: Modulus) -> f
     return 4.0 * (c - a) / (b - a) * omega.primitive(0.0, 0.5 * (b - a))
 
 
-def _primitive(omega: Modulus, lo: float, hi: float, name: str, width: Optional[float] = None) -> float:
+def _primitive(
+    omega: Modulus, lo: float, hi: float, name: str, width: Optional[float] = None, width_name: str = "d - c"
+) -> float:
     """``omega.primitive(lo, hi)``; an overflow raises an OverflowError
     that names the integral ``name`` and its range.  Given the true
-    ``width`` of the range, a float range whose width rounding changed by
-    more than 1e-9 of it raises an ArithmeticError: its integral is wrong."""
+    ``width`` of the range (the quantity ``width_name``), a float range
+    whose width rounding changed by more than 1e-9 of it raises an
+    ArithmeticError: its integral is wrong."""
     try:
         value = omega.primitive(lo, hi)
     except OverflowError:
         raise OverflowError(f"{name}, the integral of the modulus over [{lo!r}, {hi!r}], overflows") from None
     if width is not None and abs((hi - lo) - width) > 1e-9 * width:
-        raise ArithmeticError(f"{name}: the range [{lo!r}, {hi!r}] has float width {hi - lo!r}, not d - c = {width!r}")
+        raise ArithmeticError(f"{name}: the range [{lo!r}, {hi!r}] has float width {hi - lo!r}, not {width_name} = {width!r}")
     return value
 
 

@@ -91,8 +91,8 @@ def mean_info(f: gf.GridFunction, knots: Sequence[float], h: float) -> MeanInfo:
     """Cell means (1/2h) int_{t_k - h}^{t_k + h} f."""
     knots = np.asarray(knots, dtype=float)
     validate_knots(knots, h, f.a, f.b)
-    lo, hi = gf.integral_to(f, (knots - h, knots + h))
-    return MeanInfo(f.a, f.b, knots, float(h), f.model, (hi - lo) * (1.0 / (2.0 * h)))
+    means = gf.window_integrals(f, knots - h, knots + h) * (1.0 / (2.0 * h))
+    return MeanInfo(f.a, f.b, knots, float(h), f.model, means)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ TRIALS = 1000
 GRID = 4096
 SEED = 7
 # sha256 of the stdout of `verify --suite all --trials 1000 --grid 4096 --seed 7`
-SEED7_SHA256 = "07b2d1fc358c8af97c60c28bb42f777fb63ee7a822615059d7a82f16baeb936e"
+SEED7_SHA256 = "b73fbd916a6555133f276b621a2930349de8c07aa9f9f6b613ac1242dd7d6ab1"
 
 
 @pytest.fixture(scope="module")

@@ -11,11 +11,11 @@ from hypothesis import given, settings, strategies as st
 from ksr import cli
 
 # sha256 of the stdout of `verify --suite all --trials 20 --grid 128 --seed 7`
-SEED7_SMALL_SHA256 = "30c92df96adb35bf110ce9e279447a09df6682d92a952849f1aa2f1057592eff"
+SEED7_SMALL_SHA256 = "c530c21c0b7c67115a75160f22a46d9e00c03db92c45da12c10a263453b3ee6b"
 # sha256 of the stdout of `recover KIND --n 16 --h 0 --grid 1024 --trials 8 --seed 3`
 RECOVER_SHA256 = {
-    "convexify": "4152b3892d4ebda926f88620149b109c2a084b6fafedb0b3023adda0589d3ac0",
-    "integral": "89e0c64d61edce25ce66713dbcc7415e516fe6db0423c9beb9c9c3ae29b29bdd",
+    "convexify": "9e660225d7265e07d5c566de64ead3be37ca2c792b7adf762b44f0cf01676cf2",
+    "integral": "1c16c1327bba6308784ac7689f4b6549ebe61f46d50c3707afbde366f14af353",
     "identity": "851b4991d8b9183210126bb775e36307afd6176e734a0edf5ad31d44803cd4c8",
     "derivative": "033ec03850334b9178fa8c43b7eb4574311c8315763e8eeeb6379eee033517fd",
 }
@@ -28,19 +28,19 @@ _PAIR = ("--ab", "0,1", "--omega", "minlin:K=2,C=0.5")
 PINNED_OUTPUTS = {
     "point-mean t=0": (
         ("extremal", "point-mean", "--t", "0", *_PM), 0,
-        "c50eee1bf7060ce852a287be8d3b5775e4a64850a08b88a6768509376d9390fd",
+        "c03a0540030f8f8bee2d78adc40529c810ae6cde9084237e26d963ae8d07e2ef",
     ),
     "point-mean t=0.1": (
         ("extremal", "point-mean", "--t", "0.1", *_PM), 0,
-        "6bdf378e77e0119e4d067d86ec253b13bba1f8f331dde39ed8e052fe156a0521",
+        "6cca0ce5aa94a44446682539a424515885cc58fc617ca035e44d847de35be013",
     ),
     "point-mean t=0.5": (
         ("extremal", "point-mean", "--t", "0.5", *_PM), 0,
-        "f9e6555f74792504d1e819b57f9a184b49321bf6c9e68f49b01533552ea0d6b7",
+        "193d37978bd83762c57af7f820baf21cb99a79442b0ea44b89006d0c5526a9fd",
     ),
     "point-mean t=0.9": (
         ("extremal", "point-mean", "--t", "0.9", *_PM), 0,
-        "f40adbc4f761c0e070a8f8ffaeaa68fbde7ce8796495c41ec4a396a98dcd8bc9",
+        "1af039cdbd0cfaafa52da1c78b0be9626bcc34b7dd5b5c4ccc1c15d16cb745e6",
     ),
     "point-mean t=1": (
         ("extremal", "point-mean", "--t", "1", *_PM), 0,
@@ -52,11 +52,11 @@ PINNED_OUTPUTS = {
     ),
     "pair t=0.1": (
         ("extremal", "pair", "--t", "0.1", *_PAIR), 0,
-        "81e6079c90baa0487b5535010afc38b0276fd1ebc52b146c178964fa62dcd3e0",
+        "5ccd663eb65147260c55ff8d4f0dbfc40b9878099fc42716397bab35240539d2",
     ),
     "pair t=0.3": (
         ("extremal", "pair", "--t", "0.3", *_PAIR), 0,
-        "4e6e75f8c84d1c5d25fc523c935b791c71204ec977605ee4ce14cb168f3c77a8",
+        "3f52e9893b204a29541af3c0ca0bde04a015103284d1109f8acb07861d2b9bf3",
     ),
     "ks": (
         ("extremal", "ks", "--psi1", "0,1; 0,0.25,1", "--psi2", "0,1; 0.75,1,1"), 0,
@@ -64,7 +64,7 @@ PINNED_OUTPUTS = {
     ),
     "general": (
         ("extremal", "general", "--psi1", "0,1; 0,0.1,2; 0.1,0.3,0.5", "--psi2", "0,1; 0.8,1,1.5"), 0,
-        "bc06e9e069b79ffd72aaf81d4da8a3c2017ca987c5845f43c397be23d36a2933",
+        "d64499114a843adc03f539eb521fa45f3dd351b03d569eed8abc61058e1c15c0",
     ),
     "ostrowski": (
         ("extremal", "ostrowski", "--ab", "0,1", "--cd", "0.25,0.75"), 0,
@@ -72,7 +72,7 @@ PINNED_OUTPUTS = {
     ),
     "verify ostrowski": (
         ("verify", "--suite", "ostrowski", "--trials", "200", "--grid", "1024"), 0,
-        "e5bd5e3af37e658d581a717873dbed89cd41831dfa4e62b194936f49f931d095",
+        "36ca7cdbce6441ccc18b72c69ddcda44f8a3b7f64002165c548e0c2f4986b09d",
     ),
     "verify landau": (
         ("verify", "--suite", "landau", "--trials", "200", "--grid", "1024"), 0,
@@ -264,6 +264,20 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err.startswith(f"ArithmeticError: point-mean {quantity}: the range [")
         assert "has float width 0.0, not d - c = 1.0" in err
+
+    @pytest.mark.parametrize("ab, cd", [("0,1", "1e16,1.0000000000000004e16"), ("1e16,1.0000000000000004e16", "0,1")])
+    def test_disjoint_ostrowski_refuses_a_lost_width(self, capsys, ab, cd):
+        # c - b = 1e16 - 1 rounds to 1e16, so the distance range [c - b, d - a]
+        # reads 4 wide, not M + m = 5, and its integral would give 0.8 where
+        # the bound is 1
+        code, out, err = run(capsys, "bound", "ostrowski", "--ab", ab, "--cd", cd, "--omega", "minlin:K=1,C=1")
+        assert (code, out) == (2, "")
+        assert err.startswith("ArithmeticError: two-interval I(c - b, d - a): the range [")
+        assert "has float width 4.0, not M + m = 5.0" in err
+
+    def test_disjoint_ostrowski_far_but_wide_enough(self, capsys):
+        code, out, _ = run(capsys, "bound", "ostrowski", "--ab", "0,1", "--cd", "1e6,1000004", "--omega", "minlin:K=1,C=1")
+        assert code == 0 and json.loads(out)["bound"] == 1.0
 
     def test_point_mean_far_but_wide_enough(self, capsys):
         code, out, _ = run(capsys, "bound", "point-mean", "--t", "1e6", "--cd", "0,1", "--omega", "minlin:K=1,C=1")

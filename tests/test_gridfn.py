@@ -2,13 +2,14 @@ import io
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ksr import gridfn as gf
 from ksr import kscore as ks
 from ksr import landau as la
 from ksr import lspace as ls
 from ksr import modulus as mo
+from ksr import recovery as rec
 from ksr.errors import ModelMismatch, NoDifference, NonIsotropic, NotInvertible
 
 from grid_fixtures import check_Homega_loop, constant_grid, element, integral, interval_grid, value_at
@@ -149,11 +150,28 @@ WINDOW_GRIDS = _window_grids()
 
 def _assert_matches_full_mask(f, c, d):
     """``integrate`` over [c, d] agrees with the full-mask reference of each
-    endpoint array to the running-sum drift n * eps * (b - a) * max(1, sup |f|)."""
+    endpoint array to a bound local to the window.
+
+    Let u = eps / 2, Y = sup |f|, h the step and m the nodes the window
+    covers: those inside (c, d) and one more beyond each end.  Both sides
+    integrate the same interpolant, so their difference is rounding:
+    - ``integrate`` is one dot product of m nonnegative weights that sum
+      to about d - c: at most m u (d - c) Y, plus 5u relative in each
+      weight, plus u h Y at each end, where the float offsets c - t and
+      d - t into an end cell round on the scale of h;
+    - the reference sums its trapezoids pairwise, within
+      (log2 m + 19) u of their absolute sum, after three roundings in
+      each term, and its interpolated values at c and d, each within
+      12 u Y, carry weights of at most h / 2.
+    So |got - ref| <= u Y ((m + log2 m + 27) (d - c) + 14 h).  For n >= 34
+    this never exceeds n eps (b - a) max(1, Y), the bound of a difference
+    F(d) - F(c) of two running trapezoids over the whole domain."""
     got = np.atleast_1d(integral(f, c, d).payload)
     cols = f.data.reshape(f.n_cells + 1, -1).T
     ref = [_full_mask_integral(f.nodes, col, c, d) for col in cols]
-    tol = f.n_cells * np.finfo(float).eps * (f.b - f.a) * max(1.0, gf.sup_norm(f))
+    m = int(np.count_nonzero((f.nodes > c) & (f.nodes < d))) + 2
+    u = 0.5 * np.finfo(float).eps
+    tol = u * gf.sup_norm(f) * ((m + np.log2(m) + 27) * (d - c) + 14 * f.step)
     assert np.max(np.abs(got - ref)) <= tol
 
 
@@ -189,6 +207,101 @@ class TestWindowIntegral:
         for p in pieces[1:]:
             total = ls.add(total, p)
         assert ls.close(element(f.model, ks.integrate_weighted(f, w)), total, tol=1e-12)
+
+
+def _random_grid(k, n, seed):
+    """A real (k = 0) or interval (k = 1) grid of n cells on [-1, 2] with
+    random node values."""
+    rng = np.random.default_rng(seed)
+    lo = rng.standard_normal(n + 1)
+    return (gf.real_grid(lo, -1, 2, n), interval_grid(lo, lo + rng.uniform(0, 1, n + 1), -1, 2, n))[k]
+
+
+@st.composite
+def windowed_grids(draw):
+    """(f, windows): a random grid and windows [c, d] on it whose ends lie
+    anywhere or exactly on nodes, with whole-step translates of the first
+    window (which cover as many nodes as it does) and maybe the full
+    domain."""
+    f = _random_grid(draw(st.integers(0, 1)), draw(st.integers(2, 300)), draw(st.integers(0, 2 ** 32 - 1)))
+    end = st.one_of(st.floats(f.a, f.b), st.integers(0, f.n_cells).map(lambda i: float(f.nodes[i])))
+    windows = [tuple(sorted(draw(st.tuples(end, end)))) for _ in range(draw(st.integers(1, 6)))]
+    c, d = windows[0]
+    for j in draw(st.lists(st.integers(-f.n_cells, f.n_cells), max_size=4)):
+        if f.a <= c + j * f.step and d + j * f.step <= f.b:
+            windows.append((c + j * f.step, d + j * f.step))
+    if draw(st.booleans()):
+        windows.append((f.a, f.b))
+    return f, windows
+
+
+class TestWindowEvaluator:
+    """Each window is integrated over its own nodes: its row has the same
+    bits alone (``integrate``), in a batch, as a piece of
+    ``integrate_weighted`` and as a mean of ``mean_info``."""
+
+    @given(windowed_grids())
+    @settings(max_examples=300, deadline=None)
+    def test_a_row_is_the_same_alone_and_batched(self, fw):
+        f, windows = fw
+        cs, ds = zip(*windows)
+        rows = gf.window_integrals(f, cs, ds)
+        assert rows.shape == (len(windows),) + f.data.shape[1:]
+        for (c, d), row in zip(windows, rows):
+            assert _bits(row) == _bits(gf.integrate(f, c, d))
+        if f.model == ls.INTERVAL:
+            assert np.all(rows[:, 0] <= rows[:, 1])
+
+    @given(windowed_grids(), st.lists(st.floats(1e-3, 1e3), min_size=12, max_size=12))
+    @settings(max_examples=200, deadline=None)
+    def test_weighted_pieces_are_rows_alone(self, fw, heights):
+        f, windows = fw
+        ends = sorted({f.a, f.b}.union(*windows))
+        pieces = [(u, v, h) for u, v, h in zip(ends[::2], ends[1::2], heights)]
+        w = ks.step_weight((f.a, f.b), pieces)
+        alone = np.array([gf.integrate(f, u, v) for u, v, _ in pieces])
+        # the same heights vector as integrate_weighted's (a strided column,
+        # which BLAS sums in another order than a contiguous one)
+        heights = np.array(w.pieces).T[2]
+        assert _bits(ks.integrate_weighted(f, w)) == _bits(heights @ alone)
+
+    @given(st.integers(0, 1), st.integers(2, 300), st.integers(0, 2 ** 32 - 1), st.integers(1, 40),
+           st.one_of(st.just(1.0), st.floats(1e-6, 1.0)))
+    @settings(max_examples=200, deadline=None)
+    def test_mean_rows_are_rows_alone(self, k, n, seed, n_knots, fill):
+        # fill = 1 makes the windows tile [a, b]
+        f = _random_grid(k, n, seed)
+        knots, _ = rec.optimal_knots(n_knots, f.a, f.b)
+        h = fill * (f.b - f.a) / (2 * n_knots)
+        info = rec.mean_info(f, knots, h)
+        for t, row in zip(knots, info.means):
+            assert _bits(row) == _bits(gf.integrate(f, t - h, t + h) * (1.0 / (2.0 * h)))
+
+    @given(windowed_grids())
+    @settings(max_examples=200, deadline=None)
+    def test_compiled_weights_are_nonnegative_and_read_only(self, fw):
+        f, windows = fw
+        cs, ds = zip(*windows)
+        groups = gf._window_weights(f.a, f.b, f.n_cells, cs, ds)
+        assert gf._window_weights.cache_info().maxsize is not None
+        assert sorted(np.concatenate([rows for rows, _, _ in groups]).tolist()) == list(range(len(windows)))
+        for rows, index, weights in groups:
+            assert index.shape == weights.shape == (len(rows), index.shape[1])
+            assert np.all(np.diff(index, axis=1) == 1) and index.min() >= 0 and index.max() <= f.n_cells
+            assert np.all(weights >= 0.0)
+            for arr in (rows, index, weights):
+                assert not arr.flags.writeable
+                with pytest.raises(ValueError):
+                    arr[0] = 0
+
+    def test_tiny_window_keeps_lo_below_hi(self):
+        # a window 4.7e-198 wide in an 18-cell interval grid on [-1, 2]: the
+        # float offsets of its ends into the cell round on the scale of the
+        # step, and nonnegative weights round both columns alike
+        f = _random_grid(1, 18, 1)
+        w = ks.step_weight((-1.0, 2.0), [(-4.7e-198, 0.0, 1.0)])
+        for row in (gf.integrate(f, -4.7e-198, 0.0), ks.integrate_weighted(f, w)):
+            assert row[0] <= row[1]
 
 
 class TestLift:
@@ -514,10 +627,7 @@ class TestRowsMatchLspace:
         u, v = min(u, v), max(u, v)
         if v <= u:
             return
-        # on a tiny window the running-integral drift can leave lo above hi
-        # by ~1e-17: that row is no lspace interval, so there is no reference
         row = gf.integrate(f, u, v)
-        assume(f.model == ls.REAL or row[0] <= row[1])
         w = ks.step_weight((-1.0, 2.0), [(u, v, height)])
         want = ls.scale(height, element(f.model, row))
         assert _bits(ks.integrate_weighted(f, w)) == _bits(want.payload)
