@@ -179,17 +179,12 @@ def cmd_extremal(args) -> int:
         if not lo <= args.t <= hi:
             raise DomainViolation(f"t = {args.t} lies outside the extremal's domain [{lo}, {hi}]")
         g = ost.point_vs_mean_extremal(args.t, omega, lo, hi, n=n)
-        lift = gf.lift(g, ls.interval(1, 1))
-        mean_w = ks.indicator_weight(c, d, 1.0 / (d - c), domain=(lift.a, lift.b))
-        attained = float(gf.row_dist(lift.model, gf.values_at(lift, args.t), ks.integrate_weighted(lift, mean_w)))
+        attained = ost.point_vs_mean_functional(gf.lift(g, ls.interval(1, 1)), args.t, c, d)
         target = ost.point_vs_mean_bound(args.t, c, d, omega)
     elif args.kind == "pair":
         a, b = _pair(args.ab)
         g = ost.symmetrized_pair_extremal(args.t, a, b, omega, n=n)
-        lift = gf.lift(g, ls.interval(1, 1))
-        mean_w = ks.indicator_weight(a, b, 1.0 / (b - a), domain=(a, b))
-        r0, r1 = gf.values_at(lift, args.t), gf.values_at(lift, a + b - args.t)
-        attained = float(gf.row_dist(lift.model, 0.5 * (r0 + r1), ks.integrate_weighted(lift, mean_w)))
+        attained = ost.symmetrized_pair_functional(gf.lift(g, ls.interval(1, 1)), args.t, a, b)
         target = ost.symmetrized_pair_bound(args.t, a, b, omega)
     else:
         raise ValueError(f"unknown extremal kind {args.kind!r}")

@@ -50,6 +50,8 @@ class SampleSpec:
 #: most cones in one envelope; the rows of a stream's cone workspace
 MAX_CONES = 8
 
+MODEL_MIX = (ls.REAL, ls.INTERVAL, "lifted")
+
 
 def _real_member_values(rng: np.random.Generator, omega: Modulus, ts: np.ndarray,
                         scale: float, work: np.ndarray) -> np.ndarray:
@@ -84,59 +86,39 @@ def _real_member_values(rng: np.random.Generator, omega: Modulus, ts: np.ndarray
 
 
 def sample_class(spec: SampleSpec) -> Iterator[gf.GridFunction]:
-    """Deterministic stream of ``spec.trials`` class members."""
+    """Deterministic stream of ``spec.trials`` class members, one loop pass
+    per draw.  An ``HOMEGA`` draw of ``spec.model`` is a real member (the
+    values ``_real_member_values`` draws), its lift through the point
+    interval [1, 1], or the interval [min(g1, g2), max(g1, g2) + c] of two
+    real members; a ``W1HOMEGA`` draw is the running trapezoid integral of
+    such data plus a random base value (a real, or an interval)."""
+    if spec.class_tag not in (HOMEGA, W1HOMEGA):
+        raise ValueError(f"unknown class tag {spec.class_tag!r}")
+    if spec.model not in MODEL_MIX:
+        raise ValueError(f"unknown sample model {spec.model!r}")
+    model = ls.REAL if spec.model == ls.REAL else ls.INTERVAL
     rng = np.random.default_rng(spec.seed)
     # nodes in coordinates local to a: their rounding then scales with
     # b - a, not with |a|, and stays far below the membership slack
     ts = np.linspace(0.0, spec.b - spec.a, spec.grid + 1)
     scale = float(spec.omega(ts[-1] - ts[0]))
     work = np.empty((MAX_CONES, ts.size))
-
-    def member() -> np.ndarray:
-        return _real_member_values(rng, spec.omega, ts, scale, work)
-
+    step = (spec.b - spec.a) / spec.grid
     for _ in range(spec.trials):
-        yield _one_sample(rng, spec, member)
-
-
-def _one_sample(rng: np.random.Generator, spec: SampleSpec,
-                member: Callable[[], np.ndarray]) -> gf.GridFunction:
-    if spec.class_tag == HOMEGA:
-        return _homega_sample(rng, spec, member)
-    if spec.class_tag == W1HOMEGA:
-        return _antiderivative(rng, _homega_sample(rng, spec, member))
-    raise ValueError(f"unknown class tag {spec.class_tag!r}")
-
-
-def _homega_sample(rng: np.random.Generator, spec: SampleSpec,
-                   member: Callable[[], np.ndarray]) -> gf.GridFunction:
-    """An oscillation-class member of ``spec.model``: a real member (the
-    values ``member()`` draws from ``rng``), its lift through the point
-    interval [1, 1], or the interval [min(g1, g2), max(g1, g2) + c] of two
-    real members."""
-    a, b = spec.a, spec.b
-    if spec.model == ls.REAL:
-        return gf.GridFunction(a, b, ls.REAL, member())
-    if spec.model == "lifted":
-        v = member()  # the lift t -> v(t) [1, 1] is the point interval [v, v]
-        return gf.GridFunction(a, b, ls.INTERVAL, gf.interval_array(v, v))
-    if spec.model != ls.INTERVAL:
-        raise ValueError(f"unknown sample model {spec.model!r}")
-    g1 = member()
-    g2 = member()
-    lo = np.minimum(g1, g2)
-    hi = np.maximum(g1, g2) + float(rng.uniform(0.0, 1.0))
-    return gf.GridFunction(a, b, ls.INTERVAL, gf.interval_array(lo, hi))
-
-
-def _antiderivative(rng: np.random.Generator, deriv: gf.GridFunction) -> gf.GridFunction:
-    vals = gf.cumtrapz(deriv.data, deriv.step)
-    if deriv.model == ls.REAL:
-        base = float(rng.uniform(-1, 1))
-    else:
-        base_lo = float(rng.uniform(-1, 0))
-        base = np.array([base_lo, base_lo + float(rng.uniform(0, 1))])
-    return gf.GridFunction(deriv.a, deriv.b, deriv.model, vals + base)
+        data = _real_member_values(rng, spec.omega, ts, scale, work)
+        if spec.model == "lifted":  # the lift t -> v(t) [1, 1] is the point interval [v, v]
+            data = gf.interval_array(data, data)
+        elif spec.model == ls.INTERVAL:
+            g2 = _real_member_values(rng, spec.omega, ts, scale, work)
+            data = gf.interval_array(np.minimum(data, g2), np.maximum(data, g2) + float(rng.uniform(0.0, 1.0)))
+        if spec.class_tag == W1HOMEGA:
+            if model == ls.REAL:
+                base = float(rng.uniform(-1, 1))
+            else:
+                base_lo = float(rng.uniform(-1, 0))
+                base = np.array([base_lo, base_lo + float(rng.uniform(0, 1))])
+            data = gf.cumtrapz(data, step) + base
+        yield gf.GridFunction(spec.a, spec.b, model, data)
 
 
 def empirical_sup(
@@ -150,9 +132,6 @@ def empirical_sup(
         if v > best:
             best, arg = v, i
     return best, arg
-
-
-MODEL_MIX = (ls.REAL, ls.INTERVAL, "lifted")
 
 
 def _per_model(trials: int) -> Tuple[int, ...]:
@@ -341,29 +320,22 @@ def suite_ostrowski(trials: int, grid: int, seed: int) -> dict:
     checks.append(_eq("symmetrized pair value at t=a", pb, 0.25, 1e-12))
     checks.append(_eq("symmetric concentric value", ost.symmetric_bound(0, 1, 0.25, 0.75, omega), 0.125, 1e-12))
 
-    mean_w = ks.indicator_weight(0.0, 1.0, 1.0, domain=(0.0, 1.0))
-
-    def point_err(t: float) -> Callable[[gf.GridFunction], float]:
-        """f -> dist(P f(t), mean of f over [0, 1])."""
-        return lambda f: gf.row_dist(f.model, gf.values_at(f, t), ks.integrate_weighted(f, mean_w))
-
     ext = gf.lift(ost.point_vs_mean_extremal(0.5, omega, 0.0, 1.0, n=grid), ls.interval(1, 1))
-    sup = sweep_sup(point_err(0.5), HOMEGA, omega, 0, 1, grid, trials, seed, inject=[ext])
+    sup = sweep_sup(lambda f: ost.point_vs_mean_functional(f, 0.5, 0.0, 1.0),
+                    HOMEGA, omega, 0, 1, grid, trials, seed, inject=[ext])
     checks.append(_leq("point-vs-mean soundness", sup, pm, eps))
     checks.append(_geq("point-vs-mean attained", sup, pm, eps))
 
     ext_sqrt = gf.lift(ost.point_vs_mean_extremal(0.0, omega_sqrt, 0.0, 1.0, n=grid), ls.interval(1, 1))
     eps_sqrt = gf.eps_tolerance(omega_sqrt, 1.0, grid)
-    sup = sweep_sup(point_err(0.0), HOMEGA, omega_sqrt, 0, 1, grid, trials, seed + 1, inject=[ext_sqrt])
+    sup = sweep_sup(lambda f: ost.point_vs_mean_functional(f, 0.0, 0.0, 1.0),
+                    HOMEGA, omega_sqrt, 0, 1, grid, trials, seed + 1, inject=[ext_sqrt])
     checks.append(_leq("point-vs-mean sqrt soundness", sup, pm_sqrt, eps_sqrt))
     checks.append(_geq("point-vs-mean sqrt attained", sup, pm_sqrt, eps_sqrt))
 
-    def pair_err(f: gf.GridFunction) -> float:
-        r0, r1 = gf.values_at(f, np.array([0.0, 1.0]))
-        return gf.row_dist(f.model, 0.5 * (r0 + r1), ks.integrate_weighted(f, mean_w))
-
     pair_ext = gf.lift(ost.symmetrized_pair_extremal(0.0, 0.0, 1.0, omega, n=grid), ls.interval(1, 1))
-    sup = sweep_sup(pair_err, HOMEGA, omega, 0, 1, grid, trials, seed + 2, inject=[pair_ext])
+    sup = sweep_sup(lambda f: ost.symmetrized_pair_functional(f, 0.0, 0.0, 1.0),
+                    HOMEGA, omega, 0, 1, grid, trials, seed + 2, inject=[pair_ext])
     checks.append(_leq("symmetrized pair soundness", sup, pb, eps))
     checks.append(_geq("symmetrized pair attained", sup, pb, eps))
 
@@ -398,25 +370,25 @@ def _half_target_distance(core: gf.GridFunction, target: Callable) -> float:
 def suite_recovery(trials: int, grid: int, seed: int) -> dict:
     omega = power(1, 1)
     checks = []
-    # (problem, n, h, closed-form value, soundness tolerance in units of eps);
-    # the derivative sweep differentiates samples numerically, hence 4 eps
+    # (problem, n, h, closed-form value); the soundness and lower-bound
+    # checks are the report's own verdicts, at its tolerance eps
     problems = (
-        ("convexify", 2, 0.1, 0.25, 1.0),
-        ("integral", 2, 0.05, 0.1, 1.0),
-        ("identity", 2, 0.0, 1.0 / 32.0, 1.0),
-        ("derivative", 4, 0.0, 0.125, 4.0),
+        ("convexify", 2, 0.1, 0.25),
+        ("integral", 2, 0.05, 0.1),
+        ("identity", 2, 0.0, 1.0 / 32.0),
+        ("derivative", 4, 0.0, 0.125),
     )
-    for k, (kind, n, h, value, sound_tol) in enumerate(problems):
+    for k, (kind, n, h, value) in enumerate(problems):
         report = recovery_experiment(kind, n, h, omega, 0.0, 1.0, trials, grid, seed + k)
         val, eps = report.theoretical, report.tolerance
         checks.append(_eq(f"{kind} value", val, value, 1e-12))
-        checks.append(_leq(f"{kind} method soundness", report.empirical_upper, val, sound_tol * eps))
+        checks.append(_check(f"{kind} method soundness", report.sound, report.empirical_upper, val, eps))
         if kind == "convexify":
             knots, _ = rec.optimal_knots(n, 0.0, 1.0)
             core = gf.lift(report.extremal, ls.interval(1, 1))
             info_gap = float(np.max(np.abs(rec.mean_info(core, knots, h).means)))
             checks.append(_leq("convexify pair info vanishes", info_gap, 0.0, eps))
-        checks.append(_eq(f"{kind} pair lower bound", report.lower_bound, val, eps))
+        checks.append(_check(f"{kind} pair lower bound", report.attained, report.lower_bound, val, eps))
     return _suite("recovery", checks)
 
 
@@ -520,15 +492,15 @@ def suite_landau(trials: int, grid: int, seed: int) -> dict:
     fe = la.landau_extremal("e", we, omega, n=grid)
     fup = gf.lift(fe, ls.interval(1, 1))
     fdn = gf.lift(fe, ls.interval(-1, -1))
+    pair = [(g, gf.values_at(gf.hukuhara_derivative(g), we.t)) for g in (fup, fdn)]
     worst_gap = math.inf
     for frac in np.linspace(0.0, 1.0, 9):
         for hh in np.linspace(0.5 * we.h1, we.h1, 5):
             lam = frac * nbudget * hh  # makes the candidate norm frac * N
             err = 0.0
-            for g in (fup, fdn):
-                dg = gf.hukuhara_derivative(g)
+            for g, dg_t in pair:
                 approx = lam * la.divided_difference(g, we.t, hh, hh)
-                err = max(err, gf.row_dist(g.model, gf.values_at(dg, we.t), approx))
+                err = max(err, gf.row_dist(g.model, dg_t, approx))
             worst_gap = min(worst_gap, err)
     checks.append(_geq("candidate operators cannot beat the value", worst_gap, val, 4.0 * eps))
 

@@ -150,6 +150,13 @@ def point_vs_mean_bound(t: float, c: float, d: float, omega: Modulus) -> float:
     return (left + _primitive(omega, 0.0, d - t, "point-mean I(0, d - t)")) / (d - c)
 
 
+def point_vs_mean_functional(f: gf.GridFunction, t: float, c: float, d: float) -> float:
+    """dist(P f(t), mean of f over [c, d]) -- the quantity
+    ``point_vs_mean_bound`` controls."""
+    mean_w = ks.indicator_weight(c, d, 1.0 / (d - c), domain=(f.a, f.b))
+    return float(gf.row_dist(f.model, gf.values_at(f, t), ks.integrate_weighted(f, mean_w)))
+
+
 def point_vs_mean_extremal(
     t: float, omega: Modulus, a: float, b: float, n: int = gf.DEFAULT_GRID
 ) -> gf.GridFunction:
@@ -166,6 +173,14 @@ def symmetrized_pair_bound(t: float, a: float, b: float, omega: Modulus) -> floa
         raise ValueError("t must lie in [a, (a+b)/2)")
     left = _primitive(omega, 0.0, t - a, "pair I(0, t - a)")
     return 2.0 / (b - a) * (left + _primitive(omega, 0.0, 0.5 * (a + b) - t, "pair I(0, (a + b) / 2 - t)"))
+
+
+def symmetrized_pair_functional(f: gf.GridFunction, t: float, a: float, b: float) -> float:
+    """dist of the average of P f(t) and P f(a+b-t) from the mean of f over
+    [a, b] -- the quantity ``symmetrized_pair_bound`` controls."""
+    mean_w = ks.indicator_weight(a, b, 1.0 / (b - a), domain=(f.a, f.b))
+    r0, r1 = gf.values_at(f, np.array([t, a + b - t]))
+    return float(gf.row_dist(f.model, 0.5 * (r0 + r1), ks.integrate_weighted(f, mean_w)))
 
 
 def symmetrized_pair_extremal(

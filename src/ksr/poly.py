@@ -10,9 +10,18 @@ from __future__ import annotations
 import numpy as np
 
 
+def sorted_distinct(x) -> np.ndarray:
+    """``np.unique(x)`` of a finite array, bit for bit, without the
+    ``numpy.ma`` import of its first call: a sort, then a mask of repeats."""
+    x = np.sort(x)
+    keep = np.ones(x.shape, dtype=bool)
+    keep[1:] = x[1:] != x[:-1]
+    return x[keep]
+
+
 def merge_breakpoints(*xss) -> np.ndarray:
-    allx = np.unique(np.concatenate([np.asarray(x, dtype=float) for x in xss]))
-    # collapse breakpoints closer than float noise
+    allx = np.sort(np.concatenate([np.asarray(x, dtype=float) for x in xss]))
+    # collapse exact repeats and breakpoints closer than float noise
     keep = [0]
     for i in range(1, len(allx)):
         if allx[i] - allx[keep[-1]] > 1e-13 * max(1.0, abs(allx[i])):
@@ -54,7 +63,7 @@ def decreasing_rearrangement(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray
     ylo = np.minimum(ys[:-1], ys[1:])
     yhi = np.maximum(ys[:-1], ys[1:])
     flat = yhi - ylo <= 0.0
-    levels = np.unique(ys)[::-1]  # descending
+    levels = sorted_distinct(ys)[::-1]  # descending
     # mes{f > v} and mes{f = v} for every level v in one (levels x segments)
     # pass: a sloped segment counts the share of its width above v, a flat
     # one all of it when its level exceeds v

@@ -23,6 +23,7 @@ from . import gridfn as gf
 from . import lspace as ls
 from .errors import KnotViolation, NonConcave
 from .modulus import Modulus
+from .poly import sorted_distinct
 
 __all__ = [
     "optimal_knots",
@@ -138,6 +139,16 @@ def error_integral(n: int, h: float, omega: Modulus, length: float) -> float:
 # lower-bound extremal functions (vanishing cell means)
 
 
+def _nearest_knot(knots: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """Index of the knot nearest to each point of ``ts``, ties to the lower
+    index; ``knots`` is increasing.  Only the two knots around a point are
+    compared, so no (points x knots) table is built."""
+    right = np.searchsorted(knots, ts)
+    below = np.maximum(right - 1, 0)
+    above = np.minimum(right, len(knots) - 1)
+    return np.where(np.abs(knots[below] - ts) <= np.abs(knots[above] - ts), below, above)
+
+
 def lower_extremal_mean(
     knots: Sequence[float], h: float, omega: Modulus, a: float, b: float, n: int = gf.DEFAULT_GRID
 ) -> gf.GridFunction:
@@ -180,10 +191,8 @@ def lower_extremal_mean(
     # Nodes of the raw region that lie in no window take x = u and a
     # covered window, whose profile is raw itself.
     ts = np.linspace(a, b, n + 1)
-    right = np.searchsorted(knots, ts)
-    below = np.maximum(right - 1, 0)
-    above = np.minimum(right, nk - 1)
-    near = np.where(np.abs(knots[below] - ts) <= np.abs(knots[above] - ts), below, above)
+    near = _nearest_knot(knots, ts)
+    below = np.maximum(np.searchsorted(knots, ts) - 1, 0)
     in_win = (knots[near] - h <= ts) & (ts <= knots[near] + h)
     in_raw = ~in_win & (lo_raw <= ts) & (ts <= hi_raw)
     x = np.where(in_win | in_raw, ts, knots[below] + h)
@@ -239,8 +248,7 @@ def lower_extremal_integral(
 
     C = mu * mu * omega.primitive(0.0, half_cell) / h
     ts = np.linspace(a, b, n + 1)
-    nearest = knots[np.argmin(np.abs(ts[:, None] - knots[None, :]), axis=1)]
-    vals = y0(ts - nearest) + C
+    vals = y0(ts - knots[_nearest_knot(knots, ts)]) + C
     return gf.GridFunction(a, b, ls.REAL, vals)
 
 
@@ -285,15 +293,12 @@ def polyline_uniform_error(n: int, omega: Modulus, length: float) -> float:
 def _spline_G(etas: np.ndarray, signs: np.ndarray, omega: Modulus, pts: np.ndarray, a: float) -> np.ndarray:
     """Exact cumulative integral of the slope function at given points."""
     mids = 0.5 * (etas[:-1] + etas[1:])
-    breaks = np.unique(np.concatenate(([a], etas, mids, pts)))
+    breaks = sorted_distinct(np.concatenate(([a], etas, mids, pts)))
     x0, x1 = breaks[:-1], breaks[1:]
     mid = 0.5 * (x0 + x1)
-    # nearest break position eta (ties to the lower index) and the sign
-    idx = np.searchsorted(etas, mid, side="left")
-    below = np.maximum(idx - 1, 0)
-    above = np.minimum(idx, len(etas) - 1)
-    eta = etas[np.where(np.abs(etas[below] - mid) <= np.abs(etas[above] - mid), below, above)]
-    s = signs[np.minimum(idx, len(signs) - 1)]
+    # the nearest break position eta, and the slope's sign past the etas below mid
+    eta = etas[_nearest_knot(etas, mid)]
+    s = signs[np.minimum(np.searchsorted(etas, mid), len(signs) - 1)]
     z = np.concatenate((x1 - eta, x0 - eta))
     hz = np.copysign(0.25 * omega.primitive(0.0, 2.0 * np.abs(z)), z)
     m = len(x0)

@@ -21,7 +21,7 @@ TRIALS = 1000
 GRID = 4096
 SEED = 7
 # sha256 of the stdout of `verify --suite all --trials 1000 --grid 4096 --seed 7`
-SEED7_SHA256 = "b73fbd916a6555133f276b621a2930349de8c07aa9f9f6b613ac1242dd7d6ab1"
+SEED7_SHA256 = "e2c1a6c884027110b304f1a22255341570e6869a7b0facfaff6d0fa1892efc0f"
 
 
 @pytest.fixture(scope="module")

@@ -3,6 +3,9 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -11,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from ksr import cli
 
 # sha256 of the stdout of `verify --suite all --trials 20 --grid 128 --seed 7`
-SEED7_SMALL_SHA256 = "c530c21c0b7c67115a75160f22a46d9e00c03db92c45da12c10a263453b3ee6b"
+SEED7_SMALL_SHA256 = "062f75a9c394b6f5432ff49749054fab8287591c0bb556a24975c50d9cb907c8"
 # sha256 of the stdout of `recover KIND --n 16 --h 0 --grid 1024 --trials 8 --seed 3`
 RECOVER_SHA256 = {
     "convexify": "9e660225d7265e07d5c566de64ead3be37ca2c792b7adf762b44f0cf01676cf2",
@@ -672,6 +675,25 @@ class TestSlowSlopeRise:
     def test_valid_bounds_still_answer(self, capsys, argv):
         code, out, _ = run(capsys, *argv, "--omega", self.OMEGA)
         assert code == 0 and json.loads(out)["bound"] > 0.0
+
+
+def test_bound_and_recover_do_not_import_numpy_ma():
+    # np.unique imports numpy.ma on its first call, a cost each fresh
+    # process would pay; the breakpoint and level sets are deduplicated
+    # without it
+    code = (
+        "import sys\n"
+        "from ksr import cli\n"
+        "assert cli.main(['bound', 'general', '--psi1', '0,1; 0,0.1,2; 0.1,0.3,0.5',"
+        " '--psi2', '0,1; 0.8,1,1.5']) == 0\n"
+        "assert cli.main(['recover', 'identity', '--n', '4', '--grid', '256', '--trials', '4']) == 0\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
 
 
 def test_delta_recover_rejects_a_one_point_domain(capsys):

@@ -1,7 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ksr import gridfn as gf
 from ksr import lspace as ls
@@ -160,6 +162,45 @@ class TestLowerExtremalIntegral:
         knots, _ = rec.optimal_knots(2, 0, 1)
         with pytest.raises(NonConcave):
             rec.lower_extremal_integral(knots, 0.05, mo.PowerModulus(1, 2.0), 0, 1)
+
+    def test_no_points_by_knots_table(self):
+        # n = 128 at grid 16384: a (grid + 1) x n distance table alone takes 16 MiB
+        knots, _ = rec.optimal_knots(128, 0.0, 1.0)
+        tracemalloc.start()
+        try:
+            rec.lower_extremal_integral(knots, 0.05 / 256, wid, 0.0, 1.0, n=16384)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
+
+
+def _argmin_nearest(knots, ts):
+    """The (points x knots) reference: the first knot at the least distance."""
+    return np.argmin(np.abs(ts[:, None] - knots[None, :]), axis=1)
+
+
+class TestNearestKnot:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.integers(-64, 64), min_size=1, max_size=12, unique=True),
+        st.integers(-4, 4),
+        st.lists(st.floats(-2000.0, 2000.0), max_size=30),
+    )
+    def test_matches_argmin(self, ints, e, points):
+        # knots on a dyadic lattice: the halfway points between them are
+        # exact, so they tie, and a tie goes to the lower index
+        knots = np.sort(np.array(ints, dtype=float)) * 2.0 ** e
+        halfway = 0.5 * (knots[:-1] + knots[1:])
+        outside = [knots[0] - 1.0, knots[-1] + 1.0, knots[0] - 1e6, knots[-1] + 1e6]
+        ts = np.concatenate((points, knots, halfway, outside))
+        assert np.array_equal(rec._nearest_knot(knots, ts), _argmin_nearest(knots, ts))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 128])
+    def test_optimal_knots_on_the_grid(self, n):
+        knots, _ = rec.optimal_knots(n, -0.3, 2.2)
+        ts = np.linspace(-0.3, 2.2, 4097)
+        assert np.array_equal(rec._nearest_knot(knots, ts), _argmin_nearest(knots, ts))
 
 
 def _blend_bound(t, lo, hi, omega):
