@@ -555,14 +555,22 @@ def recovery_experiment(
             h = 0.05 * length / (2 * n)  # near the vanishing-width limit
         knots, _ = rec.optimal_knots(n, a, b)
         class_tag = HOMEGA
+        theoretical = (rec.error_convexify if kind == "convexify" else rec.error_integral)(n, h, omega, length)
     elif kind in ("identity", "derivative"):
         partition = np.linspace(a, b, n + 1)
         class_tag = W1HOMEGA
+        theoretical = (rec.polyline_uniform_error if kind == "identity" else rec.derivative_recovery_value)(
+            n, omega, length)
     else:
         raise ValueError(f"unknown recovery problem {kind!r}")
+    # class members lie within (MAX_CONES / 2 + 1) omega(b - a) of 0, and the sweeps add and integrate them
+    with np.errstate(over="ignore"):
+        scale = float(omega(length))
+    if not math.isfinite(16.0 * scale * max(1.0, length)):
+        raise OverflowError(f"class samples, within {MAX_CONES // 2 + 1} omega(b - a) = {MAX_CONES // 2 + 1} * {scale!r}"
+                            f" of 0, overflow over b - a = {length!r}")
     if kind == "convexify":
         core = rec.lower_extremal_mean(knots, h, omega, a, b, n=grid)
-        theoretical = rec.error_convexify(n, h, omega, length)
 
         def err(f: gf.GridFunction) -> float:
             info = rec.mean_info(f, knots, h)
@@ -571,7 +579,6 @@ def recovery_experiment(
         lower = _half_target_distance(core, lambda fu, fd: gf.sup_dist(fu, fd))
     elif kind == "integral":
         core = rec.lower_extremal_integral(knots, h, omega, a, b, n=grid)
-        theoretical = rec.error_integral(n, h, omega, length)
 
         def err(f: gf.GridFunction) -> float:
             info = rec.mean_info(f, knots, h)
@@ -580,7 +587,6 @@ def recovery_experiment(
         lower = _half_target_distance(core, lambda fu, fd: gf.row_dist(fu.model, gf.integrate(fu), gf.integrate(fd)))
     elif kind == "identity":
         core = rec.omega_spline(n, omega, a, b, n=grid)
-        theoretical = rec.polyline_uniform_error(n, omega, length)
 
         def err(f: gf.GridFunction) -> float:
             rows = gf.values_at(f, partition)
@@ -589,7 +595,6 @@ def recovery_experiment(
         lower = _half_target_distance(core, lambda fu, fd: gf.sup_dist(fu, fd))
     else:
         core = rec.derivative_extremal(n, omega, a, b, grid_n=grid)
-        theoretical = rec.derivative_recovery_value(n, omega, length)
 
         def err(f: gf.GridFunction) -> float:
             rows = gf.values_at(f, partition)

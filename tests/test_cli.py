@@ -250,6 +250,23 @@ class TestExitCodes:
         assert err.startswith(f"OverflowError: {quantity}, the integral of the modulus over [")
         assert err.rstrip().endswith("overflows")
 
+    @pytest.mark.parametrize("argv", [
+        ("bound", "general", "--psi1", "0,1e308;0,1e307,1", "--psi2", "0,1e308;5e307,1e308,0.2"),
+        ("recover", "integral", "--n", "2", "--ab", "0,1e300", "--grid", "64", "--trials", "4"),
+        ("sweep", "identity", "--values", "1,2", "--ab", "0,1e300", "--grid", "64", "--trials", "4"),
+    ], ids=lambda argv: argv[0])
+    def test_primitive_overflow_names_its_range(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("OverflowError: ") and "the integral of the modulus over [" in err
+
+    def test_ks_rejects_a_polyline_subadditive_only_on_a_grid(self, capsys):
+        # w(0.501) = 0.502 > w(0.5) + w(0.001): no 64-point grid on [0, 2] sees it
+        code, out, err = run(capsys, "bound", "ks", "--psi1", "0,1; 0,0.25,1", "--psi2", "0,1; 0.75,1,1",
+                             "--omega", "plconcave:0,0;0.5,0.5;0.501,0.502;0.502,0.502;1,1")
+        assert (code, out) == (2, "")
+        assert err.startswith("InvalidModulus") and "not subadditive, witness (0.5, 0.0010000000000000009)" in err
+
     @pytest.mark.parametrize("b", ["1e308", "1e200"])
     def test_ostrowski_overflow_names_its_quantity(self, capsys, b):
         code, out, err = run(capsys, "bound", "ostrowski", "--ab", f"0,{b}", "--cd", "0,1")
@@ -503,6 +520,14 @@ class TestFuzz:
         if code == 0:
             json.loads(out, parse_constant=_reject_constant)
 
+    @classmethod
+    def check_omega(cls, omega):
+        """A modulus draw through a closed form, a bound over weights and a
+        sampled recovery."""
+        cls.check("bound", "point-mean", "--cd", "0,1", "--t", "0.5", "--omega", omega)
+        cls.check("bound", "ks", "--psi1", "0,1; 0,0.25,1", "--psi2", "0,1; 0.75,1,1", "--omega", omega)
+        cls.check("recover", "integral", "--grid", "16", "--trials", "2", "--omega", omega)
+
     @given(st.floats(allow_nan=True, allow_infinity=True))
     @settings(max_examples=25, deadline=None)
     def test_point_mean_t(self, x):
@@ -511,7 +536,7 @@ class TestFuzz:
     @given(st.floats(allow_nan=True, allow_infinity=True))
     @settings(max_examples=25, deadline=None)
     def test_power_K(self, x):
-        self.check("bound", "point-mean", "--cd", "0,1", "--t", "0.5", "--omega", f"power:K={x!r},alpha=1")
+        self.check_omega(f"power:K={x!r},alpha=1")
 
     @given(st.floats(allow_nan=True, allow_infinity=True))
     @settings(max_examples=25, deadline=None)
@@ -546,16 +571,16 @@ class TestFuzz:
     @settings(max_examples=40, deadline=None)
     def test_plconcave_knots(self, xs):
         knots = ";".join(f"{t!r},{v!r}" for t, v in zip(xs[::2], xs[1::2]))
-        self.check("bound", "point-mean", "--cd", "0,1", "--t", "0.5", "--omega", f"plconcave:{knots}")
+        self.check_omega(f"plconcave:{knots}")
 
     @pytest.mark.parametrize("knots", ["", "0,0", "0.5,0.4", "0,0;", "0,0;0.5", "0,0;0.5,0.4,1"])
     def test_plconcave_malformed(self, knots):
-        self.check("bound", "point-mean", "--cd", "0,1", "--t", "0.5", "--omega", f"plconcave:{knots}")
+        self.check_omega(f"plconcave:{knots}")
 
     @given(st.floats(allow_nan=True, allow_infinity=True), st.floats(allow_nan=True, allow_infinity=True))
     @settings(max_examples=25, deadline=None)
     def test_minlin(self, k, c):
-        self.check("bound", "point-mean", "--cd", "0,1", "--t", "0.5", "--omega", f"minlin:K={k!r},C={c!r}")
+        self.check_omega(f"minlin:K={k!r},C={c!r}")
 
     # bounded, so that no draw allocates a huge grid
     COUNT = st.one_of(st.integers(-5, 300).map(str), st.sampled_from(["", "1.5", "abc", "2,,3", "nan"]))

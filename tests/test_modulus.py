@@ -1,10 +1,23 @@
+import contextlib
+import io
+import json
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from ksr import cli
 from ksr import modulus as mo
 from ksr.errors import InvalidModulus
+
+
+def _cli(*argv):
+    """Exit code, stdout and stderr of one command."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(argv))
+    return code, out.getvalue(), err.getvalue()
 
 
 class TestEval:
@@ -288,11 +301,14 @@ class TestArrayPrimitive:
             w.primitive(negative, beta)
 
     def test_overflow_raises(self):
-        # as Python's ** does on a finite result out of range
-        with pytest.raises(ArithmeticError):
+        # of the power, on both paths, and of the product with K
+        with pytest.raises(OverflowError, match=r"the integral of the modulus over \[0\.0, 1e\+200\] overflows"):
             mo.power(1, 1).primitive(0.0, 1e200)
-        with pytest.raises(ArithmeticError):
+        with pytest.raises(OverflowError, match=r"over \[0\.0, 1e\+200\] overflows"):
             mo.power(1, 1).primitive(np.zeros(2), np.array([1.0, 1e200]))
+        for bounds in ((0.0, 4.0), (np.zeros(2), np.array([1.0, 4.0]))):
+            with pytest.raises(OverflowError, match=r"over \[0\.0, 4\.0\] overflows"):
+                mo.power(1.7e308, 1).primitive(*bounds)
 
 
 def _plconcave_uncached(w, t, out=None):
@@ -405,20 +421,76 @@ class TestValidation:
         assert mo.validate(mo.PowerModulus(K, 1.0)).ok
         assert mo.power(K, 1).K == K
 
-    @pytest.mark.parametrize("K", [1.0, 1e12])
-    def test_rejects_superlinear_at_any_scale(self, K):
-        report = mo.validate(mo.PowerModulus(K, 1.01))
-        assert not report.ok and report.reason == "not subadditive"
+    # 1 + 2**-52 passed the grid, whose slack exceeded 2^alpha - 2
+    @pytest.mark.parametrize("alpha", [1.01, float(np.nextafter(1.0, 2.0))])
+    @pytest.mark.parametrize("K", [1.0, 1e12, 1e308])
+    def test_rejects_superlinear_at_any_scale(self, K, alpha):
+        report = mo.validate(mo.PowerModulus(K, alpha))
+        assert (report.ok, report.reason, report.witness) == (False, "not subadditive", (1.0, 1.0))
 
-    def test_rejects_overflowing_values(self):
-        with np.errstate(over="ignore"):
-            report = mo.validate(mo.PowerModulus(1e308, 1.0))
-        assert not report.ok and "overflow" in report.reason
+    def test_accepts_values_past_the_float_range(self):
+        # K t^1 overflows for t >= 2 and C / K = 1e310 does too, yet both are
+        # moduli; the commands on [0, 1] answer, or name their overflow
+        assert mo.validate(mo.parse_modulus("power:K=1.7e308,alpha=1")).ok
+        assert mo.validate(mo.parse_modulus("minlin:K=1e-310,C=1")).ok
+        psi = ("--psi1", "0,1; 0,0.25,1", "--psi2", "0,1; 0.75,1,1")
+        answers = [("bound", "ks", *psi), ("bound", "general", *psi),
+                   ("bound", "ostrowski", "--ab", "0,1", "--cd", "0.25,0.75"),
+                   ("bound", "point-mean", "--cd", "0,1", "--t", "0.5"),
+                   ("landau", "--h", "0.2"), ("stechkin", "--h", "0.2"), ("delta-recover", "--h", "0.1")]
+        for argv in answers:
+            code, out, err = _cli(*argv, "--omega", "power:K=1.7e308,alpha=1")
+            assert (code, err) == (0, "")
+            json.loads(out, parse_constant=lambda name: pytest.fail(f"{argv}: {name}"))
+        # the class samples reach 5 K: the sampled recoveries refuse
+        for kind in ("integral", "identity"):
+            code, out, err = _cli("recover", kind, "--grid", "64", "--trials", "4", "--omega", "power:K=1.7e308,alpha=1")
+            assert (code, out) == (2, "") and err.startswith("OverflowError: class samples, within 5 omega(b - a)")
 
     @pytest.mark.parametrize("w", [mo.power(1, 1), mo.power(3, 0.3), mo.minlin(2, 0.5),
                                    mo.plconcave([(0, 0), (0.5, 0.4), (1, 0.6)])])
     def test_accepts_valid_families(self, w):
         assert mo.validate(w).ok
+
+    def test_counterexample_between_grid_points(self):
+        # w(0.501) = 0.502 > w(0.5) + w(0.001) = 0.501; a 64-point grid on
+        # [0, 2] passed it
+        w = mo.PiecewiseLinearConcave(((0.0, 0.0), (0.5, 0.5), (0.501, 0.502), (0.502, 0.502), (1.0, 1.0)))
+        report = mo.validate(w)
+        assert (report.ok, report.reason) == (False, "not subadditive")
+        s, t = report.witness
+        assert s == 0.5 and t == pytest.approx(0.001) and w(s + t) > w(s) + w(t) + 1e-4
+
+    @pytest.mark.parametrize("w,ok", [(mo.PowerModulus(2, 0.5), True), (mo.PowerModulus(1.7e308, 1), True),
+                                      (mo.PowerModulus(3, 2), False), (mo.MinLinearConstant(1, 0.3), True),
+                                      (mo.MinLinearConstant(1e-310, 1), True)])
+    def test_power_and_minlin_evaluate_nothing(self, monkeypatch, w, ok):
+        def refuse(*args, **kwargs):
+            raise AssertionError("validation evaluated the modulus")
+
+        for cls in (mo.Modulus, mo.PowerModulus, mo.MinLinearConstant):
+            monkeypatch.setattr(cls, "__call__", refuse)
+            monkeypatch.setattr(cls, "primitive", refuse)
+        assert mo.validate(w).ok is ok
+
+    @given(st.lists(st.tuples(st.integers(1, 4), st.integers(0, 8)), min_size=1, max_size=6))
+    @settings(max_examples=200, deadline=None)
+    def test_vertex_check_matches_a_dense_grid(self, pieces):
+        # knots on the lattice of 1/8, so that every vertex the check reads
+        # is a node of the reference grid, of step 1/32 over [0, 2 k_m]
+        pts = [(0.0, 0.0)]
+        for dt, dv in pieces:
+            pts.append((pts[-1][0] + dt / 8, pts[-1][1] + dv / 16))
+        w = mo.PiecewiseLinearConcave(tuple(pts))
+        ts = np.arange(0.0, 2.0 * pts[-1][0] + 1e-12, 1 / 32)
+        s, t = ts[:, None], ts[None, :]
+        direct = w(s + t)
+        subadditive = not np.any(direct - (w(s) + w(t)) > np.maximum(1e-10, 1e-14 * np.abs(direct)))
+        report = mo.validate(w)
+        assert report.ok is subadditive
+        if not report.ok:
+            s, t = report.witness
+            assert report.reason == "not subadditive" and w(s + t) > w(s) + w(t)
 
     def test_huge_parameters_warn_nothing(self):
         with warnings.catch_warnings():
