@@ -25,9 +25,10 @@ RECOVER_SHA256 = {
 
 _PM = ("--cd", "0.2,0.7", "--ab", "0,1", "--omega", "power:K=1,alpha=0.5")
 _PAIR = ("--ab", "0,1", "--omega", "minlin:K=2,C=0.5")
-# (argv, exit code, sha256 of stdout) of each `extremal` kind and of the
-# ostrowski and landau suites; the functionals behind them compare rows
-# of grid data, and these digests keep their values bit for bit
+# (argv, exit code, sha256 of stdout) of each `extremal` kind, of the
+# ostrowski and landau suites and of two sweeps; the functionals behind
+# them compare rows of grid data, and these digests keep their values bit
+# for bit
 PINNED_OUTPUTS = {
     "point-mean t=0": (
         ("extremal", "point-mean", "--t", "0", *_PM), 0,
@@ -80,6 +81,15 @@ PINNED_OUTPUTS = {
     "verify landau": (
         ("verify", "--suite", "landau", "--trials", "200", "--grid", "1024"), 0,
         "85cf917b4882908c5a02d4dad55d9892ae7c1d8291904bfd6a006a297253f40c",
+    ),
+    # every --values entry of a sweep asks for the same sample stream
+    "sweep integral": (
+        ("sweep", "integral", "--values", "1,2,4", "--grid", "256", "--trials", "20"), 0,
+        "3d57b496a0dadf8b11860e3d07184e2ec360afbe6b3d8f28c8b60241d6835ee4",
+    ),
+    "sweep identity": (
+        ("sweep", "identity", "--values", "1,3", "--grid", "256", "--trials", "20"), 0,
+        "bf405755d46f9feb4f51e8853d008c81ef45cac81e35e7520f2273730abd94b1",
     ),
 }
 
