@@ -282,10 +282,8 @@ def cmd_sweep(args) -> int:
     omega = parse_modulus(args.omega)
     a, b = _pair(args.ab)
     lines = ["param,theoretical,empirical,gap"]
-    for n in args.values:
-        report = orc.recovery_experiment(
-            args.kind, n, args.h, omega, a, b, args.trials, args.grid, args.seed
-        )
+    reports = orc.recovery_sweep(args.kind, args.values, args.h, omega, a, b, args.trials, args.grid, args.seed)
+    for n, report in zip(args.values, reports):
         gap = report.theoretical - report.lower_bound
         lines.append(f"{n},{report.theoretical:.12g},{report.empirical_upper:.12g},{gap:.12g}")
     text = "\n".join(lines) + "\n"

@@ -226,9 +226,17 @@ def sup_dist(f: GridFunction, g: GridFunction) -> float:
 
 def cumtrapz(y: np.ndarray, step: float) -> np.ndarray:
     """Running trapezoid integral of node values ``y`` along axis 0 on a
-    uniform grid of spacing ``step``, starting from 0 at the first node."""
-    steps = np.cumsum(0.5 * (y[1:] + y[:-1]) * step, axis=0)
-    return np.concatenate((np.zeros_like(y[:1]), steps))
+    uniform grid of spacing ``step``, starting from 0 at the first node.
+    Each cell adds (0.5 (y[i + 1] + y[i])) step; the sums are written into
+    the one array returned."""
+    out = np.empty_like(y)
+    cells = out[1:]
+    np.add(y[1:], y[:-1], out=cells)
+    cells *= 0.5
+    cells *= step
+    np.cumsum(cells, axis=0, out=cells)
+    out[0] = 0.0
+    return out
 
 
 @lru_cache(maxsize=16)

@@ -107,6 +107,8 @@ class PowerModulus(Modulus):
         if out is None:
             r = self.K * r
             return float(r) if r.ndim == 0 else r
+        if self.K == 1.0 and r is out:  # x * 1.0 is x, bit for bit
+            return out
         return np.multiply(r, self.K, out=out)
 
     def primitive(self, alpha, beta):
@@ -124,9 +126,7 @@ class PowerModulus(Modulus):
                     return self.K * (np.float_power(beta, p) - np.float_power(alpha, p)) / p
         except (OverflowError, FloatingPointError):
             value = math.inf
-        if value < math.inf:
-            return value
-        raise OverflowError(f"the integral of the modulus over [{float(np.min(alpha))!r}, {float(np.max(beta))!r}] overflows")
+        return _finite(value, alpha, beta)
 
     def spec(self) -> str:
         return f"power:K={_fmt(self.K)},alpha={_fmt(self.alpha)}"
@@ -177,8 +177,17 @@ class PiecewiseLinearConcave(Modulus):
 
     def primitive(self, alpha, beta):
         alpha, beta = _check_range(alpha, beta)
-        antider = self._antider if isinstance(alpha, float) else self._array_antider()
-        return antider(beta) - antider(alpha)
+        # an overflow raises an OverflowError that names the range
+        if isinstance(alpha, float):
+            try:
+                value = self._antider(beta) - self._antider(alpha)
+            except OverflowError:  # a float ** that overflows
+                value = math.inf
+        else:
+            antider = self._array_antider()
+            with np.errstate(over="ignore", invalid="ignore"):
+                value = antider(beta) - antider(alpha)
+        return _finite(value, alpha, beta)
 
     def _antider(self, t: float) -> float:
         """int_0^t w, walking the knots: whole pieces, then the piece of t."""
@@ -257,7 +266,16 @@ class MinLinearConstant(Modulus):
                 # would overflow there
                 return linear(t) if below.all() else np.where(below, linear(t), capped(t))
 
-        return antider(beta) - antider(alpha)
+        # an overflow raises an OverflowError that names the range
+        try:
+            if isinstance(alpha, float):
+                value = antider(beta) - antider(alpha)
+            else:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    value = antider(beta) - antider(alpha)
+        except OverflowError:  # knee ** 2 of a float
+            value = math.inf
+        return _finite(value, alpha, beta)
 
     def spec(self) -> str:
         return f"minlin:K={_fmt(self.K)},C={_fmt(self.C)}"
@@ -279,6 +297,15 @@ def _check_range(alpha, beta):
         i = int(np.argmax(bad))
         raise ValueError(f"primitive requires 0 <= alpha <= beta, got ({alpha.flat[i]}, {beta.flat[i]})")
     return np.maximum(alpha, 0.0), np.maximum(beta, 0.0)
+
+
+def _finite(value, alpha, beta):
+    """``value``, a primitive over [alpha, beta], if it is finite
+    (everywhere); else an OverflowError that names the range (the hull of
+    array bounds)."""
+    if math.isfinite(value) if isinstance(value, float) else np.isfinite(value).all():
+        return value
+    raise OverflowError(f"the integral of the modulus over [{float(np.min(alpha))!r}, {float(np.max(beta))!r}] overflows")
 
 
 def _fmt(x: float) -> str:

@@ -8,13 +8,20 @@ members); the class is closed under each of these operations, so no
 sample is re-checked at run time.  This keeps the soundness sweeps
 honest: a reported violation can only come from the bound under test,
 not from an out-of-class sample.
+
+A suite hands each sup it needs to the sweep runner as a ``Sweep``
+request (``sup = yield Sweep(...)``).  ``run_sweeps`` runs such suites
+together and draws each distinct sample stream once, for every request
+that asks for it; ``suite_landau`` reads several statistics from each
+sample and keeps its own loop.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, List, Sequence, Tuple
+from types import GeneratorType
+from typing import Callable, Generator, Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -91,7 +98,11 @@ def sample_class(spec: SampleSpec) -> Iterator[gf.GridFunction]:
     values ``_real_member_values`` draws), its lift through the point
     interval [1, 1], or the interval [min(g1, g2), max(g1, g2) + c] of two
     real members; a ``W1HOMEGA`` draw is the running trapezoid integral of
-    such data plus a random base value (a real, or an interval)."""
+    such data plus a random base value (a real, or an interval).
+
+    Each sample's ``data`` is a new array and read-only: one sample is
+    handed to every functional of a shared stream in turn (``sweep_sups``),
+    so a functional that wrote into it would change the next one's input."""
     if spec.class_tag not in (HOMEGA, W1HOMEGA):
         raise ValueError(f"unknown class tag {spec.class_tag!r}")
     if spec.model not in MODEL_MIX:
@@ -106,18 +117,25 @@ def sample_class(spec: SampleSpec) -> Iterator[gf.GridFunction]:
     step = (spec.b - spec.a) / spec.grid
     for _ in range(spec.trials):
         data = _real_member_values(rng, spec.omega, ts, scale, work)
-        if spec.model == "lifted":  # the lift t -> v(t) [1, 1] is the point interval [v, v]
-            data = gf.interval_array(data, data)
-        elif spec.model == ls.INTERVAL:
-            g2 = _real_member_values(rng, spec.omega, ts, scale, work)
-            data = gf.interval_array(np.minimum(data, g2), np.maximum(data, g2) + float(rng.uniform(0.0, 1.0)))
+        if model == ls.INTERVAL:  # written into the columns of one (N+1, 2) array
+            out = np.empty((ts.size, 2))
+            if spec.model == "lifted":  # the lift t -> v(t) [1, 1] is the point interval [v, v]
+                out[:, 0] = out[:, 1] = data
+            else:
+                g2 = _real_member_values(rng, spec.omega, ts, scale, work)
+                np.minimum(data, g2, out=out[:, 0])
+                np.maximum(data, g2, out=out[:, 1])
+                out[:, 1] += float(rng.uniform(0.0, 1.0))
+            data = out
         if spec.class_tag == W1HOMEGA:
             if model == ls.REAL:
                 base = float(rng.uniform(-1, 1))
             else:
                 base_lo = float(rng.uniform(-1, 0))
                 base = np.array([base_lo, base_lo + float(rng.uniform(0, 1))])
-            data = gf.cumtrapz(data, step) + base
+            data = gf.cumtrapz(data, step)
+            data += base
+        data.flags.writeable = False
         yield gf.GridFunction(spec.a, spec.b, model, data)
 
 
@@ -150,19 +168,87 @@ def _mixed_stream(class_tag, omega, a, b, grid, trials, seed, inject=()):
         yield from sample_class(SampleSpec(class_tag, model, omega, a, b, grid, count, seed + 17 * k))
 
 
-def sweep_sup(
-    functional: Callable[[gf.GridFunction], float],
-    class_tag: str,
-    omega: Modulus,
-    a: float,
-    b: float,
-    grid: int,
-    trials: int,
-    seed: int,
-    inject: Sequence[gf.GridFunction] = (),
-) -> float:
-    """Sup of the functional over the mixed-model sample stream."""
-    return empirical_sup(functional, _mixed_stream(class_tag, omega, a, b, grid, trials, seed, inject))[0]
+@dataclass(frozen=True)
+class Sweep:
+    """A request for the sup of ``functional`` over the injected candidates
+    ``inject``, then the mixed-model stream of ``key``."""
+
+    functional: Callable[[gf.GridFunction], float]
+    class_tag: str
+    omega: Modulus
+    a: float
+    b: float
+    grid: int
+    trials: int
+    seed: int
+    inject: Sequence[gf.GridFunction] = ()
+
+    @property
+    def key(self) -> tuple:
+        """The arguments of ``_mixed_stream`` that fix the stream."""
+        return (self.class_tag, self.omega, self.a, self.b, self.grid, self.trials, self.seed)
+
+
+def sweep_sups(requests: Sequence[Sweep]) -> List[Tuple[float, int]]:
+    """(sup, argmax index) of each request, the index counted over the
+    request's own injected candidates and then the stream.  The requests
+    share one stream key; the stream is drawn once, and each sample is
+    handed to every functional before the next one is drawn."""
+    key = requests[0].key
+    if any(r.key != key for r in requests):
+        raise ValueError("requests of one sweep must share their stream key")
+    tops = [empirical_sup(r.functional, r.inject) for r in requests]
+    for i, f in enumerate(_mixed_stream(*key)):
+        for j, r in enumerate(requests):
+            v = float(r.functional(f))
+            if v > tops[j][0]:
+                tops[j] = (v, len(r.inject) + i)
+    return tops
+
+
+def run_sweeps(tasks: Sequence[Generator]) -> list:
+    """Run generators that yield ``Sweep`` requests (``sup = yield
+    Sweep(...)``) together and return what each returns.  In each round
+    every pending request is grouped by stream key, each key's stream is
+    drawn once for its group (``sweep_sups``), and every task is sent its
+    sup, in task order."""
+    results: list = [None] * len(tasks)
+    pending = {}
+
+    def advance(i: int, sup) -> None:
+        try:
+            pending[i] = tasks[i].send(sup)
+        except StopIteration as stop:
+            results[i] = stop.value
+
+    for i in range(len(tasks)):
+        advance(i, None)
+    while pending:
+        groups = {}
+        for i, request in pending.items():
+            groups.setdefault(request.key, []).append(i)
+        sups = {}
+        for members in groups.values():
+            for i, (sup, _) in zip(members, sweep_sups([pending[i] for i in members])):
+                sups[i] = sup
+        pending.clear()
+        for i in sorted(sups):
+            advance(i, sups[i])
+    return results
+
+
+def _sweeping(body: Callable[[int, int, int], Generator]) -> Callable[[int, int, int], Generator]:
+    """The suite ``body``, a generator function that yields a ``Sweep`` for
+    each sup it needs and returns its report, as a plain function that
+    returns the generator for ``run_suites`` to drive.  A wrapper that
+    times a generator function by its ``next()`` calls (as the benchmark's
+    span tracer does) would not pass the sups through; one around a plain
+    function does."""
+    def suite(trials: int, grid: int, seed: int) -> Generator:
+        return body(trials, grid, seed)
+
+    suite.__name__, suite.__qualname__, suite.__doc__ = body.__name__, body.__qualname__, body.__doc__
+    return suite
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +330,8 @@ def _ks_config():
     return w1, w2
 
 
-def suite_ks(trials: int, grid: int, seed: int) -> dict:
+@_sweeping
+def suite_ks(trials: int, grid: int, seed: int) -> Generator:
     omega = power(1, 1)
     w1, w2 = _ks_config()
     eps = gf.eps_tolerance(omega, 1.0, grid)
@@ -254,10 +341,7 @@ def suite_ks(trials: int, grid: int, seed: int) -> dict:
     checks.append(_eq("extremal is t - 1/2", float(np.max(np.abs(g.data - (g.nodes - 0.5)))), 0.0, 1e-12))
     checks.append(_check("extremal in class", gf.check_Homega(g, omega).member, 1.0, 1.0, 0.0))
     inject = [g, gf.lift(g, ls.interval(1.0, 1.0))]
-    sup = sweep_sup(
-        lambda f: ks.functional_S(f, w1, w2),
-        HOMEGA, omega, 0.0, 1.0, grid, trials, seed, inject=inject,
-    )
+    sup = yield Sweep(lambda f: ks.functional_S(f, w1, w2), HOMEGA, omega, 0.0, 1.0, grid, trials, seed, inject)
     checks.append(_leq("soundness sweep", sup, bound, eps))
     checks.append(_geq("injected extremal attains", sup, bound, eps))
     return _suite("ks", checks)
@@ -282,7 +366,8 @@ def suite_eq12(trials: int, grid: int, seed: int) -> dict:
     return _suite("eq12", checks)
 
 
-def suite_general(trials: int, grid: int, seed: int) -> dict:
+@_sweeping
+def suite_general(trials: int, grid: int, seed: int) -> Generator:
     omega = power(1, 1)
     cfg = ost.two_interval_config(0, 1, 0.25, 0.75)
     w1, w2 = ost.two_interval_weights(cfg)
@@ -298,15 +383,13 @@ def suite_general(trials: int, grid: int, seed: int) -> dict:
     checks.append(_check("glued candidate in class", gf.check_Homega(glued, omega).member, 1.0, 1.0, 0.0))
     attained = ks.functional_S(gf.lift(glued, ls.interval(1, 1)), w1, w2)
     checks.append(_geq("glued extremal attains", attained, gb, eps))
-    sup = sweep_sup(
-        lambda f: ks.functional_S(f, w1, w2),
-        HOMEGA, omega, 0.0, 1.0, grid, trials, seed, inject=[glued],
-    )
+    sup = yield Sweep(lambda f: ks.functional_S(f, w1, w2), HOMEGA, omega, 0.0, 1.0, grid, trials, seed, [glued])
     checks.append(_leq("soundness sweep", sup, gb, eps))
     return _suite("general", checks)
 
 
-def suite_ostrowski(trials: int, grid: int, seed: int) -> dict:
+@_sweeping
+def suite_ostrowski(trials: int, grid: int, seed: int) -> Generator:
     omega = power(1, 1)
     omega_sqrt = power(1, 0.5)
     eps = gf.eps_tolerance(omega, 1.0, grid)
@@ -321,21 +404,21 @@ def suite_ostrowski(trials: int, grid: int, seed: int) -> dict:
     checks.append(_eq("symmetric concentric value", ost.symmetric_bound(0, 1, 0.25, 0.75, omega), 0.125, 1e-12))
 
     ext = gf.lift(ost.point_vs_mean_extremal(0.5, omega, 0.0, 1.0, n=grid), ls.interval(1, 1))
-    sup = sweep_sup(lambda f: ost.point_vs_mean_functional(f, 0.5, 0.0, 1.0),
-                    HOMEGA, omega, 0, 1, grid, trials, seed, inject=[ext])
+    sup = yield Sweep(lambda f: ost.point_vs_mean_functional(f, 0.5, 0.0, 1.0),
+                      HOMEGA, omega, 0.0, 1.0, grid, trials, seed, [ext])
     checks.append(_leq("point-vs-mean soundness", sup, pm, eps))
     checks.append(_geq("point-vs-mean attained", sup, pm, eps))
 
     ext_sqrt = gf.lift(ost.point_vs_mean_extremal(0.0, omega_sqrt, 0.0, 1.0, n=grid), ls.interval(1, 1))
     eps_sqrt = gf.eps_tolerance(omega_sqrt, 1.0, grid)
-    sup = sweep_sup(lambda f: ost.point_vs_mean_functional(f, 0.0, 0.0, 1.0),
-                    HOMEGA, omega_sqrt, 0, 1, grid, trials, seed + 1, inject=[ext_sqrt])
+    sup = yield Sweep(lambda f: ost.point_vs_mean_functional(f, 0.0, 0.0, 1.0),
+                      HOMEGA, omega_sqrt, 0.0, 1.0, grid, trials, seed + 1, [ext_sqrt])
     checks.append(_leq("point-vs-mean sqrt soundness", sup, pm_sqrt, eps_sqrt))
     checks.append(_geq("point-vs-mean sqrt attained", sup, pm_sqrt, eps_sqrt))
 
     pair_ext = gf.lift(ost.symmetrized_pair_extremal(0.0, 0.0, 1.0, omega, n=grid), ls.interval(1, 1))
-    sup = sweep_sup(lambda f: ost.symmetrized_pair_functional(f, 0.0, 0.0, 1.0),
-                    HOMEGA, omega, 0, 1, grid, trials, seed + 2, inject=[pair_ext])
+    sup = yield Sweep(lambda f: ost.symmetrized_pair_functional(f, 0.0, 0.0, 1.0),
+                      HOMEGA, omega, 0.0, 1.0, grid, trials, seed + 2, [pair_ext])
     checks.append(_leq("symmetrized pair soundness", sup, pb, eps))
     checks.append(_geq("symmetrized pair attained", sup, pb, eps))
 
@@ -343,10 +426,7 @@ def suite_ostrowski(trials: int, grid: int, seed: int) -> dict:
     w1, w2 = ost.two_interval_weights(cfg)
     tb = ost.two_interval_bound(cfg, omega)
     ext2 = ost.two_interval_extremal(cfg, omega, n=grid)
-    sup = sweep_sup(
-        lambda f: ks.functional_S(f, w1, w2),
-        HOMEGA, omega, 0, 1, grid, trials, seed + 3, inject=[ext2],
-    )
+    sup = yield Sweep(lambda f: ks.functional_S(f, w1, w2), HOMEGA, omega, 0.0, 1.0, grid, trials, seed + 3, [ext2])
     checks.append(_leq("two-interval soundness", sup, tb, eps))
     checks.append(_geq("two-interval attained", sup, tb, eps))
 
@@ -355,7 +435,7 @@ def suite_ostrowski(trials: int, grid: int, seed: int) -> dict:
     def sym_err(f: gf.GridFunction) -> float:
         return gf.row_dist(f.model, gf.integrate(f), 2.0 * gf.integrate(f, 0.25, 0.75))
 
-    sup = sweep_sup(sym_err, HOMEGA, omega, 0, 1, grid, trials, seed + 4, inject=[ext2])
+    sup = yield Sweep(sym_err, HOMEGA, omega, 0.0, 1.0, grid, trials, seed + 4, [ext2])
     checks.append(_leq("symmetric soundness", sup, sb, eps))
     checks.append(_geq("symmetric attained", sup, sb, eps))
     return _suite("ostrowski", checks)
@@ -367,7 +447,8 @@ def _half_target_distance(core: gf.GridFunction, target: Callable) -> float:
     return 0.5 * float(target(up, dn))
 
 
-def suite_recovery(trials: int, grid: int, seed: int) -> dict:
+@_sweeping
+def suite_recovery(trials: int, grid: int, seed: int) -> Generator:
     omega = power(1, 1)
     checks = []
     # (problem, n, h, closed-form value); the soundness and lower-bound
@@ -379,7 +460,7 @@ def suite_recovery(trials: int, grid: int, seed: int) -> dict:
         ("derivative", 4, 0.0, 0.125),
     )
     for k, (kind, n, h, value) in enumerate(problems):
-        report = recovery_experiment(kind, n, h, omega, 0.0, 1.0, trials, grid, seed + k)
+        report = yield from _recovery_experiment(kind, n, h, omega, 0.0, 1.0, trials, grid, seed + k)
         val, eps = report.theoretical, report.tolerance
         checks.append(_eq(f"{kind} value", val, value, 1e-12))
         checks.append(_check(f"{kind} method soundness", report.sound, report.empirical_upper, val, eps))
@@ -548,6 +629,19 @@ def recovery_experiment(
     method is swept over class samples (upper side), and the lifted pair
     of the real lower-bound profile ``core`` supplies the
     information-indistinguishable lower bound."""
+    return recovery_sweep(kind, [n], h, omega, a, b, trials, grid, seed)[0]
+
+
+def recovery_sweep(kind: str, ns: Sequence[int], h: float, omega: Modulus, a: float, b: float,
+                   trials: int, grid: int, seed: int) -> List[rec.RecoveryReport]:
+    """``recovery_experiment`` at each n of ``ns``, in order; their sweeps
+    share one sample stream, which is drawn once."""
+    return run_sweeps([_recovery_experiment(kind, n, h, omega, a, b, trials, grid, seed) for n in ns])
+
+
+def _recovery_experiment(kind, n, h, omega, a, b, trials, grid, seed) -> Generator:
+    """The body of ``recovery_experiment``: it yields its one ``Sweep`` and
+    returns the report."""
     length = b - a
     eps = gf.eps_tolerance(omega, length, grid)
     if kind in ("convexify", "integral"):
@@ -602,10 +696,7 @@ def recovery_experiment(
             return gf.sup_dist(gf.hukuhara_derivative(f), lf_prime)
 
         lower = float(abs((core.data[1] - core.data[0]) / core.step))
-    sup = sweep_sup(
-        err, class_tag, omega, a, b, grid, trials, seed,
-        inject=[gf.lift(core, ls.interval(1.0, 1.0))],
-    )
+    sup = yield Sweep(err, class_tag, omega, a, b, grid, trials, seed, [gf.lift(core, ls.interval(1.0, 1.0))])
     drawn = sum(_per_model(trials))  # the injected extremal is not counted
     return rec.RecoveryReport(kind, theoretical, sup, lower, drawn, eps, extremal=core)
 
@@ -623,11 +714,16 @@ SUITES = {
 
 
 def run_suites(names: Sequence[str], trials: int, grid: int, seed: int) -> dict:
+    """Run the named suites of ``SUITES``.  A suite returns its report, or a
+    generator of ``Sweep`` requests that returns it (``_sweeping``); those
+    run together, so that a stream two of them sweep is drawn once."""
+    made = [SUITES[n](trials, grid, seed) for n in names]
+    swept = iter(run_sweeps([s for s in made if isinstance(s, GeneratorType)]))
     report = {
         "trials": sum(_per_model(trials)),
         "grid": grid,
         "seed": seed,
-        "suites": [SUITES[n](trials, grid, seed) for n in names],
+        "suites": [next(swept) if isinstance(s, GeneratorType) else s for s in made],
     }
     report["pass"] = all(s["pass"] for s in report["suites"])
     return report

@@ -253,6 +253,9 @@ class TestExitCodes:
         (("bound", "point-mean", "--t=-1e300", "--cd", "0,1", "--omega", "plconcave:0,0;1,1;2,1.5"),
          "point-mean I(c - t, d - t)"),
         (("bound", "pair", "--t", "0.1", "--ab", "0,1e308"), "pair I(0, (a + b) / 2 - t)"),
+        *((("bound", "point-mean", "--ab", "0,4", "--cd", "0,4", "--t", "0", "--omega", omega),
+           "point-mean I(c - t, d - t)")
+          for omega in ("power:K=1e308,alpha=1", "minlin:K=1e308,C=1.7e308", "plconcave:0,0;1,1e308;2,1.5e308")),
     ])
     def test_overflow_names_its_quantity(self, capsys, argv, quantity):
         code, out, err = run(capsys, *argv)
@@ -495,6 +498,12 @@ class TestSweep:
         rows = [line.split(",") for line in out.strip().splitlines()[1:]]
         theos = [float(r[1]) for r in rows]
         assert theos[0] / theos[1] == pytest.approx(4.0, abs=1e-9)
+
+    def test_values_share_one_stream(self, capsys, monkeypatch):
+        seen = _count_draws(monkeypatch)
+        code, _, _ = run(capsys, "sweep", "integral", "--values", "1,2,4", "--trials", "5", "--grid", "64")
+        assert code == 0
+        assert len(seen) == 5  # drawn once for the three n
 
     def test_negative_half_width_rejected(self, capsys):
         # only --h 0 selects the default half-width

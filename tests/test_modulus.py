@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import re
 import warnings
 
 import numpy as np
@@ -300,15 +301,20 @@ class TestArrayPrimitive:
         with pytest.raises(ValueError, match="alpha <= beta"):
             w.primitive(negative, beta)
 
-    def test_overflow_raises(self):
-        # of the power, on both paths, and of the product with K
-        with pytest.raises(OverflowError, match=r"the integral of the modulus over \[0\.0, 1e\+200\] overflows"):
-            mo.power(1, 1).primitive(0.0, 1e200)
-        with pytest.raises(OverflowError, match=r"over \[0\.0, 1e\+200\] overflows"):
-            mo.power(1, 1).primitive(np.zeros(2), np.array([1.0, 1e200]))
-        for bounds in ((0.0, 4.0), (np.zeros(2), np.array([1.0, 4.0]))):
-            with pytest.raises(OverflowError, match=r"over \[0\.0, 4\.0\] overflows"):
-                mo.power(1.7e308, 1).primitive(*bounds)
+    @pytest.mark.parametrize("w, beta", [
+        (mo.power(1, 1), 1e200),  # the power
+        (mo.power(1.7e308, 1), 4.0),  # the product with K
+        (mo.minlin(1e308, 1.7e308), 4.0),  # K t^2 / 2, and inf - inf past the knee
+        (mo.minlin(1e-200, 1.0), 1e201),  # the knee 1e200 squared
+        (mo.plconcave([(0, 0), (1, 1e308), (2, 1.5e308)]), 4.0),
+        (mo.plconcave([(0, 0), (1, 1)]), 1e200),  # the square of t past the last knot
+    ], ids=["power", "power-product", "minlin-product", "minlin-knee", "plconcave-product", "plconcave-square"])
+    def test_overflow_raises(self, w, beta):
+        # on the scalar and the array path, never an inf or a nan
+        match = rf"the integral of the modulus over \[0\.0, {re.escape(repr(beta))}\] overflows"
+        for bounds in ((0.0, beta), (np.zeros(2), np.array([1.0, beta]))):
+            with pytest.raises(OverflowError, match=match):
+                w.primitive(*bounds)
 
 
 def _plconcave_uncached(w, t, out=None):

@@ -85,6 +85,21 @@ class TestSampling:
             assert f.data.shape == (65, 2)
             assert np.all(f.data[:, 0] <= f.data[:, 1])
 
+    @pytest.mark.parametrize("model", orc.MODEL_MIX)
+    @pytest.mark.parametrize("cls", [orc.HOMEGA, orc.W1HOMEGA])
+    def test_samples_are_read_only(self, cls, model):
+        # a shared sample goes to every functional of its stream in turn;
+        # one that wrote into it would change the next one's input
+        def vandal(f):
+            f.data[...] = 0.0
+            return 0.0
+
+        request = orc.Sweep(vandal, cls, wid, 0.0, 1.0, 64, 3, 5)
+        with pytest.raises(ValueError, match="read-only"):
+            orc.sweep_sups([request])
+        for f in orc.sample_class(_spec(model=model, cls=cls, trials=2, grid=64)):
+            assert not f.data.flags.writeable
+
     def test_union_model_is_not_sampled(self):
         assert ls.UNION not in orc.MODEL_MIX
         with pytest.raises(ValueError):
@@ -141,6 +156,31 @@ def _reference_real_member_values(rng, omega, ts):
     return lam * envelope(+1.0) + (1.0 - lam) * envelope(-1.0)
 
 
+def _reference_draws(spec):
+    """The draw loop as it was before it wrote into one array: the interval
+    columns stacked by ``np.stack``, the running trapezoid concatenated
+    after a zero row, and the base value added to a new array."""
+    rng = np.random.default_rng(spec.seed)
+    ts = np.linspace(0.0, spec.b - spec.a, spec.grid + 1)
+    step = (spec.b - spec.a) / spec.grid
+    for _ in range(spec.trials):
+        data = _reference_real_member_values(rng, spec.omega, ts)
+        if spec.model == "lifted":
+            data = np.stack([data, data], axis=1)
+        elif spec.model == ls.INTERVAL:
+            g2 = _reference_real_member_values(rng, spec.omega, ts)
+            data = np.stack([np.minimum(data, g2), np.maximum(data, g2) + float(rng.uniform(0.0, 1.0))], axis=1)
+        if spec.class_tag == orc.W1HOMEGA:
+            if spec.model == ls.REAL:
+                base = float(rng.uniform(-1, 1))
+            else:
+                base_lo = float(rng.uniform(-1, 0))
+                base = np.array([base_lo, base_lo + float(rng.uniform(0, 1))])
+            steps = np.cumsum(0.5 * (data[1:] + data[:-1]) * step, axis=0)
+            data = np.concatenate((np.zeros_like(data[:1]), steps)) + base
+        yield data
+
+
 _KERNEL_MODULI = {
     "power(1,1)": wid,
     "power(1,1/2)": wsq,
@@ -170,6 +210,18 @@ class TestConeWorkspace:
             assert got.tobytes() == want.tobytes()
         # the two constructions drew the same numbers
         assert rng.random() == ref_rng.random()
+
+    @pytest.mark.parametrize("omega", _KERNEL_MODULI.values(), ids=_KERNEL_MODULI.keys())
+    @pytest.mark.parametrize("cls", [orc.HOMEGA, orc.W1HOMEGA])
+    @pytest.mark.parametrize("model", orc.MODEL_MIX)
+    @pytest.mark.parametrize("grid", [64, 4096])
+    def test_samples_equal_the_stacking_reference(self, omega, cls, model, grid):
+        spec = orc.SampleSpec(cls, model, omega, -1.0, 2.5, grid, 6, 3)
+        got = list(orc.sample_class(spec))
+        want = list(_reference_draws(spec))
+        assert len(got) == len(want) == 6
+        for f, data in zip(got, want):
+            assert f.data.tobytes() == data.tobytes()
 
     @pytest.mark.parametrize("cls", [orc.HOMEGA, orc.W1HOMEGA])
     @pytest.mark.parametrize("model", orc.MODEL_MIX)
@@ -218,9 +270,76 @@ class TestEmpiricalSup:
         assert arg == 0
 
 
+def _record_specs(monkeypatch):
+    """Wrap ``oracle.sample_class``; the returned list collects the spec of
+    each stream it draws, once per sample drawn."""
+    sample_class, seen = orc.sample_class, []
+
+    def recording(spec):
+        for f in sample_class(spec):
+            seen.append(spec)
+            yield f
+
+    monkeypatch.setattr(orc, "sample_class", recording)
+    return seen
+
+
+def _ks_functional(f):
+    w1 = ks.indicator_weight(0, 0.25, 1.0, domain=(0, 1))
+    w2 = ks.indicator_weight(0.75, 1.0, 1.0, domain=(0, 1))
+    return ks.functional_S(f, w1, w2)
+
+
+class TestSweepRunner:
+    @pytest.mark.parametrize("cls", [orc.HOMEGA, orc.W1HOMEGA])
+    def test_shared_stream_gives_each_request_its_own_sup_and_argmax(self, monkeypatch, cls):
+        key = (cls, wsq, 0.0, 1.0, 128, 7, 3)
+        lifted = gf.lift(constant_grid(ls.real(0.25), 0, 1, 128), ls.interval(1, 1))
+        requests = [
+            orc.Sweep(_ks_functional, *key),
+            orc.Sweep(lambda f: gf.sup_norm(f), *key, inject=[lifted]),
+            orc.Sweep(lambda f: -gf.sup_norm(f), *key, inject=[lifted, lifted]),
+            orc.Sweep(lambda f: 1e9 if f.model == ls.REAL else 0.0, *key, inject=[lifted]),
+        ]
+        want = [orc.empirical_sup(r.functional, orc._mixed_stream(*key, inject=r.inject)) for r in requests]
+        seen = _record_specs(monkeypatch)
+        assert orc.sweep_sups(requests) == want
+        # the stream is drawn once for the four requests
+        assert len(seen) == sum(orc._per_model(7)) == 7
+        assert want[2][1] == 0 and want[3][1] == 1  # an injected and a drawn argmax
+
+    def test_requests_of_one_sweep_share_their_key(self):
+        a = orc.Sweep(_ks_functional, orc.HOMEGA, wid, 0.0, 1.0, 64, 3, 1)
+        b = orc.Sweep(_ks_functional, orc.HOMEGA, wid, 0.0, 1.0, 64, 3, 2)
+        with pytest.raises(ValueError, match="share their stream key"):
+            orc.sweep_sups([a, b])
+
+    def test_run_sweeps_sends_each_task_its_sup_and_returns_its_value(self, monkeypatch):
+        def task(seeds):
+            sups = []
+            for seed in seeds:
+                sups.append((yield orc.Sweep(_ks_functional, orc.HOMEGA, wid, 0.0, 1.0, 64, 4, seed)))
+            return sups
+
+        def alone(seed):
+            return orc.empirical_sup(_ks_functional, orc._mixed_stream(orc.HOMEGA, wid, 0.0, 1.0, 64, 4, seed))[0]
+
+        want = [[alone(1), alone(2)], [alone(1), alone(3)], []]
+        seen = _record_specs(monkeypatch)
+        assert orc.run_sweeps([task([1, 2]), task([1, 3]), task([])]) == want
+        # both tasks ask for seed 1 in the first round, and it is drawn once
+        assert len(seen) == 3 * sum(orc._per_model(4))
+        assert len(set(seen)) == 3 * len(orc.MODEL_MIX)
+
+
+@pytest.fixture(scope="module")
+def all_suites():
+    return orc.run_suites(list(orc.SUITES), trials=40, grid=256, seed=7)
+
+
 class TestSuites:
-    def test_all_suites_pass_at_small_scale(self):
-        rep = orc.run_suites(list(orc.SUITES), trials=40, grid=256, seed=7)
+    def test_all_suites_pass_at_small_scale(self, all_suites):
+        rep = all_suites
         failures = [
             (s["suite"], c["name"])
             for s in rep["suites"]
@@ -228,6 +347,19 @@ class TestSuites:
             if not c["pass"]
         ]
         assert rep["pass"], failures
+
+    def test_suites_run_together_equal_each_alone(self, all_suites):
+        alone = [orc.run_suites([name], trials=40, grid=256, seed=7)["suites"][0] for name in orc.SUITES]
+        assert all_suites["suites"] == alone
+
+    def test_each_stream_is_drawn_once(self, monkeypatch):
+        seen = _record_specs(monkeypatch)
+        orc.run_suites(list(orc.SUITES), trials=100, grid=128, seed=7)
+        # 13 sweeps ask for 10 distinct streams: ks, general, point-vs-mean
+        # and recovery convexify share one; each sweep alone drew 1225 samples
+        assert len(seen) == 925
+        drawn = [spec for i, spec in enumerate(seen) if i == 0 or spec != seen[i - 1]]
+        assert len(drawn) == len(set(drawn)) == 10 * len(orc.MODEL_MIX)
 
     def test_report_shape(self):
         rep = orc.run_suites(["lspace"], trials=10, grid=256, seed=1)
