@@ -100,7 +100,7 @@ def values_at(f: GridFunction, ts) -> np.ndarray:
     if f.model == ls.REAL:
         return np.interp(ts, f.nodes, f.data)
     i = np.minimum(np.maximum(np.rint((ts - f.a) / f.step), 0.0), f.n_cells)
-    return f.data[i.astype(np.intp)]
+    return np.take(f.data, i.astype(np.intp), axis=0)
 
 
 def real_grid(f, a: float, b: float, n: int = DEFAULT_GRID) -> GridFunction:

@@ -10,11 +10,20 @@ Both kinds of information are arrays in the ``GridFunction.data``
 layout: the n window means (``MeanInfo.means``) and the n + 1 node
 values, one row per node, which ``gridfn.values_at`` reads off a grid
 function by its one evaluation rule.
+
+The methods output grid functions on the uniform grid of their domain.
+Its nodes and the map from each node to the cell of the knots or the
+partition that holds it depend on the grid and the cells only, so they
+are cached (``_grid_nodes``, ``_node_cells``): a sweep builds them once
+and reads them for every sample.  Step outputs gather their rows with
+``np.take(rows, cells, axis=0)``, which gives the bits of ``rows[cells]``
+at a small part of its cost.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -97,15 +106,38 @@ def mean_info(f: gf.GridFunction, knots: Sequence[float], h: float) -> MeanInfo:
 
 
 # ---------------------------------------------------------------------------
+# the output grid and its node-to-cell map
+
+
+@lru_cache(maxsize=16)
+def _grid_nodes(a: float, b: float, n: int) -> np.ndarray:
+    """The n + 1 nodes of the uniform grid on [a, b], read-only."""
+    ts = np.linspace(a, b, n + 1)
+    ts.flags.writeable = False
+    return ts
+
+
+@lru_cache(maxsize=16)
+def _node_cells(breaks: Tuple[float, ...], a: float, b: float, n: int) -> np.ndarray:
+    """For each node of ``_grid_nodes(a, b, n)``, the cell of the increasing
+    ``breaks`` that holds it: the last break at or below the node, clipped
+    to the cells, so that b falls in the last cell.  Read-only; it depends
+    on its key only, so a sweep builds it once for all its samples."""
+    below = np.searchsorted(np.array(breaks), _grid_nodes(a, b, n), side="right") - 1
+    idx = np.clip(below, 0, len(breaks) - 2)
+    idx.flags.writeable = False
+    return idx
+
+
+# ---------------------------------------------------------------------------
 # recovery of the convexifying operator
 
 
 def recover_convexify(info: MeanInfo, n: int = gf.DEFAULT_GRID) -> gf.GridFunction:
     """Piecewise-constant method: on each tau-cell, output the cell mean."""
     tau = tau_of(info.knots, info.a, info.b)
-    ts = np.linspace(info.a, info.b, n + 1)
-    idx = np.clip(np.searchsorted(tau, ts, side="right") - 1, 0, len(info.knots) - 1)
-    return gf.GridFunction(info.a, info.b, info.model, info.means[idx])
+    idx = _node_cells(tuple(tau.tolist()), info.a, info.b, n)
+    return gf.GridFunction(info.a, info.b, info.model, np.take(info.means, idx, axis=0))
 
 
 def error_convexify(n: int, h: float, omega: Modulus, length: float) -> float:
@@ -273,7 +305,7 @@ def polyline(model: str, rows: np.ndarray, partition: Sequence[float], n: int = 
     if len(rows) != len(partition):
         raise ValueError("one value per partition node required")
     a, b = float(partition[0]), float(partition[-1])
-    ts = np.linspace(a, b, n + 1)
+    ts = _grid_nodes(a, b, n)
     if model == ls.REAL:
         return gf.GridFunction(a, b, ls.REAL, np.interp(ts, partition, rows))
     lo = np.interp(ts, partition, rows[:, 0])
@@ -313,20 +345,24 @@ def omega_spline(pieces: int, omega: Modulus, a: float, b: float, n: int = gf.DE
 
     The slope alternates in sign between break positions eta; the cell
     midpoints solve the node conditions in closed form, and the node
-    residuals are verified post hoc.
+    residuals are verified post hoc.  The construction runs in coordinates
+    local to a, on [0, b - a], so that its rounding scales with the length
+    of the domain and not with its offset; the grid function is then
+    placed on [a, b].
     """
     if not omega.concave:
         raise NonConcave("the node-vanishing construction requires a concave modulus")
     a, b = float(a), float(b)
-    partition = _check_partition(np.linspace(a, b, pieces + 1))
+    length = b - a
+    partition = _check_partition(np.linspace(0.0, length, pieces + 1))
     signs = np.array([(-1.0) ** i for i in range(pieces + 1)])
     etas = 0.5 * (partition[:-1] + partition[1:])
-    resid = float(np.max(np.abs(_spline_G(etas, signs, omega, partition[1:], a))))
-    tol = 1e-7 * max(1.0, polyline_uniform_error(pieces, omega, b - a))  # relative to the sup norm
+    resid = float(np.max(np.abs(_spline_G(etas, signs, omega, partition[1:], 0.0))))
+    tol = 1e-7 * max(1.0, polyline_uniform_error(pieces, omega, length))  # relative to the sup norm
     if resid > tol:
         raise ArithmeticError(f"omega-spline node residuals {resid:.2e} exceed {tol:.2e}")
-    ts = np.linspace(a, b, n + 1)
-    return gf.GridFunction(a, b, ls.REAL, _spline_G(etas, signs, omega, ts, a))
+    ts = np.linspace(0.0, length, n + 1)
+    return gf.GridFunction(a, b, ls.REAL, _spline_G(etas, signs, omega, ts, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -343,9 +379,8 @@ def polyline_derivative(
     partition = _check_partition(np.asarray(partition, dtype=float))
     quotients = gf.hukuhara_quotient(model, rows[1:], rows[:-1], 1.0 / np.diff(partition))
     a, b = float(partition[0]), float(partition[-1])
-    ts = np.linspace(a, b, n + 1)
-    idx = np.clip(np.searchsorted(partition, ts, side="right") - 1, 0, len(quotients) - 1)
-    return gf.GridFunction(a, b, model, quotients[idx])
+    idx = _node_cells(tuple(partition.tolist()), a, b, n)
+    return gf.GridFunction(a, b, model, np.take(quotients, idx, axis=0))
 
 
 def derivative_recovery_value(n: int, omega: Modulus, length: float) -> float:

@@ -402,6 +402,17 @@ class TestRecover:
         assert code == 0
         assert json.loads(out)["attained"] is True
 
+    def test_identity_on_a_far_off_domain(self, capsys):
+        # the spline is built local to a: at 1e15 the float spacing is
+        # 0.125, so absolute coordinates left node residuals of about 20
+        argv = ["recover", "identity", "--n", "3", "--grid", "64", "--trials", "4"]
+        code, out, err = run(capsys, *argv, "--ab", "1e15,1.000000000001e15")
+        assert code == 0, err
+        code0, out0, _ = run(capsys, *argv, "--ab", "0,1000")
+        assert code0 == 0
+        far, near = json.loads(out), json.loads(out0)
+        assert (far["theoretical"], far["lower_bound"]) == (near["theoretical"], near["lower_bound"])
+
     @pytest.mark.parametrize("trials,drawn", [(5, 5), (1, 3), (8, 8)])
     def test_trials_field_counts_samples_drawn(self, capsys, monkeypatch, trials, drawn):
         seen = _count_draws(monkeypatch)

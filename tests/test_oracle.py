@@ -388,6 +388,15 @@ class TestRecoveryExperiment:
         assert np.array_equal(report.extremal.data, core.data)
         assert "extremal" not in report.as_dict()
 
+    def test_convexify_builds_its_node_map_once(self):
+        # the node-to-cell map depends on the knots and the grid only: one
+        # experiment builds it once and reads it for every sample
+        rec._node_cells.cache_clear()
+        report = orc.recovery_experiment("convexify", 4, 0.0, wid, 0.0, 1.0, 10, 256, 7)
+        info = rec._node_cells.cache_info()
+        assert (info.misses, info.currsize) == (1, 1)
+        assert info.hits == report.trials  # the injected extremal and the drawn samples, less the first
+
     def test_extremal_export(self):
         core = orc.recovery_experiment("identity", 2, 0.0, wid, 0.0, 1.0, 2, 256, 7).extremal
         assert np.array_equal(core.data, rec.omega_spline(2, wid, 0.0, 1.0, n=256).data)

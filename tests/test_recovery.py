@@ -293,13 +293,17 @@ class TestOmegaSpline:
         with pytest.raises(NonConcave):
             rec.omega_spline(2, mo.PowerModulus(1, 2.0), 0.0, 1.0)
 
-    def test_shifted_interval(self):
-        # the uniform partition is built on [a, b]; a shift moves the spline
-        G = rec.omega_spline(4, wsq, 2.0, 3.0, n=512)
-        G0 = rec.omega_spline(4, wsq, 0.0, 1.0, n=512)
-        assert (G.a, G.b) == (2.0, 3.0)
-        assert np.max(np.abs(np.interp(np.linspace(2, 3, 5), G.nodes, G.data))) <= 1e-9
-        np.testing.assert_allclose(G.data, G0.data, rtol=0, atol=1e-12)
+    @pytest.mark.parametrize("a,length", [(2.0, 1.0), (-7.25, 1000.0), (1e15, 1000.0)])
+    def test_shifted_interval(self, a, length):
+        # the spline is built on [0, b - a] and placed on [a, b], so a shift
+        # moves no bit; at 1e15, where floats are 0.125 apart, absolute
+        # coordinates left node residuals of about 20
+        G = rec.omega_spline(4, wsq, a, a + length, n=512)
+        G0 = rec.omega_spline(4, wsq, 0.0, length, n=512)
+        assert (G.a, G.b) == (a, a + length)
+        assert np.array_equal(_bits(G.data), _bits(G0.data))
+        size = rec.polyline_uniform_error(4, wsq, length)
+        assert np.max(np.abs(np.interp(np.linspace(0, length, 5), G0.nodes, G0.data))) <= 1e-9 * size
 
     def test_node_residual_self_check(self, monkeypatch):
         monkeypatch.setattr(rec, "_spline_G", lambda etas, signs, omega, pts, a: np.full(len(pts), 2e-7))
@@ -531,3 +535,86 @@ class TestArrayKernels:
         for omega in (wsq, mo.minlin(1, 0.3)):
             got = rec._spline_G(etas, signs, omega, pts, 0.0)
             assert np.array_equal(_bits(got), _bits(_ref_spline_G(etas, signs, omega, pts, 0.0)))
+
+
+MAP_NS = [1, 3, 128]
+MAP_GRIDS = [2, 7, 1024, 16384]
+MAP_DOMAINS = [(0.0, 1.0), (-3.0, 5.5)]
+
+
+def _fresh_cells(breaks, a, b, grid):
+    """The node-to-cell rule evaluated afresh, as each call once did."""
+    ts = np.linspace(a, b, grid + 1)
+    return np.clip(np.searchsorted(breaks, ts, side="right") - 1, 0, len(breaks) - 2)
+
+
+def _map_rows(model, m, seed):
+    """m random rows of ``model``; interval widths grow with the row, so
+    that every Hukuhara difference of neighbouring rows exists."""
+    rng = np.random.default_rng(seed)
+    lo = rng.normal(size=m)
+    if model == ls.REAL:
+        return lo
+    return gf.interval_array(lo, lo + np.cumsum(rng.uniform(0.0, 1.0, size=m)))
+
+
+class TestNodeCellMap:
+    """The cached node-to-cell map and the ``np.take`` gathers give the bits
+    of a fresh ``searchsorted`` and a fancy-indexed gather."""
+
+    @pytest.mark.parametrize("model", [ls.REAL, ls.INTERVAL])
+    @pytest.mark.parametrize("n", MAP_NS)
+    @pytest.mark.parametrize("grid", MAP_GRIDS)
+    @pytest.mark.parametrize("a,b", MAP_DOMAINS)
+    def test_convexify_matches_fresh_map(self, model, n, grid, a, b):
+        knots, tau = rec.optimal_knots(n, a, b)
+        info = rec.MeanInfo(a, b, knots, 0.25 * (b - a) / n, model, _map_rows(model, n, n + grid))
+        want = info.means[_fresh_cells(tau, a, b, grid)]
+        rec._node_cells.cache_clear()
+        for _ in range(2):  # built, then read from the cache
+            got = rec.recover_convexify(info, n=grid)
+            assert got.data.shape == want.shape
+            assert np.array_equal(_bits(got.data), _bits(want))
+
+    @pytest.mark.parametrize("model", [ls.REAL, ls.INTERVAL])
+    @pytest.mark.parametrize("n", MAP_NS)
+    @pytest.mark.parametrize("grid", MAP_GRIDS)
+    @pytest.mark.parametrize("a,b", MAP_DOMAINS)
+    def test_derivative_matches_fresh_map(self, model, n, grid, a, b):
+        partition = np.linspace(a, b, n + 1)
+        rows = _map_rows(model, n + 1, n + grid)
+        quotients = gf.hukuhara_quotient(model, rows[1:], rows[:-1], 1.0 / np.diff(partition))
+        want = quotients[_fresh_cells(partition, a, b, grid)]
+        rec._node_cells.cache_clear()
+        for _ in range(2):
+            got = rec.polyline_derivative(model, rows, partition, n=grid)
+            assert np.array_equal(_bits(got.data), _bits(want))
+
+    @pytest.mark.parametrize("a,b", MAP_DOMAINS)
+    def test_nodes_on_breaks(self, a, b):
+        # at n = 128 and grid 1024 every eighth node is a tau break and a
+        # partition node, and b is the last node: each takes the cell to
+        # its right, and b the last cell
+        ts = np.linspace(a, b, 1025)
+        _, tau = rec.optimal_knots(128, a, b)
+        partition = np.linspace(a, b, 129)
+        for breaks in (tau, partition):
+            assert np.array_equal(breaks, ts[::8])
+            cells = rec._node_cells(tuple(breaks.tolist()), a, b, 1024)
+            assert np.array_equal(cells[:-1:8], np.arange(128))
+            assert cells[-1] == 127
+
+    def test_nonuniform_partition(self):
+        partition = np.array([-3.0, -2.5, 0.0, 0.125, 4.0, 5.5])
+        rows = _map_rows(ls.INTERVAL, len(partition), 11)
+        quotients = gf.hukuhara_quotient(ls.INTERVAL, rows[1:], rows[:-1], 1.0 / np.diff(partition))
+        got = rec.polyline_derivative(ls.INTERVAL, rows, partition, n=68)
+        assert np.array_equal(_bits(got.data), _bits(quotients[_fresh_cells(partition, -3.0, 5.5, 68)]))
+
+    def test_map_is_read_only(self):
+        _, tau = rec.optimal_knots(3, 0.0, 1.0)
+        cells = rec._node_cells(tuple(tau.tolist()), 0.0, 1.0, 64)
+        with pytest.raises(ValueError):
+            cells[0] = 1
+        with pytest.raises(ValueError):
+            rec._grid_nodes(0.0, 1.0, 64)[0] = 1.0
