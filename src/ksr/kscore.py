@@ -15,8 +15,10 @@ weight heights at the cell midpoints (``StepWeight.heights``) and one
 running sum in cell order.  Its hats are peeled in one pass over Python
 lists: the peaks and their prominences are found once, and a peel redoes
 only the prominence walks that stopped on the range it flattens (see
-``_peel_hats``).  Each hat is rearranged with all its levels measured in
-one array pass (``poly.decreasing_rearrangement``), and int R w' is taken by
+``_peel_hats``).  All the hats are rearranged in one call, which measures
+every level of every hat in one array pass per segment count
+(``poly.decreasing_rearrangements``); each rearrangement is added over the
+prefix of the merged breakpoints up to its end, and int R w' is taken by
 parts with the modulus and its primitive evaluated once over the knot
 arrays (``Modulus.primitive`` takes arrays) and the terms added in knot
 order.  Mass checks compare in units of max(1, mass), since every bound
@@ -25,6 +27,8 @@ is homogeneous in the weights.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import List, Tuple
 
@@ -40,7 +44,7 @@ from .errors import (
 )
 from .modulus import Modulus
 from .poly import (
-    decreasing_rearrangement,
+    decreasing_rearrangements,
     insert_zero_crossings,
     merge_breakpoints,
 )
@@ -78,6 +82,8 @@ class StepWeight:
         for (_, v1, _), (u2, _, _) in zip(self.pieces, self.pieces[1:]):
             if u2 < v1 - 1e-12:
                 raise ValueError("pieces must be sorted and disjoint")
+        if not math.isfinite(self.mass()):
+            raise ValueError(f"weight mass overflows: {self.mass()}")
 
     @property
     def support(self) -> Tuple[float, float]:
@@ -135,6 +141,25 @@ def indicator_weight(u: float, v: float, height: float = 1.0, domain=None) -> St
     return step_weight(domain, [(u, v, height)])
 
 
+def _spec_numbers(chunk: str, what: str, names: str) -> List[float]:
+    """The numbers of one chunk of a weight spec, one for each of the
+    comma-separated ``names``; a ValueError names the chunk and what it
+    needs."""
+    parts, want = chunk.split(","), names.count(",") + 1
+    need = f"{what} {chunk!r} needs {want} finite numbers {names}"
+    if len(parts) != want:
+        raise ValueError(f"{need}, not {len(parts)}")
+    numbers = []
+    for part in parts:
+        try:
+            numbers.append(float(part))
+        except ValueError:
+            raise ValueError(f"{need}, and {part.strip()!r} is not a number") from None
+        if not math.isfinite(numbers[-1]):
+            raise ValueError(f"{need}, and {part.strip()!r} is non-finite")
+    return numbers
+
+
 def parse_step_weight(text: str) -> StepWeight:
     """Parse ``a,b; u1,v1,w1; u2,v2,w2; ...``."""
     if not text:
@@ -142,14 +167,9 @@ def parse_step_weight(text: str) -> StepWeight:
     chunks = [c.strip() for c in text.split(";") if c.strip()]
     if len(chunks) < 2:
         raise ValueError(f"malformed weight spec {text!r}")
-    a, b = (float(x) for x in chunks[0].split(","))
-    pieces = []
-    for c in chunks[1:]:
-        u, v, w = (float(x) for x in c.split(","))
-        pieces.append((u, v, w))
-    if not np.all(np.isfinite([a, b, *(x for p in pieces for x in p)])):
-        raise ValueError(f"weight spec {text!r} has a non-finite number")
-    return step_weight((a, b), pieces)
+    domain = _spec_numbers(chunks[0], "weight domain", "a,b")
+    pieces = [_spec_numbers(c, "weight piece", "u,v,w") for c in chunks[1:]]
+    return step_weight(domain, pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -203,12 +223,18 @@ def _mass_refined_segments(w1: StepWeight, w2: StepWeight) -> List[Tuple[float, 
         tail += w * (y - x)
     cuts = sorted({0.0, mass} | set(cum1) | {t for t0, t1, *_ in tails for t in (t0, t1)})
     cuts = [m for m in cuts if -tol <= m <= mass + tol]
+    # the tail ends are nondecreasing (each tail starts where the one before
+    # it ends), so the first tail whose end reaches a mass level is found
+    # by bisection; it covers the level if its start does too, and if it
+    # does not, no tail does
+    ends = [t1 + tol for _, t1, *_ in tails]
 
     def rho_of(m_lo: float, m_hi: float):
         mid = 0.5 * (m_lo + m_hi)
-        for t0, t1, x, y, w in tails:
-            if t0 - tol <= mid <= t1 + tol:
-                return (y - (m_lo - t0) / w, y - (m_hi - t0) / w)
+        i = bisect_left(ends, mid)
+        if i < len(tails) and tails[i][0] - tol <= mid:
+            t0, _, x, y, w = tails[i]
+            return (y - (m_lo - t0) / w, y - (m_hi - t0) / w)
         raise MassMismatch("mass level not covered by the right weight")
 
     segments: List[Tuple[float, float, float, float, float]] = []
@@ -217,8 +243,8 @@ def _mass_refined_segments(w1: StepWeight, w2: StepWeight) -> List[Tuple[float, 
             # support gap: rho constant at the previous value
             r_prev = segments[-1][3]
             segments.append((segments[-1][1], u, r_prev, r_prev, 0.0))
-        sub = [m for m in cuts if m_u + tol < m < m_v - tol]
-        grid = [m_u] + sub + [m_v]
+        # the cuts strictly inside (m_u + tol, m_v - tol)
+        grid = [m_u] + cuts[bisect_right(cuts, m_u + tol) : bisect_left(cuts, m_v - tol)] + [m_v]
         for p, q in zip(grid, grid[1:]):
             s0 = u + (p - m_u) / w
             s1 = u + (q - m_u) / w
@@ -496,13 +522,16 @@ def decompose_weights(w1: StepWeight, w2: StepWeight) -> HatDecomposition:
 
 def _sum_of_hat_rearrangements(decomp: HatDecomposition) -> Tuple[np.ndarray, np.ndarray]:
     length = decomp.domain[1] - decomp.domain[0]
-    polylines = [decreasing_rearrangement(h.xs, h.mag) for h in decomp.hats]
+    polylines = decreasing_rearrangements([(h.xs, h.mag) for h in decomp.hats])
     if not polylines:
         return np.array([0.0, length]), np.array([0.0, 0.0])
     xs = merge_breakpoints(*[px for px, _ in polylines], [0.0, length])
     ys = np.zeros_like(xs)
-    for px, py in polylines:
-        ys += np.where(xs <= px[-1], np.interp(xs, px, py), 0.0)
+    # each rearrangement vanishes past its end, so it is added over the
+    # prefix of the merged breakpoints up to that end
+    ends = xs.searchsorted([px[-1] for px, _ in polylines], side="right").tolist()
+    for (px, py), end in zip(polylines, ends):
+        ys[:end] += np.interp(xs[:end], px, py)
     return xs, ys
 
 

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -236,6 +237,19 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         code, out, _ = run(capsys, "bound", "ks", "--psi2", "0,1; 0.75,1,1")  # no --psi1
         assert (code, out) == (2, "")
+
+    @pytest.mark.parametrize("psi1, message", [
+        ("0,1; 0,0.5", "weight piece '0,0.5' needs 3 finite numbers u,v,w, not 2"),
+        ("0,1,2; 0,0.5,1", "weight domain '0,1,2' needs 2 finite numbers a,b, not 3"),
+        ("0,1; 0,x,1", "weight piece '0,x,1' needs 3 finite numbers u,v,w, and 'x' is not a number"),
+        ("0,1; 0,0.5,1,", "weight piece '0,0.5,1,' needs 3 finite numbers u,v,w, not 4"),
+        ("0,1; 0, ,1", "weight piece '0, ,1' needs 3 finite numbers u,v,w, and '' is not a number"),
+        ("0,nan; 0,0.5,1", "weight domain '0,nan' needs 2 finite numbers a,b, and 'nan' is non-finite"),
+    ])
+    @pytest.mark.parametrize("kind", ["general", "ks"])
+    def test_malformed_weight_chunks_are_named(self, capsys, kind, psi1, message):
+        code, out, err = run(capsys, "bound", kind, "--psi1", psi1, "--psi2", "0,1; 0.75,1,2")
+        assert (code, out, err) == (2, "", f"ValueError: {message}\n")
 
     def test_nonfinite_result_names_its_field(self, capsys):
         # h = 1e-320 leaves 1/h = inf in the operator-norm budget
@@ -536,17 +550,18 @@ class TestFuzz:
 
     @staticmethod
     def call(*argv):
-        """Exit code and stdout; a failure must exit 1 or 2 and print nothing."""
+        """Exit code, stdout and stderr; a failure must exit 1 or 2 and print
+        nothing."""
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main(list(argv))
         if code != 0:
             assert code in (1, 2) and out.getvalue() == "", (code, out.getvalue())
-        return code, out.getvalue()
+        return code, out.getvalue(), err.getvalue()
 
     @classmethod
     def check(cls, *argv):
-        code, out = cls.call(*argv)
+        code, out, _ = cls.call(*argv)
         if code == 0:
             json.loads(out, parse_constant=_reject_constant)
 
@@ -583,6 +598,48 @@ class TestFuzz:
         self.check("bound", "point-mean", "--cd", pair, "--t", "0.5")
         self.check("bound", "pair", "--ab", pair, "--t", "0.25")
         self.check("delta-recover", "--ab", pair, "--h", "0.1")
+
+    @staticmethod
+    @st.composite
+    def weight_pair(draw):
+        """Two weight specs of 1-64 pieces each on a drawn domain, balanced
+        or not, on one support or on two sides of a split, with heights
+        from subnormal to huge."""
+        a = draw(st.sampled_from([0.0, -1.0, 0.5, -1e6, 1e-300, -1e300]))
+        length = draw(st.sampled_from([1.0, 1e-3, 2.5, 1e5, 1e300, 5e-324]))
+        height = st.one_of(st.floats(0.5, 2.0), st.sampled_from([5e-324, 1e-310, 1e-150, 1e150, 1e300, 1.7e308]))
+        split = draw(st.sampled_from([None, 0.5, 0.3]))
+
+        def pieces(lo, hi):
+            k = draw(st.integers(1, 64))
+            edges = sorted(draw(st.lists(st.floats(0.0, 1.0), min_size=2 * k, max_size=2 * k)))
+            heights = draw(st.lists(height, min_size=k, max_size=k))
+            return [(a + length * (lo + (hi - lo) * u), a + length * (lo + (hi - lo) * v), w)
+                    for u, v, w in zip(edges[::2], edges[1::2], heights)]
+
+        p1 = pieces(0.0, 1.0 if split is None else split)
+        p2 = pieces(0.0 if split is None else split, 1.0)
+        if draw(st.booleans()):  # scale the second weight to the first one's mass
+            with np.errstate(all="ignore"):
+                m1 = math.fsum(w * (v - u) for u, v, w in p1)
+                m2 = math.fsum(w * (v - u) for u, v, w in p2)
+                p2 = [(u, v, w * (m1 / m2)) for u, v, w in p2] if m2 > 0.0 else p2
+
+        def spec(ps):
+            return "; ".join([f"{a!r},{a + length!r}", *(f"{u!r},{v!r},{w!r}" for u, v, w in ps)])
+
+        return spec(p1), spec(p2)
+
+    @given(st.sampled_from(["general", "ks"]), weight_pair())
+    @settings(max_examples=60, deadline=None)
+    def test_weight_specs(self, kind, pair):
+        # each run gives finite JSON, or exits 1 or 2 with a named error
+        psi1, psi2 = pair
+        code, out, err = self.call("bound", kind, "--psi1", psi1, "--psi2", psi2, "--omega", "power:K=1,alpha=0.5")
+        if code == 0:
+            json.loads(out, parse_constant=_reject_constant)
+        else:
+            assert re.match(r"[A-Z][A-Za-z]+: \S", err), err
 
     def test_missing_segments(self):
         for kind in ("ostrowski", "symmetric", "point-mean", "pair"):
@@ -624,7 +681,7 @@ class TestFuzz:
     @given(KIND, st.lists(COUNT, max_size=4))
     @settings(max_examples=25, deadline=None)
     def test_sweep_values(self, kind, values):
-        code, out = self.call("sweep", kind, "--values=" + ",".join(values), "--grid", "64", "--trials", "4")
+        code, out, _ = self.call("sweep", kind, "--values=" + ",".join(values), "--grid", "64", "--trials", "4")
         if code == 0:
             header, *rows = out.splitlines()
             assert header == "param,theoretical,empirical,gap"

@@ -13,7 +13,7 @@ from ksr.errors import (
     MassMismatch,
     NonConcave,
 )
-from ksr.poly import decreasing_rearrangement, insert_zero_crossings, merge_breakpoints
+from ksr.poly import decreasing_rearrangements, insert_zero_crossings, merge_breakpoints
 
 wid = mo.power(1, 1)
 wsq = mo.power(1, 0.5)
@@ -806,7 +806,7 @@ class TestHatSumRearrangement:
     def test_two_equal_hats_double_single(self):
         w1, w2 = _psi_pair_two_hats()
         R = ks._sum_of_hat_rearrangements(ks.decompose_weights(w1, w2))
-        single = decreasing_rearrangement(np.array([0.0, 0.25, 0.5]), np.array([0.0, 0.25, 0.0]))
+        (single,) = decreasing_rearrangements([(np.array([0.0, 0.25, 0.5]), np.array([0.0, 0.25, 0.0]))])
         # R is twice the single-hat rearrangement (supports 0.5): 0.5 - x, then 0
         at = np.linspace(0, 1, 101)
         assert np.max(np.abs(_on(R, at) - 2 * _on(single, at))) <= 1e-12
@@ -832,6 +832,223 @@ class TestHatSumRearrangement:
         assert ry[0] == pytest.approx(sum(float(np.max(h.mag)) for h in decomp.hats), abs=1e-12)
         assert np.all(np.diff(ry) <= 1e-12)
         assert rx[-1] == pytest.approx(1.0)
+
+
+def _rearrangement_per_hat(xs, ys):
+    """One polyline's rearrangement with its levels measured in one
+    (levels x segments) pass, as each hat was rearranged before the hats of
+    a decomposition were batched.  Kept as the reference of
+    ``decreasing_rearrangements``."""
+    xs = np.asarray(xs, dtype=float)
+    ys = np.maximum(np.asarray(ys, dtype=float), 0.0)
+    total = float(xs[-1] - xs[0])
+    dx = np.diff(xs)
+    ylo = np.minimum(ys[:-1], ys[1:])
+    yhi = np.maximum(ys[:-1], ys[1:])
+    flat = yhi - ylo <= 0.0
+    levels = np.unique(ys)[::-1]
+    v = levels[:, None]
+    share = np.clip((yhi - v) / np.where(flat, 1.0, yhi - ylo), 0.0, 1.0)
+    above = np.sum(dx * np.where(flat, ylo > v, share), axis=1)
+    at = np.sum(dx * (flat & (ylo == v)), axis=1)
+    r_x, r_y = [], []
+    for lvl, x_above, x_at in zip(levels.tolist(), above.tolist(), (above + at).tolist()):
+        for x in (x_above, x_at):
+            if not r_x or x > r_x[-1] + 1e-15:
+                r_x.append(x)
+                r_y.append(lvl)
+    if not r_x or r_x[0] > 0.0:
+        r_x.insert(0, 0.0)
+        r_y.insert(0, float(np.max(ys)))
+    if r_x[-1] < total - 1e-15:
+        r_x.append(total)
+        r_y.append(float(np.min(ys)))
+    return np.asarray(r_x), np.asarray(r_y)
+
+
+def _hat_polylines(decomp):
+    return [(h.xs, h.mag) for h in decomp.hats]
+
+
+def _random_hat(rng, n, levels=None):
+    """A nonnegative polyline of n nodes vanishing at both ends; with
+    ``levels``, its values take that many levels, in plateaus."""
+    xs = np.cumsum(rng.uniform(0.01, 0.2, n)) - 0.5
+    ys = rng.integers(0, levels + 1, n) / levels if levels else rng.uniform(0.0, 2.0, n)
+    ys[0] = ys[-1] = 0.0
+    return xs, ys
+
+
+# hats of equal size side by side, of fewer and of more than 9 segments
+# (numpy sums a row of 8 or more terms with 8 accumulators), plateaus,
+# equal levels, and a flat hat
+SIZED_BATCHES = {
+    "three-nodes": [(np.array([0.0, 0.25, 0.5]), np.array([0.0, 0.25, 0.0])),
+                    (np.array([0.5, 0.6, 1.0]), np.array([0.0, 0.7, 0.0]))],
+    "equal-levels": [(np.array([0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0]), np.array([0.0, 0.2, 0.6, 1.0, 0.6, 0.2, 0.0])),
+                     (np.array([2.0, 2.1, 2.2, 2.5, 2.6, 2.9, 3.0]), np.array([0.0, 0.5, 0.5, 0.5, 0.2, 0.2, 0.0])),
+                     (np.array([0.0, 0.25, 0.75, 1.0]), np.array([0.0, 0.5, 0.5, 0.0])),
+                     (np.array([0.0, 0.3, 0.9, 1.0]), np.array([0.0, 0.0, 0.0, 0.0]))],
+    "long": [_random_hat(np.random.default_rng(s), n) for s, n in enumerate((10, 10, 10, 13, 13, 40, 9, 41))],
+    "long-plateaus": [_random_hat(np.random.default_rng(s), n, 3) for s, n in enumerate((10, 17, 17, 17, 33, 33, 3))],
+}
+
+
+class TestBatchedRearrangement:
+    """The hats of a decomposition, rearranged in one batch, get the bits of
+    their rearrangements one at a time."""
+
+    @staticmethod
+    def check(polylines):
+        got = decreasing_rearrangements(polylines)
+        want = [_rearrangement_per_hat(xs, ys) for xs, ys in polylines]
+        assert [(x.tobytes(), y.tobytes()) for x, y in got] == [(x.tobytes(), y.tobytes()) for x, y in want]
+
+    @pytest.mark.parametrize("pair", PSI_PAIRS.values(), ids=PSI_PAIRS.keys())
+    def test_weight_pairs(self, pair):
+        self.check(_hat_polylines(ks.decompose_weights(*pair)))
+
+    def test_weight_pairs_have_long_hats(self):
+        # the decompositions above include hats of 9 or more segments, and
+        # several hats of one size
+        sizes = [len(h.xs) - 1 for pair in PSI_PAIRS.values() for h in ks.decompose_weights(*pair).hats]
+        assert max(sizes) >= 9
+        assert any(sizes.count(s) > 1 for s in set(sizes) if s >= 9)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_plateau_decompositions(self, seed):
+        xs, ys = _quantized_polyline(seed)
+        self.check(_hat_polylines(ks._decompose_polyline(xs, ys, (xs[0], xs[-1]))))
+
+    @pytest.mark.parametrize("batch", SIZED_BATCHES.values(), ids=SIZED_BATCHES.keys())
+    def test_sized_batches(self, batch):
+        self.check(batch)
+        # the order of a batch does not matter
+        self.check(batch[::-1])
+
+    def test_one_and_no_hats(self):
+        self.check(_hat_polylines(ks._decompose_polyline(*TENT, (0.0, 1.0))))
+        self.check(SIZED_BATCHES["long"][-1:])
+        assert decreasing_rearrangements([]) == []
+        xs = np.linspace(0, 1, 65)
+        assert ks._decompose_polyline(xs, np.zeros_like(xs), (0.0, 1.0)).hats == ()
+
+    @given(st.lists(st.tuples(st.integers(0, 2**32 - 1), st.sampled_from([2, 3, 4, 9, 10, 17]),
+                              st.sampled_from([None, 2, 5])), max_size=12))
+    @settings(max_examples=100, deadline=None)
+    def test_random_batches(self, specs):
+        self.check([_random_hat(np.random.default_rng(seed), n, levels) for seed, n, levels in specs])
+
+    def test_rejects_a_negative_polyline(self):
+        with pytest.raises(ValueError):
+            decreasing_rearrangements([(np.array([0.0, 1.0]), np.array([0.0, 1.0])),
+                                       (np.array([0.0, 0.5, 1.0]), np.array([0.0, -0.5, 0.0]))])
+
+
+def _mass_refined_segments_scan(w1, w2):
+    """The rho segments with each mass level's tail and each piece's cuts
+    found by a scan over all of them.  Kept as the reference of the
+    bisection in ``ks._mass_refined_segments``."""
+    mass = 0.5 * (w1.mass() + w2.mass())
+    tol = ks.MASS_TOL * ks._mass_unit(w1, w2)
+    cum1 = [0.0]
+    for u, v, w in w1.pieces:
+        cum1.append(cum1[-1] + w * (v - u))
+    tails = []
+    tail = 0.0
+    for x, y, w in reversed(w2.pieces):
+        tails.append((tail, tail + w * (y - x), x, y, w))
+        tail += w * (y - x)
+    cuts = sorted({0.0, mass} | set(cum1) | {t for t0, t1, *_ in tails for t in (t0, t1)})
+    cuts = [m for m in cuts if -tol <= m <= mass + tol]
+
+    def rho_of(m_lo, m_hi):
+        mid = 0.5 * (m_lo + m_hi)
+        for t0, t1, x, y, w in tails:
+            if t0 - tol <= mid <= t1 + tol:
+                return (y - (m_lo - t0) / w, y - (m_hi - t0) / w)
+        raise MassMismatch("mass level not covered by the right weight")
+
+    segments = []
+    for (u, v, w), m_u, m_v in zip(w1.pieces, cum1, cum1[1:]):
+        if segments and segments[-1][1] < u - 1e-13:
+            r_prev = segments[-1][3]
+            segments.append((segments[-1][1], u, r_prev, r_prev, 0.0))
+        sub = [m for m in cuts if m_u + tol < m < m_v - tol]
+        grid = [m_u] + sub + [m_v]
+        for p, q in zip(grid, grid[1:]):
+            s0 = u + (p - m_u) / w
+            s1 = u + (q - m_u) / w
+            if s1 - s0 <= 1e-15:
+                continue
+            r0, r1 = rho_of(p, q)
+            segments.append((s0, s1, r0, r1, w))
+    return segments
+
+
+def _near_edge_pair(offset):
+    """A pair whose right weight has a tail mass ``offset`` away from the
+    left weight's mass at a piece edge (0.5), in units of MASS_TOL: within
+    the tolerance for |offset| <= 1."""
+    eps = offset * ks.MASS_TOL
+    w1 = ks.step_weight((0, 1), [(0.0, 0.25, 1.0), (0.25, 0.5, 1.0), (0.5, 0.6, 2.5)])
+    w2 = ks.step_weight((0, 1), [(0.7, 0.8, 2.5 - 10.0 * eps), (0.8, 0.9, 2.5 + 10.0 * eps), (0.9, 1.0, 2.5)])
+    return w1, w2
+
+
+REFINE_PAIRS = {
+    **{name: pair for name, pair in PEEL_PAIRS.items() if not name.startswith("common")},
+    # support gaps on both sides
+    "gaps": (ks.step_weight((0, 1), [(0.0, 0.1, 2.0), (0.2, 0.25, 4.0), (0.3, 0.4, 1.0)]),
+             ks.step_weight((0, 1), [(0.6, 0.65, 2.0), (0.7, 0.8, 3.0), (0.9, 1.0, 1.0)])),
+    **{f"near-edge-{offset:g}": _near_edge_pair(offset) for offset in (-2.0, -1.0, -0.5, 0.0, 0.3, 1.0, 1.5)},
+    # masses near the float maximum, where the running masses round
+    "huge": (ks.step_weight((0, 2), [(0.0, 0.45, 1.7e308), (0.45, 0.9, 1.7e308)]),
+             ks.step_weight((0, 2), [(1.1, 1.55, 1.7e308), (1.55, 2.0, 1.7e308)])),
+}
+
+
+def _outcome(refine, w1, w2):
+    """The segments, or the type of the error raised."""
+    try:
+        return refine(w1, w2)
+    except MassMismatch as e:
+        return type(e)
+
+
+class TestMassPairingBisection:
+    """The pairing by bisection gives the segments of the scan over every
+    tail and cut, bit for bit, in both evaluation orders of ks_bound."""
+
+    @pytest.mark.parametrize("pair", REFINE_PAIRS.values(), ids=REFINE_PAIRS.keys())
+    def test_pairs(self, pair):
+        w1, w2 = pair
+        lo, hi = w1.support[0], w2.support[1]
+        for left, right in ((w1, w2), (w2.reflect(lo, hi), w1.reflect(lo, hi))):
+            got = _outcome(ks._mass_refined_segments, left, right)
+            assert got == _outcome(_mass_refined_segments_scan, left, right)
+
+    @pytest.mark.parametrize("name", [name for name in REFINE_PAIRS if name.startswith("near-edge")])
+    def test_near_edge_pairs_make_cuts_near_piece_edges(self, name):
+        # a tail mass within 2 MASS_TOL of an edge mass of the left weight
+        w1, w2 = REFINE_PAIRS[name]
+        tails = np.cumsum([w * (y - x) for x, y, w in reversed(w2.pieces)])
+        edges = np.cumsum([w * (v - u) for u, v, w in w1.pieces])
+        assert np.min(np.abs(tails[:, None] - edges[None, :])) <= 2.0 * ks.MASS_TOL
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_disjoint_pairs(self, seed):
+        rng = np.random.default_rng(seed)
+        pair = _bounds_pair(rng, int(rng.integers(1, 65)), split=0.5)
+        assert ks._mass_refined_segments(*pair) == _mass_refined_segments_scan(*pair)
+
+    def test_uncovered_mass_level(self):
+        # a right weight short of mass leaves the top mass levels uncovered
+        w1 = ks.indicator_weight(0.0, 0.25, 1.0, domain=(0, 1))
+        short = ks.indicator_weight(0.75, 1.0, 0.5, domain=(0, 1))
+        for refine in (ks._mass_refined_segments, _mass_refined_segments_scan):
+            with pytest.raises(MassMismatch):
+                refine(w1, short)
 
 
 class TestGeneralBound:

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ksr.poly import decreasing_rearrangement, insert_zero_crossings
+from ksr.poly import decreasing_rearrangements, insert_zero_crossings, merge_breakpoints
+
+
+def decreasing_rearrangement(xs, ys):
+    """The rearrangement of one polyline: the batch of one."""
+    ((rx, ry),) = decreasing_rearrangements([(xs, ys)])
+    return rx, ry
 
 
 def _mes_above(xs, ys, y):
@@ -186,3 +193,65 @@ class TestZeroCrossings:
         self.check(np.array([0.0, 1.0]), np.array([1.0, -1.0]))
         got_x, got_y = self.check(np.array([0.0, 1.0, 2.0]), np.array([0.0, 1.0, 0.0]))
         assert got_x.tolist() == [0.0, 1.0, 2.0]
+
+
+def _merge_breakpoints_loop(*xss):
+    """The sorted breakpoints, each kept if it lies more than
+    1e-13 max(1, |x|) above the last one kept, one at a time.  Kept as the
+    reference of ``merge_breakpoints``; it returns no breakpoints for none."""
+    allx = np.sort(np.concatenate([np.asarray(x, dtype=float) for x in xss]))
+    if allx.size == 0:
+        return allx
+    keep = [0]
+    for i in range(1, len(allx)):
+        if allx[i] - allx[keep[-1]] > 1e-13 * max(1.0, abs(allx[i])):
+            keep.append(i)
+    return allx[keep]
+
+
+# breakpoints that repeat exactly; chains of nonzero gaps below 1e-13, in
+# which the loop keeps a point once the gaps since the last kept one add up
+# past the tolerance; the same scaled past |x| = 1, where the tolerance
+# grows with |x|; and gaps just above and below the tolerance
+MERGE_CASES = {
+    "repeats": ([0.0, 0.5, 0.5, 1.0], [0.5, 1.0, 0.0, 0.25], [0.25]),
+    "chain": ([0.5 + 4e-14 * i for i in range(12)], [0.0, 1.0]),
+    "chain-and-repeats": ([0.3 + 6e-14 * (i // 2) for i in range(16)], [0.3, 0.0]),
+    "large": ([1e6 + 4e-8 * i for i in range(10)], [-3e7, -3e7 * (1 + 5e-14), -3e7 * (1 + 2e-13), 5.0]),
+    "at-tolerance": ([0.0, 1e-13, 2e-13 + 1e-16, 1.0, 1.0 + 1e-13, 1.0 + 2.0000000000000002e-13],),
+    "negative": ([-2.0, -2.0 + 1e-13, -1.0, -1.0 + 0.5e-13, -0.5e-13, 0.0],),
+}
+
+
+class TestMergeBreakpoints:
+    """The array pass keeps the breakpoints of the loop, bit for bit."""
+
+    @staticmethod
+    def check(*xss):
+        got = merge_breakpoints(*xss)
+        want = _merge_breakpoints_loop(*xss)
+        assert got.tobytes() == want.tobytes()
+        return got
+
+    @pytest.mark.parametrize("xss", MERGE_CASES.values(), ids=MERGE_CASES.keys())
+    def test_cases(self, xss):
+        self.check(*xss)
+
+    def test_chain_keeps_a_point_past_the_tolerance(self):
+        # gaps of 4e-14: the loop keeps every third point of the chain
+        got = self.check(*MERGE_CASES["chain"])
+        assert got.tolist() == [0.0, 0.5, 0.5 + 4e-14 * 3, 0.5 + 4e-14 * 6, 0.5 + 4e-14 * 9, 1.0]
+
+    def test_empty(self):
+        assert self.check([]).size == 0
+        assert self.check([], np.array([])).size == 0
+        assert self.check([2.0]).tolist() == [2.0]
+
+    @given(st.lists(st.tuples(st.sampled_from([0.0, -1.0, 0.5, 3.0, -7e5, 1e12]),
+                              st.integers(0, 6), st.sampled_from([0.0, 1e-14, 3e-14, 5e-14, 1e-13, 2e-13])),
+                    max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_random_chains(self, points):
+        # points x (1 + j * step): repeats, chains and wider gaps, at scales
+        # from 1 to 1e12
+        self.check([x + abs(x or 1.0) * j * step for x, j, step in points])
