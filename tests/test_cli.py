@@ -150,6 +150,12 @@ class TestBound:
         _, out2, _ = run(capsys, "bound", "general", *args)
         assert json.loads(out1)["bound"] == pytest.approx(json.loads(out2)["bound"], abs=1e-7)
 
+    def test_general_on_a_domain_of_length_1e300(self, capsys):
+        # Psi crosses 0 where dx * (0 - y0) overflows
+        code, out, _ = run(capsys, "bound", "general", "--psi1", "0,1e300; 0,3.125e299,1",
+                           "--psi2", "0,1e300; 5e299,8.125000000000001e299,1", "--omega", "minlin:K=1,C=1")
+        assert code == 0 and math.isfinite(json.loads(out)["bound"])
+
     def test_point_mean_and_pair(self, capsys):
         code, out, _ = run(capsys, "bound", "point-mean", "--t", "0.5", "--cd", "0,1")
         assert code == 0 and json.loads(out)["bound"] == 0.25
@@ -250,6 +256,12 @@ class TestExitCodes:
     def test_malformed_weight_chunks_are_named(self, capsys, kind, psi1, message):
         code, out, err = run(capsys, "bound", kind, "--psi1", psi1, "--psi2", "0,1; 0.75,1,2")
         assert (code, out, err) == (2, "", f"ValueError: {message}\n")
+
+    def test_overflowing_weight_mass_is_refused(self, capsys):
+        # a mass of 2e308 against 2: the mass check compared them in units
+        # of an infinite mass and let the pair through
+        code, out, err = run(capsys, "bound", "general", "--psi1", "0,4; 0,2,1e308", "--psi2", "0,4; 1,3,1")
+        assert (code, out, err) == (2, "", "ValueError: weight mass overflows: inf\n")
 
     def test_nonfinite_result_names_its_field(self, capsys):
         # h = 1e-320 leaves 1/h = inf in the operator-norm budget
@@ -620,10 +632,9 @@ class TestFuzz:
         p1 = pieces(0.0, 1.0 if split is None else split)
         p2 = pieces(0.0 if split is None else split, 1.0)
         if draw(st.booleans()):  # scale the second weight to the first one's mass
-            with np.errstate(all="ignore"):
-                m1 = math.fsum(w * (v - u) for u, v, w in p1)
-                m2 = math.fsum(w * (v - u) for u, v, w in p2)
-                p2 = [(u, v, w * (m1 / m2)) for u, v, w in p2] if m2 > 0.0 else p2
+            m1 = sum(w * (v - u) for u, v, w in p1)
+            m2 = sum(w * (v - u) for u, v, w in p2)
+            p2 = [(u, v, w * (m1 / m2)) for u, v, w in p2] if m2 > 0.0 else p2
 
         def spec(ps):
             return "; ".join([f"{a!r},{a + length!r}", *(f"{u!r},{v!r},{w!r}" for u, v, w in ps)])

@@ -189,6 +189,12 @@ class TestZeroCrossings:
         got_x, got_y = self.check(xs, ys)
         assert got_x.tolist() == [0.0, 1.0, 2.0]
 
+    def test_crossing_of_an_overflowing_product(self):
+        # dx * (0 - y0) = 1e300 * 1e299 overflows; the crossing is placed by
+        # the fraction (0 - y0) / (y1 - y0) = 1/2 of the segment
+        got_x, got_y = insert_zero_crossings(np.array([0.0, 1e300]), np.array([1e299, -1e299]))
+        assert got_x.tolist() == [0.0, 5e299, 1e300] and got_y.tolist() == [1e299, 0.0, -1e299]
+
     def test_two_points_and_no_crossing(self):
         self.check(np.array([0.0, 1.0]), np.array([1.0, -1.0]))
         got_x, got_y = self.check(np.array([0.0, 1.0, 2.0]), np.array([0.0, 1.0, 0.0]))
