@@ -62,6 +62,13 @@ class GridFunction:
     data: np.ndarray
 
     def __post_init__(self):
+        self._check_layout()
+        d = self.data
+        if self.model == ls.INTERVAL and np.any(d[:, 0] > d[:, 1] + 1e-12):
+            raise ValueError("interval payloads require lo <= hi")
+
+    def _check_layout(self):
+        """Every check of the constructor but the lo <= hi scan."""
         _grid_model(self.model)
         d = np.asarray(self.data, dtype=float)
         object.__setattr__(self, "data", d)
@@ -72,8 +79,6 @@ class GridFunction:
                 raise ValueError("real payloads need an (n+1,) array")
         elif d.ndim != 2 or d.shape[1] != 2:
             raise ValueError("interval payloads need an (n+1, 2) array")
-        elif np.any(d[:, 0] > d[:, 1] + 1e-12):
-            raise ValueError("interval payloads require lo <= hi")
         if self.n_cells < 2:
             raise ValueError("grid needs at least 2 cells")
 
@@ -88,6 +93,20 @@ class GridFunction:
     @cached_property
     def nodes(self) -> np.ndarray:
         return np.linspace(self.a, self.b, self.n_cells + 1)
+
+
+def from_ordered_rows(a: float, b: float, model: str, data: np.ndarray) -> GridFunction:
+    """``GridFunction(a, b, model, data)`` for ``data`` whose interval rows
+    are known to have lo <= hi: every check of the constructor but its
+    lo <= hi scan, which costs about 44 us on 16385 interval rows.  Its
+    callers build lo <= hi exactly, and tests hold them to it: the class
+    sampler, ``lift``, ``hukuhara_derivative`` (which clamps hi to lo) and
+    ``recovery.recover_convexify`` (window means of rows with lo <= hi);
+    the recovery sweeps place a sample's own rows on [0, b - a] with it."""
+    f = object.__new__(GridFunction)
+    f.__dict__.update(a=a, b=b, model=model, data=data)
+    f._check_layout()
+    return f
 
 
 def values_at(f: GridFunction, ts) -> np.ndarray:
@@ -317,7 +336,7 @@ def lift(f: GridFunction, x: ls.Element) -> GridFunction:
     if x.model == ls.REAL:
         return GridFunction(f.a, f.b, ls.REAL, f.data * x.payload)
     rv = f.data * x.payload[0]  # invertible intervals are points
-    return GridFunction(f.a, f.b, ls.INTERVAL, interval_array(rv, rv))
+    return from_ordered_rows(f.a, f.b, ls.INTERVAL, interval_array(rv, rv))
 
 
 def hukuhara_derivative(f: GridFunction) -> GridFunction:
@@ -339,7 +358,7 @@ def hukuhara_derivative(f: GridFunction) -> GridFunction:
     dc[-1] = (c[-1] - c[-2]) / step
     if f.model == ls.INTERVAL:
         np.maximum(dc[:, 0], dc[:, 1], out=dc[:, 1])  # clamp float noise on equal widths
-    return GridFunction(f.a, f.b, f.model, dc)
+    return from_ordered_rows(f.a, f.b, f.model, dc)
 
 
 def to_csv(f: GridFunction) -> str:

@@ -61,7 +61,8 @@ def _nonneg(t):
 
 
 class Modulus:
-    """Common interface; concrete families override the three primitives.
+    """Common interface; concrete families override ``of_nonneg``,
+    ``primitive`` and ``spec``.
 
     ``w(t, out=None)`` evaluates elementwise, as a numpy ufunc does: a
     scalar gives a float, an array a fresh array, and with ``out`` the
@@ -71,6 +72,15 @@ class Modulus:
     concave: bool = True
 
     def __call__(self, t, out=None):
+        return self.of_nonneg(_nonneg(t), out)
+
+    def of_nonneg(self, t, out=None):
+        """``w(t, out)`` for an ``np.float64`` or a float array ``t`` known
+        to hold no number below +0 (no -0.0 either): ``__call__`` is the
+        argument check ``_nonneg`` (an ``fmin`` reduction over an array)
+        and then this, so on such ``t`` both give the same bits.  The
+        class sampler evaluates its cones ``|t - c|``, which are >= +0 by
+        construction, here."""
         raise NotImplementedError
 
     def primitive(self, alpha, beta):
@@ -94,8 +104,11 @@ class PowerModulus(Modulus):
     def concave(self) -> bool:
         return 0.0 < self.alpha <= 1.0
 
-    def __call__(self, t, out=None):
-        t = _nonneg(t)
+    # in each family's own namespace, where the benchmark's span tracer
+    # looks the method up
+    __call__ = Modulus.__call__
+
+    def of_nonneg(self, t, out=None):
         # t^1 = t and t^(1/2) = sqrt(t) exactly (sqrt is correctly rounded;
         # a test pins np.power to both), and both skip the general pow
         if self.alpha == 1.0:
@@ -162,9 +175,10 @@ class PiecewiseLinearConcave(Modulus):
         ts.flags.writeable = vs.flags.writeable = False
         return ts, vs, (self._slopes[-1] if len(self.points) > 1 else 0.0)
 
-    def __call__(self, t, out=None):
+    __call__ = Modulus.__call__
+
+    def of_nonneg(self, t, out=None):
         ts, vs, last_slope = self._knots
-        t = _nonneg(t)
         r = np.where(
             t <= ts[-1],
             np.interp(t, ts, vs),
@@ -184,7 +198,7 @@ class PiecewiseLinearConcave(Modulus):
             except OverflowError:  # a float ** that overflows
                 value = math.inf
         else:
-            antider = self._array_antider()
+            antider = self._array_antider
             with np.errstate(over="ignore", invalid="ignore"):
                 value = antider(beta) - antider(alpha)
         return _finite(value, alpha, beta)
@@ -205,10 +219,11 @@ class PiecewiseLinearConcave(Modulus):
             acc += v_last * (t - t_last) + 0.5 * s * (t - t_last) ** 2
         return acc
 
+    @cached_property
     def _array_antider(self):
         """``_antider`` elementwise: the same terms, the whole pieces added
         in knot order, and squares by float_power (the pow of Python's **,
-        which can differ from x * x)."""
+        which can differ from x * x).  Built once per instance."""
         ts, vs, _ = self._knots
         # the slope of each piece, the last one repeated past the last knot
         slopes = np.array(self._slopes + self._slopes[-1:])
@@ -239,8 +254,9 @@ class MinLinearConstant(Modulus):
     def knee(self) -> float:
         return self.C / self.K
 
-    def __call__(self, t, out=None):
-        t = _nonneg(t)
+    __call__ = Modulus.__call__
+
+    def of_nonneg(self, t, out=None):
         if out is None:
             r = np.minimum(self.K * t, self.C)
             return float(r) if r.ndim == 0 else r
@@ -291,9 +307,11 @@ def _check_range(alpha, beta):
         if alpha < -1e-12 or beta < alpha:
             raise ValueError(f"primitive requires 0 <= alpha <= beta, got ({alpha}, {beta})")
         return max(float(alpha), 0.0), max(float(beta), 0.0)
-    alpha, beta = np.broadcast_arrays(np.asarray(alpha, dtype=float), np.asarray(beta, dtype=float))
+    alpha, beta = np.asarray(alpha, dtype=float), np.asarray(beta, dtype=float)
+    if alpha.shape != beta.shape:
+        alpha, beta = np.broadcast_arrays(alpha, beta)
     bad = (alpha < -1e-12) | (beta < alpha)
-    if np.any(bad):
+    if bad.any():
         i = int(np.argmax(bad))
         raise ValueError(f"primitive requires 0 <= alpha <= beta, got ({alpha.flat[i]}, {beta.flat[i]})")
     return np.maximum(alpha, 0.0), np.maximum(beta, 0.0)

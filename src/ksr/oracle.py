@@ -79,7 +79,7 @@ def _real_member_values(rng: np.random.Generator, omega: Modulus, ts: np.ndarray
         levels = np.cumsum(rng.uniform(-scale / 2, scale / 2, size=m))
         # cone-major (m, N+1): the reduction runs over contiguous rows
         cones = np.abs(np.subtract(ts, centers[:, None], out=work[:m]), out=work[:m])
-        omega(cones, out=cones)
+        omega.of_nonneg(cones, out=cones)  # |t - c| >= +0: no _nonneg pass
         if lower:
             return np.add(levels[:, None], cones, out=cones).min(axis=0)
         return np.subtract(levels[:, None], cones, out=cones).max(axis=0)
@@ -100,6 +100,15 @@ def sample_class(spec: SampleSpec) -> Iterator[gf.GridFunction]:
     real members; a ``W1HOMEGA`` draw is the running trapezoid integral of
     such data plus a random base value (a real, or an interval).
 
+    A draw makes only the array passes its result needs: a lifted
+    ``W1HOMEGA`` draw integrates its real core once and writes both
+    columns from it (``cumsum`` runs down each column on its own, so the
+    bits are those of integrating the two columns), and an interval base
+    is added column by column.  Every interval draw has lo <= hi exactly
+    (min <= max, c >= 0, a trapezoid sum is monotone in its data, and
+    base lo <= base hi), so it is built by ``gridfn.from_ordered_rows``,
+    without the constructor's lo <= hi scan.
+
     Each sample's ``data`` is a new array and read-only: one sample is
     handed to every functional of a shared stream in turn (``sweep_sups``),
     so a functional that wrote into it would change the next one's input."""
@@ -115,28 +124,35 @@ def sample_class(spec: SampleSpec) -> Iterator[gf.GridFunction]:
     scale = float(spec.omega(ts[-1] - ts[0]))
     work = np.empty((MAX_CONES, ts.size))
     step = (spec.b - spec.a) / spec.grid
+    w1 = spec.class_tag == W1HOMEGA
     for _ in range(spec.trials):
         data = _real_member_values(rng, spec.omega, ts, scale, work)
-        if model == ls.INTERVAL:  # written into the columns of one (N+1, 2) array
+        if spec.model == ls.INTERVAL:  # written into the columns of one (N+1, 2) array
             out = np.empty((ts.size, 2))
-            if spec.model == "lifted":  # the lift t -> v(t) [1, 1] is the point interval [v, v]
-                out[:, 0] = out[:, 1] = data
-            else:
-                g2 = _real_member_values(rng, spec.omega, ts, scale, work)
-                np.minimum(data, g2, out=out[:, 0])
-                np.maximum(data, g2, out=out[:, 1])
-                out[:, 1] += float(rng.uniform(0.0, 1.0))
+            g2 = _real_member_values(rng, spec.omega, ts, scale, work)
+            np.minimum(data, g2, out=out[:, 0])
+            np.maximum(data, g2, out=out[:, 1])
+            out[:, 1] += float(rng.uniform(0.0, 1.0))
             data = out
-        if spec.class_tag == W1HOMEGA:
+        if w1:
+            data = gf.cumtrapz(data, step)  # of a lifted draw's real core, before the lift
             if model == ls.REAL:
-                base = float(rng.uniform(-1, 1))
+                data += float(rng.uniform(-1, 1))
             else:
                 base_lo = float(rng.uniform(-1, 0))
-                base = np.array([base_lo, base_lo + float(rng.uniform(0, 1))])
-            data = gf.cumtrapz(data, step)
-            data += base
+                base_hi = base_lo + float(rng.uniform(0, 1))
+        if spec.model == "lifted":  # the lift t -> v(t) [1, 1] is the point interval [v, v]
+            core, data = data, np.empty((ts.size, 2))
+            if w1:
+                np.add(core, base_lo, out=data[:, 0])
+                np.add(core, base_hi, out=data[:, 1])
+            else:
+                data[:, 0] = data[:, 1] = core
+        elif w1 and model == ls.INTERVAL:
+            data[:, 0] += base_lo
+            data[:, 1] += base_hi
         data.flags.writeable = False
-        yield gf.GridFunction(spec.a, spec.b, model, data)
+        yield gf.from_ordered_rows(spec.a, spec.b, model, data)
 
 
 def empirical_sup(
@@ -651,7 +667,9 @@ def _recovery_experiment(kind, n, h, omega, a, b, trials, grid, seed) -> Generat
         class_tag = HOMEGA
         theoretical = (rec.error_convexify if kind == "convexify" else rec.error_integral)(n, h, omega, length)
     elif kind in ("identity", "derivative"):
-        partition = np.linspace(a, b, n + 1)
+        # local to a, as the samples are drawn: the node values, the
+        # polyline and its grid then do not round with |a|
+        partition = np.linspace(0.0, length, n + 1)
         class_tag = W1HOMEGA
         theoretical = (rec.polyline_uniform_error if kind == "identity" else rec.derivative_recovery_value)(
             n, omega, length)
@@ -683,6 +701,7 @@ def _recovery_experiment(kind, n, h, omega, a, b, trials, grid, seed) -> Generat
         core = rec.omega_spline(n, omega, a, b, n=grid)
 
         def err(f: gf.GridFunction) -> float:
+            f = gf.from_ordered_rows(0.0, length, f.model, f.data)
             rows = gf.values_at(f, partition)
             return gf.sup_dist(f, rec.polyline(f.model, rows, partition, n=f.n_cells))
 
@@ -691,6 +710,7 @@ def _recovery_experiment(kind, n, h, omega, a, b, trials, grid, seed) -> Generat
         core = rec.derivative_extremal(n, omega, a, b, grid_n=grid)
 
         def err(f: gf.GridFunction) -> float:
+            f = gf.from_ordered_rows(0.0, length, f.model, f.data)
             rows = gf.values_at(f, partition)
             lf_prime = rec.polyline_derivative(f.model, rows, partition, n=f.n_cells)
             return gf.sup_dist(gf.hukuhara_derivative(f), lf_prime)

@@ -134,10 +134,13 @@ def _node_cells(breaks: Tuple[float, ...], a: float, b: float, n: int) -> np.nda
 
 
 def recover_convexify(info: MeanInfo, n: int = gf.DEFAULT_GRID) -> gf.GridFunction:
-    """Piecewise-constant method: on each tau-cell, output the cell mean."""
+    """Piecewise-constant method: on each tau-cell, output the cell mean.
+    Means of rows with lo <= hi have lo <= hi (``gridfn.window_integrals``
+    takes both columns with one set of nonnegative weights, in one order),
+    so the output skips the constructor's lo <= hi scan."""
     tau = tau_of(info.knots, info.a, info.b)
     idx = _node_cells(tuple(tau.tolist()), info.a, info.b, n)
-    return gf.GridFunction(info.a, info.b, info.model, np.take(info.means, idx, axis=0))
+    return gf.from_ordered_rows(info.a, info.b, info.model, np.take(info.means, idx, axis=0))
 
 
 def error_convexify(n: int, h: float, omega: Modulus, length: float) -> float:

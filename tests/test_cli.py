@@ -438,6 +438,10 @@ class TestRecover:
         assert code0 == 0
         far, near = json.loads(out), json.loads(out0)
         assert (far["theoretical"], far["lower_bound"]) == (near["theoretical"], near["lower_bound"])
+        # the sweep reads node values and builds its polyline local to a
+        # too, so the same sample stream gives the same error on both domains
+        assert far["empirical_upper"] == near["empirical_upper"] == 15496.874192065676
+        assert out == out0
 
     @pytest.mark.parametrize("trials,drawn", [(5, 5), (1, 3), (8, 8)])
     def test_trials_field_counts_samples_drawn(self, capsys, monkeypatch, trials, drawn):

@@ -1,4 +1,5 @@
 import io
+import re
 
 import numpy as np
 import pytest
@@ -385,6 +386,59 @@ class TestDerivative:
         f = interval_grid(lambda t: 0.0, lambda t: 1 - t, 0, 1, 64)
         with pytest.raises(NoDifference):
             gf.hukuhara_derivative(f)
+
+
+# (lo, gap) of n + 1 rows, n >= 2
+_rows = st.integers(2, 40).flatmap(lambda n: st.tuples(
+    st.lists(st.floats(-1e6, 1e6), min_size=n + 1, max_size=n + 1),
+    st.lists(st.floats(0.0, 1e3), min_size=n + 1, max_size=n + 1)))
+
+
+class TestOrderedRows:
+    """``from_ordered_rows`` skips only the constructor's lo <= hi scan; the
+    producers in ``gridfn`` that use it make lo <= hi exactly."""
+
+    def test_constructor_still_rejects_lo_above_hi(self):
+        data = gf.interval_array(np.zeros(5), np.zeros(5))
+        data[2, 0] = 1e-9
+        with pytest.raises(ValueError, match="lo <= hi"):
+            gf.GridFunction(0.0, 1.0, ls.INTERVAL, data)
+        data[2, 0] = 1e-13  # within the constructor's slack
+        gf.GridFunction(0.0, 1.0, ls.INTERVAL, data)
+
+    def test_every_layout_check_is_kept(self):
+        for a, b, model, data in (
+            (0.0, 1.0, ls.UNION, np.zeros((5, 2))),
+            (1.0, 1.0, ls.INTERVAL, np.zeros((5, 2))),
+            (0.0, 1.0, ls.INTERVAL, np.zeros((5, 3))),
+            (0.0, 1.0, ls.INTERVAL, np.zeros(5)),
+            (0.0, 1.0, ls.REAL, np.zeros((5, 2))),
+            (0.0, 1.0, ls.REAL, np.zeros(2)),
+        ):
+            with pytest.raises((ValueError, ModelMismatch)) as public:
+                gf.GridFunction(a, b, model, data)
+            with pytest.raises(public.type, match=re.escape(str(public.value))):
+                gf.from_ordered_rows(a, b, model, data)
+        f = gf.from_ordered_rows(0.0, 2.0, ls.INTERVAL, np.zeros((5, 2)))
+        assert type(f) is gf.GridFunction and (f.a, f.b, f.n_cells, f.step) == (0.0, 2.0, 4, 0.5)
+
+    @given(rows=_rows, scale=st.sampled_from([1.0, -1.0, 0.5, -3.0, 1e-300]))
+    @settings(max_examples=80, deadline=None)
+    def test_lift_is_ordered(self, rows, scale):
+        core = gf.real_grid(np.asarray(rows[0]), 0.0, 1.0, len(rows[0]) - 1)
+        f = gf.lift(core, ls.interval(scale, scale))
+        assert np.all(f.data[:, 0] <= f.data[:, 1])
+
+    @given(rows=_rows, a=st.floats(-1e3, 1e3), length=st.floats(1e-3, 1e3))
+    @settings(max_examples=80, deadline=None)
+    def test_hukuhara_derivative_is_ordered(self, rows, a, length):
+        # lo arbitrary and widths nondecreasing (some steps 0), so every
+        # difference exists
+        lo, gap = np.array(rows[0]), np.array(rows[1])
+        gap[::3] = 0.0
+        f = gf.GridFunction(a, a + length, ls.INTERVAL, gf.interval_array(lo, lo + np.cumsum(gap)))
+        d = gf.hukuhara_derivative(f)
+        assert np.all(d.data[:, 0] <= d.data[:, 1])
 
 
 def _read_csv(text):

@@ -374,6 +374,7 @@ class TestPlconcaveCache:
         ts, vs, _ = w._knots
         assert not ts.flags.writeable and not vs.flags.writeable
         assert w._knots is w._knots and w._slopes is w._slopes
+        assert w._array_antider is w._array_antider  # built once, for every array primitive
         r = w(ts)
         assert not np.shares_memory(r, ts) and not np.shares_memory(r, vs)
         # equal instances still compare and hash by their points alone

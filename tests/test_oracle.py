@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -213,7 +215,7 @@ class TestConeWorkspace:
     @pytest.mark.parametrize("omega", _KERNEL_MODULI.values(), ids=_KERNEL_MODULI.keys())
     @pytest.mark.parametrize("cls", [orc.HOMEGA, orc.W1HOMEGA])
     @pytest.mark.parametrize("model", orc.MODEL_MIX)
-    @pytest.mark.parametrize("grid", [64, 4096])
+    @pytest.mark.parametrize("grid", [64, 4096, 16384])  # 16384: the grid of the recover benchmark
     def test_samples_equal_the_stacking_reference(self, omega, cls, model, grid):
         spec = orc.SampleSpec(cls, model, omega, -1.0, 2.5, grid, 6, 3)
         got = list(orc.sample_class(spec))
@@ -221,6 +223,27 @@ class TestConeWorkspace:
         assert len(got) == len(want) == 6
         for f, data in zip(got, want):
             assert f.data.tobytes() == data.tobytes()
+
+    @pytest.mark.parametrize("omega", _KERNEL_MODULI.values(), ids=_KERNEL_MODULI.keys())
+    @pytest.mark.parametrize("seed", [1, 2, 5])
+    def test_cone_evaluation_equals_the_checked_call(self, omega, seed):
+        # the sampler evaluates its cones |t - c| by ``of_nonneg``, without
+        # the argument check of ``__call__``; centers on nodes give exact zeros
+        rng = np.random.default_rng(seed)
+        ts = np.linspace(0.0, 2.5, 257)
+        centers = np.concatenate((ts[[0, 100, 256]], rng.uniform(0.0, 2.5, 5)))
+        cones = np.abs(ts - centers[:, None])
+        assert np.count_nonzero(cones == 0.0) >= 3 and not np.signbit(cones).any()
+        for t in (cones, cones[3], np.zeros(4), np.array([0.0, 5e-324, 1e-300, 0.3, 1e300])):
+            want = omega(t)
+            got = omega.of_nonneg(t)
+            assert got is not t and got.tobytes() == want.tobytes()
+            inplace = t.copy()
+            assert omega.of_nonneg(inplace, out=inplace) is inplace
+            assert inplace.tobytes() == want.tobytes()
+        for x in (0.0, 5e-324, 0.7, 3.0):
+            got = omega.of_nonneg(np.float64(x))
+            assert type(got) is float and np.float64(got).tobytes() == np.float64(omega(x)).tobytes()
 
     @pytest.mark.parametrize("cls", [orc.HOMEGA, orc.W1HOMEGA])
     @pytest.mark.parametrize("model", orc.MODEL_MIX)
@@ -234,6 +257,48 @@ class TestConeWorkspace:
         # a stream's samples stay as they were drawn
         for f, g in zip(stream, orc.sample_class(spec)):
             assert f.data.tobytes() == g.data.tobytes()
+
+
+def _assert_ordered(f):
+    """Interval rows with lo <= hi exactly, with no slack: what
+    ``gridfn.from_ordered_rows`` takes on trust."""
+    if f.model == ls.INTERVAL:
+        lo, hi = f.data[:, 0], f.data[:, 1]
+        assert np.all(lo <= hi), float(np.max(lo - hi))
+
+
+class TestOrderedIntervalDraws:
+    """Interval draws are built without the constructor's lo <= hi scan, so
+    every one must have lo <= hi exactly."""
+
+    @given(omega=_moduli, a=st.floats(-1e5, 1e5), length=st.floats(1e-3, 1e6),
+           grid=st.integers(8, 512), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_random_streams(self, omega, a, length, grid, seed):
+        for cls in (orc.HOMEGA, orc.W1HOMEGA):
+            for model in (ls.INTERVAL, "lifted"):
+                for f in orc.sample_class(orc.SampleSpec(cls, model, omega, a, a + length, grid, 4, seed)):
+                    _assert_ordered(f)
+
+    def test_every_unscanned_grid_function(self, monkeypatch):
+        # every producer that skips the scan, over a verify pass and the
+        # four recovery sweeps on a domain off 0
+        producers = []
+        from_ordered_rows = gf.from_ordered_rows
+
+        def checked(a, b, model, data):
+            f = from_ordered_rows(a, b, model, data)
+            _assert_ordered(f)
+            if model == ls.INTERVAL:
+                producers.append(sys._getframe(1).f_code.co_name)
+            return f
+
+        monkeypatch.setattr(gf, "from_ordered_rows", checked)
+        orc.run_suites(list(orc.SUITES), 30, 64, 7)
+        for kind in orc.RECOVERY_KINDS:
+            orc.recovery_sweep(kind, [1, 4], 0.0, wsq, -1.0, 2.0, 12, 1024, 5)
+        assert set(producers) == {"sample_class", "lift", "hukuhara_derivative", "recover_convexify", "err"}
+        assert producers.count("sample_class") >= 100
 
 
 class TestEmpiricalSup:

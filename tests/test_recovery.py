@@ -95,6 +95,23 @@ class TestRecoveryMethods:
                 assert element(f.model, row) == want
 
 
+class TestConvexifyOrdered:
+    """``recover_convexify`` builds its output without the constructor's
+    lo <= hi scan: the means of rows with lo <= hi have lo <= hi exactly."""
+
+    @given(data=st.data(), n=st.integers(1, 8), grid=st.integers(16, 300), a=st.floats(-1e3, 1e3),
+           length=st.floats(1e-2, 1e3), frac=st.floats(0.01, 1.0))
+    @settings(max_examples=80, deadline=None)
+    def test_output_rows_are_ordered(self, data, n, grid, a, length, frac):
+        lo = np.array(data.draw(st.lists(st.floats(-1e6, 1e6), min_size=grid + 1, max_size=grid + 1)))
+        gap = np.array(data.draw(st.lists(st.floats(0.0, 1e3), min_size=grid + 1, max_size=grid + 1)))
+        gap[::2] = 0.0  # point intervals: the tightest case
+        f = gf.GridFunction(a, a + length, ls.INTERVAL, gf.interval_array(lo, lo + gap))
+        knots, _ = rec.optimal_knots(n, f.a, f.b)
+        out = rec.recover_convexify(rec.mean_info(f, knots, frac * length / (2 * n)), n=grid)
+        assert np.all(out.data[:, 0] <= out.data[:, 1])
+
+
 class TestLowerExtremalMean:
     @pytest.mark.parametrize("omega", [wid, wsq])
     def test_two_knot_construction(self, omega):
