@@ -100,8 +100,9 @@ def from_ordered_rows(a: float, b: float, model: str, data: np.ndarray) -> GridF
     are known to have lo <= hi: every check of the constructor but its
     lo <= hi scan, which costs about 44 us on 16385 interval rows.  Its
     callers build lo <= hi exactly, and tests hold them to it: the class
-    sampler, ``lift``, ``hukuhara_derivative`` (which clamps hi to lo) and
-    ``recovery.recover_convexify`` (window means of rows with lo <= hi);
+    sampler, ``lift``, ``hukuhara_derivative`` (which clamps hi to lo),
+    ``recovery.recover_convexify`` (window means of rows with lo <= hi)
+    and the landau inexact-data sweep (one noise row added to lo and hi);
     the recovery sweeps place a sample's own rows on [0, b - a] with it."""
     f = object.__new__(GridFunction)
     f.__dict__.update(a=a, b=b, model=model, data=data)

@@ -21,7 +21,7 @@ TRIALS = 1000
 GRID = 4096
 SEED = 7
 # sha256 of the stdout of `verify --suite all --trials 1000 --grid 4096 --seed 7`
-SEED7_SHA256 = "e2c1a6c884027110b304f1a22255341570e6869a7b0facfaff6d0fa1892efc0f"
+SEED7_SHA256 = "88cc0b78044063cece2560f4acbfa700e2faa2e6913fb2720c3b8c7616937d93"
 
 
 @pytest.fixture(scope="module")

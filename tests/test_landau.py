@@ -222,3 +222,24 @@ class TestDeltaRecovery:
         out = la.delta_recovery_value(0.05, 0.1, wid, 0, 1)
         assert (out["h1"], out["h2"]) == (0.05, 0.1)
         assert out["value"] == pytest.approx(0.1, abs=1e-12)
+
+
+class TestScaleCovariance:
+    """The affine map t -> a + L t takes the windows of a problem on [0, 1]
+    with omega = t to those of the problem on [a, a + L]; K and the
+    derivative constant gain a factor L, and the extremal's sup norm L^2.
+    For L a power of two every rescaling is exact, so the relations hold
+    bit for bit (the landau sweep relies on these closed forms)."""
+
+    # the verify sweep's windows, snapped to the nodes of grid 4096, and an asymmetric pair
+    @pytest.mark.parametrize("window", [(2048 / 4096, 410 / 4096, 410 / 4096, 819 / 4096, 819 / 4096),
+                                        (0.5, 0.0, 0.1, 0.2, 0.3)], ids=["sweep", "asymmetric"])
+    @pytest.mark.parametrize("shift", [0.0, 5.0, -7.25])
+    @pytest.mark.parametrize("L", [2.0 ** -10, 1.0, 2.0 ** 10])
+    def test_closed_forms_scale_with_the_domain(self, window, shift, L):
+        t, g1, g2, h1, h2 = window
+        w = la.WindowConfig(t, g1, g2, h1, h2, 0.0, 1.0)
+        ws = la.WindowConfig(shift + L * t, L * g1, L * g2, L * h1, L * h2, shift, shift + L)
+        assert la.K_value(ws, wid) == L * la.K_value(w, wid)
+        assert la.derivative_vs_quotient_value(ws, wid) == L * la.derivative_vs_quotient_value(w, wid)
+        assert la.extremal_sup_norm(ws, wid) == L * L * la.extremal_sup_norm(w, wid)

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from ksr import gridfn as gf
 from ksr import kscore as ks
+from ksr import landau as la
 from ksr import lspace as ls
 from ksr import modulus as mo
 from ksr import oracle as orc
@@ -116,12 +117,16 @@ class TestSampling:
         stream = orc._mixed_stream(orc.HOMEGA, wid, 0.0, 1.0, 8, trials, 5)
         assert sum(1 for _ in stream) == sum(counts)
 
-    @pytest.mark.parametrize("model", ["real", "interval", "lifted"])
-    def test_w1_members_have_class_derivatives(self, model):
-        for f in orc.sample_class(_spec(model=model, cls=orc.W1HOMEGA, trials=10)):
-            d = gf.hukuhara_derivative(f)
-            rep = gf.check_Homega(d, wid)
-            assert rep.defect <= 4.0 / 256  # difference-quotient slack
+    @pytest.mark.parametrize("seed", [7, 9, 26, 41])
+    @pytest.mark.parametrize("grid", [64, 256, 4096])
+    @pytest.mark.parametrize("omega", [wid, wsq, mo.minlin(2, 0.3)], ids=["power(1,1)", "power(1,0.5)", "minlin"])
+    @pytest.mark.parametrize("model", orc.MODEL_MIX)
+    def test_w1_members_have_class_derivatives(self, model, omega, grid, seed):
+        # the landau sweep takes the class bound 1 for the derivative's
+        # omega-norm, so each draw's derivative must be a member, up to SLACK
+        for f in orc.sample_class(_spec(model=model, omega=omega, cls=orc.W1HOMEGA, trials=10, seed=seed, grid=grid)):
+            rep = gf.check_Homega(gf.hukuhara_derivative(f), omega)
+            assert rep.member, rep
 
     def test_injection_comes_first(self):
         marker = constant_grid(ls.real(123.0), 0, 1, 256)
@@ -297,7 +302,8 @@ class TestOrderedIntervalDraws:
         orc.run_suites(list(orc.SUITES), 30, 64, 7)
         for kind in orc.RECOVERY_KINDS:
             orc.recovery_sweep(kind, [1, 4], 0.0, wsq, -1.0, 2.0, 12, 1024, 5)
-        assert set(producers) == {"sample_class", "lift", "hukuhara_derivative", "recover_convexify", "err"}
+        assert set(producers) == {"sample_class", "lift", "hukuhara_derivative", "recover_convexify", "err",
+                                  "inexact_error"}
         assert producers.count("sample_class") >= 100
 
 
@@ -371,6 +377,24 @@ class TestSweepRunner:
         # the stream is drawn once for the four requests
         assert len(seen) == sum(orc._per_model(7)) == 7
         assert want[2][1] == 0 and want[3][1] == 1  # an injected and a drawn argmax
+
+    @pytest.mark.parametrize("cls", [orc.HOMEGA, orc.W1HOMEGA])
+    def test_array_functional_gets_a_sup_and_argmax_per_component(self, monkeypatch, cls):
+        key = (cls, wid, 0.0, 1.0, 128, 9, 4)
+        lifted = gf.lift(constant_grid(ls.real(0.0), 0, 1, 128), ls.interval(1, 1))
+        parts = (_ks_functional, gf.sup_norm, lambda f: -gf.sup_norm(f), lambda f: 1e9 if f.model == ls.REAL else 0.0)
+        scalar = orc.Sweep(_ks_functional, *key)
+        vector = orc.Sweep(lambda f: np.array([p(f) for p in parts]), *key, inject=[lifted])
+        want = [orc.empirical_sup(p, orc._mixed_stream(*key, inject=[lifted])) for p in parts]
+        want_scalar = orc.empirical_sup(_ks_functional, orc._mixed_stream(*key))
+        seen = _record_specs(monkeypatch)
+        got_scalar, (sups, args) = orc.sweep_sups([scalar, vector])
+        assert len(seen) == sum(orc._per_model(9))  # one draw for both requests
+        assert got_scalar == want_scalar and type(got_scalar[0]) is float
+        assert sups.tolist() == [s for s, _ in want]
+        assert args.tolist() == [i for _, i in want]
+        # an injected and a drawn argmax (the first sample is a real one)
+        assert args[2] == 0 and args[3] == 1
 
     def test_requests_of_one_sweep_share_their_key(self):
         a = orc.Sweep(_ks_functional, orc.HOMEGA, wid, 0.0, 1.0, 64, 3, 1)
@@ -467,3 +491,76 @@ class TestRecoveryExperiment:
         assert np.array_equal(core.data, rec.omega_spline(2, wid, 0.0, 1.0, n=256).data)
         assert core.model == ls.REAL
         assert float(np.max(np.abs(core.data))) == pytest.approx(1 / 32, abs=1e-9)
+
+
+def _reference_landau_sups(trials, grid, seed):
+    """The landau suite's sample loops as they were before they ran through
+    the sweep runner, with the derivative's omega-norm the class bound 1:
+    the six statistics of the W1HOMEGA stream, read with ``landau_rhs``,
+    then the inexact-data error, its noise drawn from one generator in
+    stream order."""
+    omega = wid
+    delta_t = 1.0 / grid
+    snap = lambda x: round(x / delta_t) * delta_t
+    wc = la.WindowConfig(snap(0.5), snap(0.1), snap(0.1), snap(0.2), snap(0.2), 0.0, 1.0)
+    t = wc.t
+    kval = la.K_value(wc, omega)
+    dval = la.derivative_vs_quotient_value(wc, omega)
+    viol = {v: -np.inf for v in la.VARIANTS}
+    viol_quot = viol_deriv = -np.inf
+    for f in orc._mixed_stream(orc.W1HOMEGA, omega, 0.0, 1.0, grid, trials, seed):
+        df = gf.hukuhara_derivative(f)
+        omega_norm = 1.0
+        dd_gamma = la.divided_difference(f, t, wc.g1, wc.g2)
+        dd_h = la.divided_difference(f, t, wc.h1, wc.h2)
+        df_t = gf.values_at(df, t)
+        d_gamma = gf.row_norm(dd_gamma)
+        d_h = gf.row_norm(dd_h)
+        d_t = gf.row_norm(df_t)
+        sup_f = gf.sup_norm(f)
+        viol_quot = max(viol_quot, gf.row_dist(f.model, dd_gamma, dd_h) - kval * omega_norm)
+        viol_deriv = max(viol_deriv, gf.row_dist(f.model, df_t, dd_h) - dval * omega_norm)
+        viol["b"] = max(viol["b"], d_gamma - la.landau_rhs("b", wc, omega, omega_norm, d_h))
+        viol["c"] = max(viol["c"], d_t - la.landau_rhs("c", wc, omega, omega_norm, d_h))
+        viol["d"] = max(viol["d"], d_gamma - la.landau_rhs("d", wc, omega, omega_norm, sup_f))
+        viol["e"] = max(viol["e"], d_t - la.landau_rhs("e", wc, omega, omega_norm, sup_f))
+
+    dr = la.delta_recovery_value(0.5, 0.1, omega, 0.0, 1.0)
+    h1, h2, delta = dr["h1"], dr["h2"], dr["delta"]
+    rng = np.random.default_rng(seed + 6)
+    worst = 0.0
+    for f in orc._mixed_stream(orc.W1HOMEGA, omega, 0.0, 1.0, grid, max(10, trials // 4), seed + 7):
+        df = gf.hukuhara_derivative(f)
+        noise_nodes = np.linspace(0, 1, 9)
+        noise = np.interp(f.nodes, noise_nodes, rng.uniform(-delta, delta, size=9))
+        if f.model == ls.REAL:
+            g = gf.GridFunction(f.a, f.b, ls.REAL, f.data + noise)
+        else:
+            g = gf.GridFunction(f.a, f.b, ls.INTERVAL, f.data + noise[:, None])
+        worst = max(worst, gf.row_dist(f.model, gf.values_at(df, 0.5), la.divided_difference(g, 0.5, h1, h2)))
+    return {
+        "quotient deviation bound holds on samples": viol_quot,
+        "derivative deviation bound holds on samples": viol_deriv,
+        **{f"inequality {v} holds on samples": viol[v] for v in la.VARIANTS},
+        "inexact-data recovery soundness": worst,
+    }
+
+
+class TestLandauSweeps:
+    @pytest.mark.parametrize("seed", [7, 8])
+    def test_runner_sups_equal_the_reference_loops(self, seed):
+        report = orc.run_suites(["landau"], trials=40, grid=256, seed=seed)
+        got = {c["name"]: c["got"] for c in report["suites"][0]["checks"]}
+        want = _reference_landau_sups(40, 256, seed)
+        assert len(want) == 7
+        for name, value in want.items():
+            assert np.float64(got[name]).tobytes() == np.float64(value).tobytes(), name
+
+    def test_seminorm_scans_only_the_extremals(self, monkeypatch):
+        # the sweep takes the class bound 1; the four attainment checks
+        # take the seminorm of their extremal's derivative
+        calls = []
+        omega_seminorm = gf.omega_seminorm
+        monkeypatch.setattr(gf, "omega_seminorm", lambda f, omega: calls.append(f) or omega_seminorm(f, omega))
+        assert orc.run_suites(["landau"], trials=20, grid=128, seed=7)["pass"]
+        assert len(calls) == 4
