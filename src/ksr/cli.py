@@ -26,7 +26,6 @@ from typing import List, Optional
 from . import gridfn as gf
 from . import kscore as ks
 from . import landau as la
-from . import lspace as ls
 from . import oracle as orc
 from . import ostrowski as ost
 from .errors import DomainViolation, KsrError
@@ -179,12 +178,12 @@ def cmd_extremal(args) -> int:
         if not lo <= args.t <= hi:
             raise DomainViolation(f"t = {args.t} lies outside the extremal's domain [{lo}, {hi}]")
         g = ost.point_vs_mean_extremal(args.t, omega, lo, hi, n=n)
-        attained = ost.point_vs_mean_functional(gf.lift(g, ls.interval(1, 1)), args.t, c, d)
+        attained = ost.point_vs_mean_functional(gf.lift(g), args.t, c, d)
         target = ost.point_vs_mean_bound(args.t, c, d, omega)
     elif args.kind == "pair":
         a, b = _pair(args.ab)
         g = ost.symmetrized_pair_extremal(args.t, a, b, omega, n=n)
-        attained = ost.symmetrized_pair_functional(gf.lift(g, ls.interval(1, 1)), args.t, a, b)
+        attained = ost.symmetrized_pair_functional(gf.lift(g), args.t, a, b)
         target = ost.symmetrized_pair_bound(args.t, a, b, omega)
     else:
         raise ValueError(f"unknown extremal kind {args.kind!r}")
@@ -199,8 +198,8 @@ def cmd_extremal(args) -> int:
 def cmd_recover(args) -> int:
     omega = parse_modulus(args.omega)
     a, b = _pair(args.ab)
-    report = orc.recovery_experiment(
-        args.kind, args.n, args.h, omega, a, b, args.trials, args.grid, args.seed
+    [report] = orc.recovery_sweep(
+        args.kind, [args.n], args.h, omega, a, b, args.trials, args.grid, args.seed
     )
     payload = report.as_dict()
     payload["gap"] = payload["theoretical"] - payload["lower_bound"]
@@ -219,8 +218,7 @@ def cmd_landau(args) -> int:
             raise la.WindowViolation("variants b and d need --gamma")
         w = la.clamped_windows(args.t, args.gamma, args.h, a, b)
     else:
-        h1, h2 = la.clamped_outer(args.t, args.h, a, b)
-        w = la.WindowConfig(args.t, 0.0, 0.0, h1, h2, a, b)
+        w = la.clamped_outer(args.t, args.h, a, b)
     if args.variant in ("b", "d"):
         value = la.K_value(w, omega)
     else:
@@ -245,8 +243,7 @@ def cmd_stechkin(args) -> int:
     omega = parse_modulus(args.omega)
     a, b = _pair(args.ab)
     if args.target == "derivative":
-        h1, h2 = la.clamped_outer(args.t, args.h, a, b)
-        w = la.WindowConfig(args.t, 0.0, 0.0, h1, h2, a, b)
+        w = la.clamped_outer(args.t, args.h, a, b)
     else:
         if args.gamma is None:
             raise la.WindowViolation("divided-difference target needs --gamma")

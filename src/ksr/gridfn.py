@@ -12,7 +12,13 @@ bits whether it is integrated alone or with other windows.
 A value is a row of ``data`` (a float, or a ``(lo, hi)`` pair): point
 values, integrals, distances, norms and Hukuhara quotients take and
 return rows, by the ``lspace`` arithmetic bit for bit.  Other ``lspace``
-models (vectors, unions, max-space values) have no grid layout.
+models (vectors, unions, max-space values) have no grid layout, and no
+grid code builds an ``lspace`` element: it reads only the model names
+and the width tolerance (``EQ_TOL``, ``width_tol``) from there.  The only
+convex invertible values of the grid models are the point intervals
+[p, p], so ``lift`` takes a real grid function through [p, p].  The
+nodes of a grid are one cached, read-only array (``grid_nodes``), shared
+by every grid function on that grid.
 """
 
 from __future__ import annotations
@@ -21,13 +27,13 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from . import lspace as ls
-from .errors import ModelMismatch, NoDifference, NonIsotropic, NotInvertible
+from .errors import ModelMismatch, NoDifference
 from .modulus import Modulus
 
 DEFAULT_GRID = 4096
@@ -90,9 +96,18 @@ class GridFunction:
     def step(self) -> float:
         return (self.b - self.a) / self.n_cells
 
-    @cached_property
+    @property
     def nodes(self) -> np.ndarray:
-        return np.linspace(self.a, self.b, self.n_cells + 1)
+        return grid_nodes(self.a, self.b, self.n_cells)
+
+
+@lru_cache(maxsize=16)
+def grid_nodes(a: float, b: float, n: int) -> np.ndarray:
+    """The n + 1 nodes of the uniform grid of n cells on [a, b], read-only:
+    built once per grid and shared by every grid function on it."""
+    ts = np.linspace(a, b, n + 1)
+    ts.flags.writeable = False
+    return ts
 
 
 def from_ordered_rows(a: float, b: float, model: str, data: np.ndarray) -> GridFunction:
@@ -125,7 +140,7 @@ def values_at(f: GridFunction, ts) -> np.ndarray:
 
 def real_grid(f, a: float, b: float, n: int = DEFAULT_GRID) -> GridFunction:
     """Sample a real-valued callable (or wrap an array) on a uniform grid."""
-    ts = np.linspace(a, b, n + 1)
+    ts = grid_nodes(a, b, n)
     if callable(f):
         data = np.array([float(f(t)) for t in ts])
     else:
@@ -158,13 +173,19 @@ def hukuhara_quotient(model: str, upper, lower, scale):
     """``scale * (upper -_H lower)`` for rows of ``model`` data, or for
     stacks of rows with one ``scale > 0`` each: ``lspace.hukuhara_diff``
     then ``lspace.scale``, bit for bit.  Raises NoDifference where an
-    interval shrinks by more than ``ls.EQ_TOL``."""
+    interval shrinks by more than ``ls.width_tol`` of the largest entry of
+    its two rows."""
     diff = upper - lower
     if model == ls.REAL:
         return scale * diff
     shrinks = diff[..., 0] > diff[..., 1] + ls.EQ_TOL
     if np.any(shrinks):
-        raise NoDifference(f"interval width decreases on segment {int(np.argmax(shrinks))}")
+        # width_tol >= EQ_TOL: a row that shrinks by more than its width_tol
+        # is flagged here first, and the common case takes no magnitudes
+        magnitude = np.maximum(np.max(np.abs(upper), axis=-1), np.max(np.abs(lower), axis=-1))
+        shrinks = diff[..., 0] > diff[..., 1] + ls.width_tol(magnitude)
+        if np.any(shrinks):
+            raise NoDifference(f"interval width decreases on segment {int(np.argmax(shrinks))}")
     q = np.expand_dims(scale, -1) * diff
     # clamp float noise on equal widths; on ties np.maximum keeps its
     # second argument, the lower end, as max() does in lspace
@@ -273,7 +294,7 @@ def _window_weights(a: float, b: float, n: int, cs: Tuple[float, ...], ds: Tuple
     linear interpolant there puts (r - p)(2h - r - p)/(2h) on the node t and
     (r - p)(r + p)/(2h) on t + h.  Taken in this factored form the weights
     cannot round below 0, and a whole cell puts h/2 on each node."""
-    nodes = np.linspace(a, b, n + 1)
+    nodes = grid_nodes(a, b, n)
     c = np.clip(np.array(cs, dtype=float), a, b)
     d = np.clip(np.array(ds, dtype=float), a, b)
     if np.any(d < c):
@@ -323,20 +344,15 @@ def integrate(f: GridFunction, c: Optional[float] = None, d: Optional[float] = N
     return window_integrals(f, (c,), (d,))[0]
 
 
-def lift(f: GridFunction, x: ls.Element) -> GridFunction:
-    """Pointwise lift of a real grid function through a convex invertible
-    element: t -> f(t)_+ x + f(t)_- x'."""
+def lift(f: GridFunction, p: float = 1.0) -> GridFunction:
+    """Pointwise lift of a real grid function through the point interval
+    x = [p, p]: t -> f(t)_+ x + f(t)_- x', where x' = [-p, -p] is the
+    inverse of x.  Point intervals are the only convex invertible values
+    of the grid models, and the lift of f through [p, p] is the interval
+    function t -> [p f(t), p f(t)]."""
     if f.model != ls.REAL:
         raise ModelMismatch("lift expects a real grid function")
-    if x.model == ls.MAX:
-        raise NonIsotropic("max-space admits no nontrivial lift")
-    _grid_model(x.model)
-    if not ls.is_convex(x):
-        raise NotInvertible("lift requires a convex element")
-    ls.inverse(x)  # raises NotInvertible when x' does not exist
-    if x.model == ls.REAL:
-        return GridFunction(f.a, f.b, ls.REAL, f.data * x.payload)
-    rv = f.data * x.payload[0]  # invertible intervals are points
+    rv = f.data * p
     return from_ordered_rows(f.a, f.b, ls.INTERVAL, interval_array(rv, rv))
 
 

@@ -69,10 +69,12 @@ def clamped_windows(t: float, gamma: float, h: float, a: float, b: float) -> Win
     )
 
 
-def clamped_outer(t: float, h: float, a: float, b: float) -> Tuple[float, float]:
+def clamped_outer(t: float, h: float, a: float, b: float) -> WindowConfig:
+    """The outer window [t - h, t + h] clamped at the domain ends, with a
+    degenerate inner window at t (h > 0)."""
     if h <= 0.0:
         raise WindowViolation("need h > 0")
-    return (min(h, t - a), min(h, b - t))
+    return WindowConfig(t, 0.0, 0.0, min(h, t - a), min(h, b - t), a, b)
 
 
 def divided_difference(f: gf.GridFunction, t: float, g1: float, g2: float) -> np.ndarray:
@@ -244,6 +246,6 @@ def operator_norm_bound(w: WindowConfig) -> float:
 def delta_recovery_value(t: float, h: float, omega: Modulus, a: float, b: float) -> dict:
     """Error level delta and optimal recovery value for recovering the
     derivative at t from functions known with C-error delta."""
-    h1, h2 = clamped_outer(t, h, a, b)
-    delta = extremal_sup_norm(WindowConfig(t, 0.0, 0.0, h1, h2, a, b), omega)
-    return {"delta": delta, "value": max(float(omega(h1)), float(omega(h2))), "h1": h1, "h2": h2}
+    w = clamped_outer(t, h, a, b)
+    delta = extremal_sup_norm(w, omega)
+    return {"delta": delta, "value": max(float(omega(w.h1)), float(omega(w.h2))), "h1": w.h1, "h2": w.h2}

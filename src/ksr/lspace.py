@@ -23,6 +23,8 @@ import math
 from dataclasses import dataclass
 from typing import Any
 
+import numpy as np
+
 from .errors import ModelMismatch, NoDifference, NonIsotropic, NotInvertible
 
 REAL = "real"
@@ -35,6 +37,15 @@ MODELS = (REAL, VECTOR, INTERVAL, UNION, MAX)
 
 #: absolute tolerance for payload equality tests
 EQ_TOL = 1e-12
+
+
+def width_tol(magnitude):
+    """Slack of the width test of an interval Hukuhara difference whose
+    operands have entries of absolute value at most ``magnitude``:
+    ``EQ_TOL * max(1, magnitude)``.  It is ``EQ_TOL`` for operands in
+    [-1, 1] and grows with their size, as the rounding of their difference
+    does.  ``magnitude`` may be an array, one slack per entry."""
+    return EQ_TOL * np.maximum(1.0, magnitude)
 
 
 @dataclass(frozen=True)
@@ -207,14 +218,6 @@ def norm(x: Element) -> float:
     return dist(x, zero_like(x))
 
 
-def is_convex(x: Element) -> bool:
-    if x.model in (REAL, VECTOR, INTERVAL):
-        return True
-    if x.model == UNION:
-        return len(x.payload) == 1
-    return x.payload == 0.0
-
-
 def inverse(x: Element) -> Element:
     """Additive inverse x' with x + x' = 0, if it exists."""
     if x.model == REAL:
@@ -252,7 +255,7 @@ def hukuhara_diff(x: Element, y: Element) -> Element:
     if x.model == INTERVAL and y.model == INTERVAL:
         z_lo = x.payload[0] - y.payload[0]
         z_hi = x.payload[1] - y.payload[1]
-        if z_lo > z_hi + EQ_TOL:
+        if z_lo > z_hi + width_tol(max(map(abs, x.payload + y.payload))):
             raise NoDifference("interval width would decrease")
         return interval(z_lo, max(z_lo, z_hi))  # clamp float noise on equal widths
     # Unions: construct a candidate componentwise and verify by re-adding.

@@ -64,23 +64,23 @@ class Modulus:
     """Common interface; concrete families override ``of_nonneg``,
     ``primitive`` and ``spec``.
 
-    ``w(t, out=None)`` evaluates elementwise, as a numpy ufunc does: a
-    scalar gives a float, an array a fresh array, and with ``out`` the
-    values are written into that array (which may be ``t`` itself) and
-    it is returned.  Both ways give the same values bit for bit."""
+    ``w(t)`` evaluates elementwise, as a numpy ufunc does: a scalar gives
+    a float, an array a fresh array."""
 
     concave: bool = True
 
-    def __call__(self, t, out=None):
-        return self.of_nonneg(_nonneg(t), out)
+    def __call__(self, t):
+        return self.of_nonneg(_nonneg(t))
 
     def of_nonneg(self, t, out=None):
-        """``w(t, out)`` for an ``np.float64`` or a float array ``t`` known
-        to hold no number below +0 (no -0.0 either): ``__call__`` is the
+        """``w(t)`` for an ``np.float64`` or a float array ``t`` known to
+        hold no number below +0 (no -0.0 either): ``__call__`` is the
         argument check ``_nonneg`` (an ``fmin`` reduction over an array)
-        and then this, so on such ``t`` both give the same bits.  The
-        class sampler evaluates its cones ``|t - c|``, which are >= +0 by
-        construction, here."""
+        and then this, so on such ``t`` both give the same bits.  With
+        ``out`` the values are written into that array (which may be ``t``
+        itself) and it is returned, with the same bits.  The class sampler
+        evaluates its cones ``|t - c|``, which are >= +0 by construction,
+        here, in place."""
         raise NotImplementedError
 
     def primitive(self, alpha, beta):

@@ -371,7 +371,7 @@ def suite_ks(trials: int, grid: int, seed: int) -> Generator:
     g = ks.ks_extremal(w1, w2, omega, n=grid)
     checks.append(_eq("extremal is t - 1/2", float(np.max(np.abs(g.data - (g.nodes - 0.5)))), 0.0, 1e-12))
     checks.append(_check("extremal in class", gf.check_Homega(g, omega).member, 1.0, 1.0, 0.0))
-    inject = [g, gf.lift(g, ls.interval(1.0, 1.0))]
+    inject = [g, gf.lift(g)]
     sup = yield Sweep(lambda f: ks.functional_S(f, w1, w2), HOMEGA, omega, 0.0, 1.0, grid, trials, seed, inject)
     checks.append(_leq("soundness sweep", sup, bound, eps))
     checks.append(_geq("injected extremal attains", sup, bound, eps))
@@ -412,7 +412,7 @@ def suite_general(trials: int, grid: int, seed: int) -> Generator:
     ]
     glued = ks.glue_extremal(ks.decompose_weights(w1, w2), omega, n=grid)
     checks.append(_check("glued candidate in class", gf.check_Homega(glued, omega).member, 1.0, 1.0, 0.0))
-    attained = ks.functional_S(gf.lift(glued, ls.interval(1, 1)), w1, w2)
+    attained = ks.functional_S(gf.lift(glued), w1, w2)
     checks.append(_geq("glued extremal attains", attained, gb, eps))
     sup = yield Sweep(lambda f: ks.functional_S(f, w1, w2), HOMEGA, omega, 0.0, 1.0, grid, trials, seed, [glued])
     checks.append(_leq("soundness sweep", sup, gb, eps))
@@ -434,20 +434,20 @@ def suite_ostrowski(trials: int, grid: int, seed: int) -> Generator:
     checks.append(_eq("symmetrized pair value at t=a", pb, 0.25, 1e-12))
     checks.append(_eq("symmetric concentric value", ost.symmetric_bound(0, 1, 0.25, 0.75, omega), 0.125, 1e-12))
 
-    ext = gf.lift(ost.point_vs_mean_extremal(0.5, omega, 0.0, 1.0, n=grid), ls.interval(1, 1))
+    ext = gf.lift(ost.point_vs_mean_extremal(0.5, omega, 0.0, 1.0, n=grid))
     sup = yield Sweep(lambda f: ost.point_vs_mean_functional(f, 0.5, 0.0, 1.0),
                       HOMEGA, omega, 0.0, 1.0, grid, trials, seed, [ext])
     checks.append(_leq("point-vs-mean soundness", sup, pm, eps))
     checks.append(_geq("point-vs-mean attained", sup, pm, eps))
 
-    ext_sqrt = gf.lift(ost.point_vs_mean_extremal(0.0, omega_sqrt, 0.0, 1.0, n=grid), ls.interval(1, 1))
+    ext_sqrt = gf.lift(ost.point_vs_mean_extremal(0.0, omega_sqrt, 0.0, 1.0, n=grid))
     eps_sqrt = gf.eps_tolerance(omega_sqrt, 1.0, grid)
     sup = yield Sweep(lambda f: ost.point_vs_mean_functional(f, 0.0, 0.0, 1.0),
                       HOMEGA, omega_sqrt, 0.0, 1.0, grid, trials, seed + 1, [ext_sqrt])
     checks.append(_leq("point-vs-mean sqrt soundness", sup, pm_sqrt, eps_sqrt))
     checks.append(_geq("point-vs-mean sqrt attained", sup, pm_sqrt, eps_sqrt))
 
-    pair_ext = gf.lift(ost.symmetrized_pair_extremal(0.0, 0.0, 1.0, omega, n=grid), ls.interval(1, 1))
+    pair_ext = gf.lift(ost.symmetrized_pair_extremal(0.0, 0.0, 1.0, omega, n=grid))
     sup = yield Sweep(lambda f: ost.symmetrized_pair_functional(f, 0.0, 0.0, 1.0),
                       HOMEGA, omega, 0.0, 1.0, grid, trials, seed + 2, [pair_ext])
     checks.append(_leq("symmetrized pair soundness", sup, pb, eps))
@@ -473,8 +473,8 @@ def suite_ostrowski(trials: int, grid: int, seed: int) -> Generator:
 
 
 def _half_target_distance(core: gf.GridFunction, target: Callable) -> float:
-    up = gf.lift(core, ls.interval(1.0, 1.0))
-    dn = gf.lift(core, ls.interval(-1.0, -1.0))
+    up = gf.lift(core)
+    dn = gf.lift(core, -1.0)
     return 0.5 * float(target(up, dn))
 
 
@@ -497,7 +497,7 @@ def suite_recovery(trials: int, grid: int, seed: int) -> Generator:
         checks.append(_check(f"{kind} method soundness", report.sound, report.empirical_upper, val, eps))
         if kind == "convexify":
             knots, _ = rec.optimal_knots(n, 0.0, 1.0)
-            core = gf.lift(report.extremal, ls.interval(1, 1))
+            core = gf.lift(report.extremal)
             info_gap = float(np.max(np.abs(rec.mean_info(core, knots, h).means)))
             checks.append(_leq("convexify pair info vanishes", info_gap, 0.0, eps))
         checks.append(_check(f"{kind} pair lower bound", report.attained, report.lower_bound, val, eps))
@@ -630,8 +630,8 @@ def suite_landau(trials: int, grid: int, seed: int) -> Generator:
     val = la.stechkin_value("derivative", we, omega)
     nbudget = la.operator_norm_bound(we)
     fe = la.landau_extremal("e", we, omega, n=grid)
-    fup = gf.lift(fe, ls.interval(1, 1))
-    fdn = gf.lift(fe, ls.interval(-1, -1))
+    fup = gf.lift(fe)
+    fdn = gf.lift(fe, -1.0)
     pair = [(g, gf.values_at(gf.hukuhara_derivative(g), we.t)) for g in (fup, fdn)]
     worst_gap = math.inf
     for frac in np.linspace(0.0, 1.0, 9):
@@ -655,38 +655,23 @@ def suite_landau(trials: int, grid: int, seed: int) -> Generator:
     return _suite("landau", checks)
 
 
-#: the recovery problems of ``recovery_experiment``
+#: the recovery problems of ``recovery_sweep``
 RECOVERY_KINDS = ("convexify", "integral", "identity", "derivative")
-
-
-def recovery_experiment(
-    kind: str,
-    n: int,
-    h: float,
-    omega: Modulus,
-    a: float,
-    b: float,
-    trials: int,
-    grid: int,
-    seed: int,
-) -> rec.RecoveryReport:
-    """Two-sided certification of one recovery problem: the optimal
-    method is swept over class samples (upper side), and the lifted pair
-    of the real lower-bound profile ``core`` supplies the
-    information-indistinguishable lower bound."""
-    return recovery_sweep(kind, [n], h, omega, a, b, trials, grid, seed)[0]
 
 
 def recovery_sweep(kind: str, ns: Sequence[int], h: float, omega: Modulus, a: float, b: float,
                    trials: int, grid: int, seed: int) -> List[rec.RecoveryReport]:
-    """``recovery_experiment`` at each n of ``ns``, in order; their sweeps
-    share one sample stream, which is drawn once."""
+    """Two-sided certification of one recovery problem at each n of
+    ``ns``, in order: the optimal method is swept over class samples
+    (upper side), and the lifted pair of the real lower-bound profile
+    ``core`` supplies the information-indistinguishable lower bound.  The
+    sweeps share one sample stream, which is drawn once."""
     return run_sweeps([_recovery_experiment(kind, n, h, omega, a, b, trials, grid, seed) for n in ns])
 
 
 def _recovery_experiment(kind, n, h, omega, a, b, trials, grid, seed) -> Generator:
-    """The body of ``recovery_experiment``: it yields its one ``Sweep`` and
-    returns the report."""
+    """The certification of one recovery problem at one n: it yields its
+    one ``Sweep`` and returns the report."""
     length = b - a
     eps = gf.eps_tolerance(omega, length, grid)
     if kind in ("convexify", "integral"):
@@ -745,7 +730,7 @@ def _recovery_experiment(kind, n, h, omega, a, b, trials, grid, seed) -> Generat
             return gf.sup_dist(gf.hukuhara_derivative(f), lf_prime)
 
         lower = float(abs((core.data[1] - core.data[0]) / core.step))
-    sup = yield Sweep(err, class_tag, omega, a, b, grid, trials, seed, [gf.lift(core, ls.interval(1.0, 1.0))])
+    sup = yield Sweep(err, class_tag, omega, a, b, grid, trials, seed, [gf.lift(core)])
     drawn = sum(_per_model(trials))  # the injected extremal is not counted
     return rec.RecoveryReport(kind, theoretical, sup, lower, drawn, eps, extremal=core)
 

@@ -12,10 +12,10 @@ values, one row per node, which ``gridfn.values_at`` reads off a grid
 function by its one evaluation rule.
 
 The methods output grid functions on the uniform grid of their domain.
-Its nodes and the map from each node to the cell of the knots or the
-partition that holds it depend on the grid and the cells only, so they
-are cached (``_grid_nodes``, ``_node_cells``): a sweep builds them once
-and reads them for every sample.  Step outputs gather their rows with
+Its nodes (``gridfn.grid_nodes``) and the map from each node to the cell
+of the knots or the partition that holds it (``_node_cells``) depend on
+the grid and the cells only, so they are cached: a sweep builds them
+once and reads them for every sample.  Step outputs gather their rows with
 ``np.take(rows, cells, axis=0)``, which gives the bits of ``rows[cells]``
 at a small part of its cost.
 """
@@ -110,20 +110,12 @@ def mean_info(f: gf.GridFunction, knots: Sequence[float], h: float) -> MeanInfo:
 
 
 @lru_cache(maxsize=16)
-def _grid_nodes(a: float, b: float, n: int) -> np.ndarray:
-    """The n + 1 nodes of the uniform grid on [a, b], read-only."""
-    ts = np.linspace(a, b, n + 1)
-    ts.flags.writeable = False
-    return ts
-
-
-@lru_cache(maxsize=16)
 def _node_cells(breaks: Tuple[float, ...], a: float, b: float, n: int) -> np.ndarray:
-    """For each node of ``_grid_nodes(a, b, n)``, the cell of the increasing
+    """For each node of ``gf.grid_nodes(a, b, n)``, the cell of the increasing
     ``breaks`` that holds it: the last break at or below the node, clipped
     to the cells, so that b falls in the last cell.  Read-only; it depends
     on its key only, so a sweep builds it once for all its samples."""
-    below = np.searchsorted(np.array(breaks), _grid_nodes(a, b, n), side="right") - 1
+    below = np.searchsorted(np.array(breaks), gf.grid_nodes(a, b, n), side="right") - 1
     idx = np.clip(below, 0, len(breaks) - 2)
     idx.flags.writeable = False
     return idx
@@ -291,12 +283,10 @@ def lower_extremal_integral(
 # polyline interpolation on a partition
 
 
-def _check_partition(partition: np.ndarray, a: Optional[float] = None, b: Optional[float] = None) -> np.ndarray:
+def _check_partition(partition: np.ndarray) -> np.ndarray:
     partition = np.asarray(partition, dtype=float)
     if np.any(np.diff(partition) <= 0):
         raise ValueError("partition nodes must be strictly increasing")
-    if a is not None and (abs(partition[0] - a) > 1e-12 or abs(partition[-1] - b) > 1e-12):
-        raise ValueError("partition must span [a, b]")
     return partition
 
 
@@ -308,7 +298,7 @@ def polyline(model: str, rows: np.ndarray, partition: Sequence[float], n: int = 
     if len(rows) != len(partition):
         raise ValueError("one value per partition node required")
     a, b = float(partition[0]), float(partition[-1])
-    ts = _grid_nodes(a, b, n)
+    ts = gf.grid_nodes(a, b, n)
     if model == ls.REAL:
         return gf.GridFunction(a, b, ls.REAL, np.interp(ts, partition, rows))
     lo = np.interp(ts, partition, rows[:, 0])
@@ -378,7 +368,7 @@ def polyline_derivative(
     """Step-function derivative of the interpolating polygonal function
     through the node values ``rows``: the per-segment Hukuhara difference
     quotient ``gf.hukuhara_quotient``.  Raises NoDifference where an
-    interval shrinks by more than ``ls.EQ_TOL``."""
+    interval shrinks by more than its width tolerance ``ls.width_tol``."""
     partition = _check_partition(np.asarray(partition, dtype=float))
     quotients = gf.hukuhara_quotient(model, rows[1:], rows[:-1], 1.0 / np.diff(partition))
     a, b = float(partition[0]), float(partition[-1])

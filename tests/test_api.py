@@ -75,3 +75,37 @@ def test_no_module_reads_another_modules_private_names():
         for line, name in _private_reads(ast.parse(path.read_text()))
     }
     assert sorted(reads) == []
+
+
+#: what the grid layer may read from ``lspace``: the names of its two
+#: models and the width tolerance of a Hukuhara difference
+GRID_READS_FROM_LSPACE = {"REAL", "INTERVAL", "EQ_TOL", "width_tol"}
+
+
+def _lspace_reads(tree):
+    """(line, name) of each name this module takes from ``lspace``: by
+    ``from .lspace import name``, or as an attribute of a module alias
+    (``from . import lspace as ls`` then ``ls.name``)."""
+    aliases = set()
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                if node.module is None and alias.name == "lspace":
+                    aliases.add(alias.asname or alias.name)
+                elif node.module == "lspace":
+                    found.append((node.lineno, alias.name))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in aliases:
+            found.append((node.lineno, node.attr))
+    return found
+
+
+def test_grid_layer_reads_only_model_names_and_the_width_tolerance():
+    """``gridfn`` works on rows, not on ``lspace`` elements: it builds no
+    ``Element`` and calls none of the element algebra."""
+    tree = ast.parse((SRC / "gridfn.py").read_text())
+    assert {name for _, name in _lspace_reads(tree)} == GRID_READS_FROM_LSPACE
+    # and no absolute import (``import ksr.lspace``) gets round the aliases
+    assert not [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Import)
+                and any("lspace" in alias.name for alias in node.names)]

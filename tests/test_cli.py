@@ -402,6 +402,20 @@ class TestRecover:
         payload = json.loads(out)
         assert payload["sound"] is True and payload["attained"] is True
 
+    def test_derivative_on_a_wide_domain(self, capsys):
+        # node values of size 1e6 round by more than an absolute 1e-12; the
+        # width tolerance grows with them, so every Hukuhara difference of
+        # the sweep exists, and with omega = t the report scales by b - a
+        argv = ["recover", "derivative", "--n", "3", "--grid", "64", "--trials", "4"]
+        code, out, err = run(capsys, *argv, "--ab", "0,1000")
+        assert code == 0, err
+        code0, out0, _ = run(capsys, *argv, "--ab", "0,1")
+        assert code0 == 0
+        wide, unit = json.loads(out), json.loads(out0)
+        for key in ("theoretical", "empirical_upper", "lower_bound", "gap"):
+            assert wide[key] == pytest.approx(1000.0 * unit[key], rel=1e-9, abs=0.0), key
+        assert [wide[k] for k in ("trials", "sound", "attained")] == [unit[k] for k in ("trials", "sound", "attained")]
+
     def test_recover_and_sweep_take_the_recovery_kinds(self):
         from ksr import oracle as orc
 

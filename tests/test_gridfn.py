@@ -11,7 +11,7 @@ from ksr import landau as la
 from ksr import lspace as ls
 from ksr import modulus as mo
 from ksr import recovery as rec
-from ksr.errors import ModelMismatch, NoDifference, NonIsotropic, NotInvertible
+from ksr.errors import ModelMismatch, NoDifference
 
 from grid_fixtures import check_Homega_loop, constant_grid, element, integral, interval_grid, value_at
 
@@ -98,10 +98,11 @@ class TestIntegrate:
         parts = ls.add(integral(f, 0, 0.7321), integral(f, 0.7321, 2))
         assert ls.close(whole, parts, tol=1e-10)
 
-    def test_result_is_convexify_fixed(self):
+    def test_result_is_an_interval(self):
+        # the integral of an interval function is a (convex) interval, lo <= hi
         f = interval_grid(lambda t: -t, lambda t: 1 + t * t, 0, 1, 32)
         out = integral(f)
-        assert ls.is_convex(out)
+        assert out.model == ls.INTERVAL and out.payload[0] <= out.payload[1]
 
     def test_substitution_affine(self):
         # reparametrize [0,1] -> [1,3] by s = 2t + 1 and compare
@@ -308,12 +309,12 @@ class TestWindowEvaluator:
 class TestLift:
     def test_odd_function_integrates_to_zero(self):
         f = gf.real_grid(lambda t: t - 0.5, 0, 1, 256)
-        lifted = gf.lift(f, ls.interval(1, 1))
+        lifted = gf.lift(f)
         assert ls.norm(integral(lifted)) <= 1e-12
 
     def test_nonnegative_equals_pointwise_product(self):
         f = gf.real_grid(lambda t: t, 0, 1, 64)
-        lifted = gf.lift(f, ls.interval(1, 1))
+        lifted = gf.lift(f)
         for i in (0, 10, 64):
             assert ls.close(element(lifted.model, lifted.data[i]), ls.scale(f.data[i], ls.interval(1, 1)))
 
@@ -322,12 +323,12 @@ class TestLift:
         centers = rng.uniform(0, 1, 5)
         f = gf.real_grid(lambda t: min(c + wsq(abs(t - c)) for c in centers), 0, 1, 512)
         assert gf.check_Homega(f, wsq).member
-        lifted = gf.lift(f, ls.interval(1, 1))
+        lifted = gf.lift(f)
         assert gf.check_Homega(lifted, wsq).member
 
     def test_integral_commutes_with_lift(self):
         f = gf.real_grid(lambda t: np.cos(3 * t), 0, 1, 2048)
-        lifted = gf.lift(f, ls.interval(1, 1))
+        lifted = gf.lift(f)
         r = integral(f).payload
         assert ls.close(integral(lifted), ls.interval(r, r), tol=1e-9)
 
@@ -335,7 +336,7 @@ class TestLift:
         # r -> r x for r >= 0 and |r| x' for r < 0, with x' = [-1, -1]
         f = gf.real_grid(np.array([2.0, -3.0, 0.0]), 0, 1, 2)
         x = ls.interval(1, 1)
-        lifted = gf.lift(f, x)
+        lifted = gf.lift(f)
         assert lifted.model == x.model
         for i, r in enumerate((2.0, -3.0, 0.0)):
             assert ls.close(element(lifted.model, lifted.data[i]), ls.scale(r, x))
@@ -345,14 +346,45 @@ class TestLift:
     @settings(max_examples=80, deadline=None)
     def test_lift_distance_scaling(self, r, s):
         x = ls.interval(1, 1)
-        lifted = gf.lift(gf.real_grid(np.array([r, s, 0.0]), 0, 1, 2), x)
+        lifted = gf.lift(gf.real_grid(np.array([r, s, 0.0]), 0, 1, 2))
         lhs = ls.dist(element(lifted.model, lifted.data[0]), element(lifted.model, lifted.data[1]))
         assert abs(lhs - abs(r - s) * ls.norm(x)) <= 1e-9
 
-    def test_requires_invertible(self):
-        f = gf.real_grid(lambda t: t, 0, 1, 32)
-        with pytest.raises(NotInvertible):
-            gf.lift(f, ls.interval(0, 1))
+    @pytest.mark.parametrize("p", [1.0, -1.0, 2.5])
+    def test_rows_are_p_times_the_core(self, p):
+        # the lift through [p, p] has the rows (p v, p v), bit for bit
+        v = np.random.default_rng(4).uniform(-3.0, 3.0, 65)
+        lifted = gf.lift(gf.real_grid(v, 0, 1, 64), p)
+        assert lifted.model == ls.INTERVAL and lifted.data.shape == (65, 2)
+        assert lifted.data.tobytes() == gf.interval_array(p * v, p * v).tobytes()
+        assert all(ls.close(element(lifted.model, lifted.data[i]), ls.scale(v[i], ls.interval(p, p)), tol=0.0)
+                   for i in range(65))
+
+    def test_default_is_the_unit_point(self):
+        f = gf.real_grid(lambda t: t - 0.5, 0, 1, 16)
+        assert gf.lift(f).data.tobytes() == gf.lift(f, 1.0).data.tobytes()
+
+    def test_rejects_an_interval_function(self):
+        iv = interval_grid(lambda t: -t, lambda t: t, 0, 1, 32)
+        with pytest.raises(ModelMismatch):
+            gf.lift(iv)
+        with pytest.raises(ModelMismatch):
+            gf.lift(iv, -1.0)
+
+
+class TestGridNodes:
+    def test_one_read_only_array_per_grid(self):
+        a, b, n = -0.3, 2.7, 96
+        f = gf.real_grid(lambda t: t * t, a, b, n)
+        g = interval_grid(lambda t: t, lambda t: t + 1.0, a, b, n)
+        h = gf.lift(f, -1.0)
+        assert f.nodes is g.nodes is h.nodes is gf.grid_nodes(a, b, n)
+        assert f.nodes.tobytes() == np.linspace(a, b, n + 1).tobytes()
+        assert not f.nodes.flags.writeable
+        with pytest.raises(ValueError):
+            g.nodes[1] = 0.0
+        # another grid on the same domain has its own array
+        assert gf.real_grid(lambda t: t, a, b, n // 2).nodes.tobytes() == np.linspace(a, b, n // 2 + 1).tobytes()
 
 
 class TestDerivative:
@@ -364,7 +396,7 @@ class TestDerivative:
 
     def test_lifted_square_matches_chain_rule(self):
         n = 512
-        f = gf.lift(gf.real_grid(lambda t: t * t, 0, 1, n), ls.interval(1, 1))
+        f = gf.lift(gf.real_grid(lambda t: t * t, 0, 1, n))
         d = gf.hukuhara_derivative(f)
         mid = element(d.model, d.data[n // 2])
         assert ls.dist(mid, ls.interval(1, 1)) <= 2 * f.step
@@ -377,9 +409,9 @@ class TestDerivative:
     def test_lift_derivative_consistency(self):
         n = 1024
         core = gf.real_grid(lambda t: np.sin(2 * t), 0, 1, n)
-        lifted = gf.lift(core, ls.interval(1, 1))
+        lifted = gf.lift(core)
         d = gf.hukuhara_derivative(lifted)
-        expect = gf.lift(gf.real_grid(lambda t: 2 * np.cos(2 * t), 0, 1, n), ls.interval(1, 1))
+        expect = gf.lift(gf.real_grid(lambda t: 2 * np.cos(2 * t), 0, 1, n))
         assert gf.sup_dist(d, expect) <= 10.0 / n
 
     def test_shrinking_widths_rejected(self):
@@ -426,7 +458,7 @@ class TestOrderedRows:
     @settings(max_examples=80, deadline=None)
     def test_lift_is_ordered(self, rows, scale):
         core = gf.real_grid(np.asarray(rows[0]), 0.0, 1.0, len(rows[0]) - 1)
-        f = gf.lift(core, ls.interval(scale, scale))
+        f = gf.lift(core, scale)
         assert np.all(f.data[:, 0] <= f.data[:, 1])
 
     @given(rows=_rows, a=st.floats(-1e3, 1e3), length=st.floats(1e-3, 1e3))
@@ -512,12 +544,6 @@ class TestGridModels:
         with pytest.raises(ModelMismatch):
             gf.GridFunction(0, 1, ls.UNION, np.zeros((33, 2)))
         core = gf.real_grid(lambda t: t, 0, 1, 32)
-        with pytest.raises(ModelMismatch):
-            gf.lift(core, ls.vector(1, 0))
-        with pytest.raises(ModelMismatch):
-            gf.lift(core, ls.union([(1, 1)]))
-        with pytest.raises(NonIsotropic):
-            gf.lift(core, ls.maxval(0))
         # interval data is (n+1, 2) rows, never the (n+1, 1, 2) set layout
         for shape in ((33, 1, 2), (33,), (33, 3), (33, 2, 2)):
             with pytest.raises(ValueError):
@@ -646,6 +672,23 @@ class TestRowsMatchLspace:
                 gf.hukuhara_quotient(model, upper, lower, scale)
             return
         assert _bits(gf.hukuhara_quotient(model, upper, lower, scale)) == _bits(want.payload)
+
+    @pytest.mark.parametrize("m", [0.25, 1.0, 1e3, 1e6])
+    def test_width_tolerance_grows_with_the_operands(self, m):
+        # widths 1 -> 1 - s: the difference exists for s within EQ_TOL times
+        # the operands' size (at least 1) and not beyond it, on both sides
+        lower = np.array([m - 0.5, m + 0.5])
+        for s, exists in ((0.25 * ls.EQ_TOL * max(1.0, m), True), (4.0 * ls.EQ_TOL * max(1.0, m), False)):
+            upper = np.array([m, m + 1.0 - s])
+            if exists:
+                want = ls.hukuhara_diff(element(ls.INTERVAL, upper), element(ls.INTERVAL, lower))
+                assert want.payload == (0.5, 0.5)  # clamped to the point
+                assert _bits(gf.hukuhara_quotient(ls.INTERVAL, upper, lower, 1.0)) == _bits(want.payload)
+                continue
+            with pytest.raises(NoDifference):
+                ls.hukuhara_diff(element(ls.INTERVAL, upper), element(ls.INTERVAL, lower))
+            with pytest.raises(NoDifference):
+                gf.hukuhara_quotient(ls.INTERVAL, upper, lower, 1.0)
 
     def test_quotient_of_a_row_stack_is_the_quotient_of_each_row(self):
         rows = np.array([[0.0, 1.0], [-0.0, 1.0 - 0.5 * ls.EQ_TOL], [2.0, 3.5], [-5e-324, 4.0]])

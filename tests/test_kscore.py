@@ -142,7 +142,7 @@ class TestExtremal:
     def test_attainment_after_lift_and_shift(self):
         g = ks.ks_extremal(W1, W2, wid, n=1024)
         shifted = gf.GridFunction(0, 1, ls.REAL, np.asarray(g.data) + 3.7)
-        lifted = gf.lift(shifted, ls.interval(1, 1))
+        lifted = gf.lift(shifted)
         eps = gf.eps_tolerance(wid, 1.0, 1024)
         assert ks.functional_S(lifted, W1, W2) >= 0.1875 - eps
 

@@ -40,7 +40,7 @@ class TestWindows:
 
 class TestDividedDifference:
     def test_lifted_square(self):
-        f = gf.lift(gf.real_grid(lambda t: t * t, 0, 1, 4096), ls.interval(1, 1))
+        f = gf.lift(gf.real_grid(lambda t: t * t, 0, 1, 4096))
         dd = element(f.model, la.divided_difference(f, 0.5, 0.1, 0.1))
         assert ls.dist(dd, ls.interval(1, 1)) <= 4 * f.step / 0.2
 

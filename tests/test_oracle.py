@@ -331,7 +331,7 @@ class TestEmpiricalSup:
     def test_injected_extremal_reaches_bound(self):
         w1 = ks.indicator_weight(0, 0.25, 1.0, domain=(0, 1))
         w2 = ks.indicator_weight(0.75, 1.0, 1.0, domain=(0, 1))
-        g = gf.lift(ks.ks_extremal(w1, w2, wid, n=256), ls.interval(1, 1))
+        g = gf.lift(ks.ks_extremal(w1, w2, wid, n=256))
         sup, arg = orc.empirical_sup(
             lambda f: ks.functional_S(f, w1, w2),
             orc._mixed_stream(orc.HOMEGA, wid, 0.0, 1.0, 256, 5, 11, inject=[g]),
@@ -364,7 +364,7 @@ class TestSweepRunner:
     @pytest.mark.parametrize("cls", [orc.HOMEGA, orc.W1HOMEGA])
     def test_shared_stream_gives_each_request_its_own_sup_and_argmax(self, monkeypatch, cls):
         key = (cls, wsq, 0.0, 1.0, 128, 7, 3)
-        lifted = gf.lift(constant_grid(ls.real(0.25), 0, 1, 128), ls.interval(1, 1))
+        lifted = gf.lift(constant_grid(ls.real(0.25), 0, 1, 128))
         requests = [
             orc.Sweep(_ks_functional, *key),
             orc.Sweep(lambda f: gf.sup_norm(f), *key, inject=[lifted]),
@@ -381,7 +381,7 @@ class TestSweepRunner:
     @pytest.mark.parametrize("cls", [orc.HOMEGA, orc.W1HOMEGA])
     def test_array_functional_gets_a_sup_and_argmax_per_component(self, monkeypatch, cls):
         key = (cls, wid, 0.0, 1.0, 128, 9, 4)
-        lifted = gf.lift(constant_grid(ls.real(0.0), 0, 1, 128), ls.interval(1, 1))
+        lifted = gf.lift(constant_grid(ls.real(0.0), 0, 1, 128))
         parts = (_ks_functional, gf.sup_norm, lambda f: -gf.sup_norm(f), lambda f: 1e9 if f.model == ls.REAL else 0.0)
         scalar = orc.Sweep(_ks_functional, *key)
         vector = orc.Sweep(lambda f: np.array([p(f) for p in parts]), *key, inject=[lifted])
@@ -466,12 +466,12 @@ class TestRecoveryExperiment:
         ("derivative", 4, 0.0),
     ])
     def test_certified_two_sided(self, kind, n, h):
-        report = orc.recovery_experiment(kind, n, h, wid, 0.0, 1.0, 20, 512, 7)
+        report = orc.recovery_sweep(kind, [n], h, wid, 0.0, 1.0, 20, 512, 7)[0]
         assert report.sound, report.as_dict()
         assert report.attained, report.as_dict()
 
     def test_report_carries_its_extremal(self):
-        report = orc.recovery_experiment("convexify", 2, 0.1, wid, 0.0, 1.0, 2, 256, 7)
+        report = orc.recovery_sweep("convexify", [2], 0.1, wid, 0.0, 1.0, 2, 256, 7)[0]
         knots, _ = rec.optimal_knots(2, 0.0, 1.0)
         core = rec.lower_extremal_mean(knots, 0.1, wid, 0.0, 1.0, n=256)
         assert np.array_equal(report.extremal.data, core.data)
@@ -481,13 +481,13 @@ class TestRecoveryExperiment:
         # the node-to-cell map depends on the knots and the grid only: one
         # experiment builds it once and reads it for every sample
         rec._node_cells.cache_clear()
-        report = orc.recovery_experiment("convexify", 4, 0.0, wid, 0.0, 1.0, 10, 256, 7)
+        report = orc.recovery_sweep("convexify", [4], 0.0, wid, 0.0, 1.0, 10, 256, 7)[0]
         info = rec._node_cells.cache_info()
         assert (info.misses, info.currsize) == (1, 1)
         assert info.hits == report.trials  # the injected extremal and the drawn samples, less the first
 
     def test_extremal_export(self):
-        core = orc.recovery_experiment("identity", 2, 0.0, wid, 0.0, 1.0, 2, 256, 7).extremal
+        core = orc.recovery_sweep("identity", [2], 0.0, wid, 0.0, 1.0, 2, 256, 7)[0].extremal
         assert np.array_equal(core.data, rec.omega_spline(2, wid, 0.0, 1.0, n=256).data)
         assert core.model == ls.REAL
         assert float(np.max(np.abs(core.data))) == pytest.approx(1 / 32, abs=1e-9)

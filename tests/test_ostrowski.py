@@ -142,7 +142,7 @@ class TestPointVsMean:
         n = 4096
         g = ost.point_vs_mean_extremal(t, omega, 0, 1, n=n)
         assert gf.check_Homega(g, omega).member
-        lifted = gf.lift(g, ls.interval(1, 1))
+        lifted = gf.lift(g)
         mean_w = ks.indicator_weight(0, 1, 1.0, domain=(0, 1))
         lhs = ls.dist(value_at(lifted, t), element(lifted.model, ks.integrate_weighted(lifted, mean_w)))
         assert lhs >= ost.point_vs_mean_bound(t, 0, 1, omega) - gf.eps_tolerance(omega, 1.0, n)
@@ -171,7 +171,7 @@ class TestSymmetrizedPair:
         n = 4096
         g = ost.symmetrized_pair_extremal(t, 0, 1, omega, n=n)
         assert gf.check_Homega(g, omega).member
-        lifted = gf.lift(g, ls.interval(1, 1))
+        lifted = gf.lift(g)
         mean_w = ks.indicator_weight(0, 1, 1.0, domain=(0, 1))
         half = ls.scale(0.5, ls.add(value_at(lifted, t), value_at(lifted, 1 - t)))
         lhs = ls.dist(half, element(lifted.model, ks.integrate_weighted(lifted, mean_w)))

@@ -242,7 +242,7 @@ class TestPolyline:
             rec.polyline(ls.REAL, np.zeros(2), [0, 0.5, 1])
 
     def test_linear_function_reproduced(self):
-        f = gf.lift(gf.real_grid(lambda t: 2 * t - 0.3, 0, 1, 512), ls.interval(1, 1))
+        f = gf.lift(gf.real_grid(lambda t: 2 * t - 0.3, 0, 1, 512))
         partition = np.linspace(0, 1, 3)
         pl = rec.polyline(f.model, gf.values_at(f, partition), partition, n=512)
         assert gf.sup_dist(f, pl) <= 1e-12
@@ -250,7 +250,7 @@ class TestPolyline:
     def test_pointwise_bound_midpoint(self):
         # f(t) = t^2 / 2 has f' = t in H^omega for omega(t) = t; the chord over
         # [0, 1] misses f(1/2) by exactly the pointwise bound 1/8, and f(0) by 0
-        f = gf.lift(gf.real_grid(lambda t: 0.5 * t * t, 0, 1, 512), ls.interval(1, 1))
+        f = gf.lift(gf.real_grid(lambda t: 0.5 * t * t, 0, 1, 512))
         pl = rec.polyline(f.model, gf.values_at(f, np.array([0.0, 1.0])), [0, 1], n=512)
         assert ls.dist(value_at(f, 0.5), value_at(pl, 0.5)) == pytest.approx(1 / 8, abs=1e-15)
         assert ls.dist(value_at(f, 0.5), value_at(pl, 0.5)) == pytest.approx(_blend_bound(0.5, 0, 1, wid), abs=1e-15)
@@ -359,7 +359,8 @@ class TestDerivativeRecovery:
             assert [element(d.model, d.data[i]) for i in range(d.n_cells + 1)] == [want[k] for k in segment]
 
     def test_shrinking_rows_raise(self):
-        rows = np.array([[0.0, 1.0], [0.0, 2.0], [0.5, 2.5 - 2 * ls.EQ_TOL]])
+        # entries in [-1, 1], where the width tolerance is EQ_TOL itself
+        rows = np.array([[0.0, 0.25], [0.0, 0.5], [0.125, 0.625 - 2 * ls.EQ_TOL]])
         with pytest.raises(NoDifference, match="segment 1"):
             rec.polyline_derivative(ls.INTERVAL, rows, [0, 0.5, 1], n=16)
 
@@ -370,7 +371,7 @@ class TestDerivativeRecovery:
         assert np.all(d.data == 0.0)
 
     def test_lifted_linear_exact(self):
-        f = gf.lift(gf.real_grid(lambda t: 3 * t, 0, 1, 512), ls.interval(1, 1))
+        f = gf.lift(gf.real_grid(lambda t: 3 * t, 0, 1, 512))
         partition = np.linspace(0, 1, 5)
         d = rec.polyline_derivative(f.model, gf.values_at(f, partition), partition, n=512)
         expect = constant_grid(ls.interval(3, 3), 0, 1, 512)
@@ -634,4 +635,4 @@ class TestNodeCellMap:
         with pytest.raises(ValueError):
             cells[0] = 1
         with pytest.raises(ValueError):
-            rec._grid_nodes(0.0, 1.0, 64)[0] = 1.0
+            gf.grid_nodes(0.0, 1.0, 64)[0] = 1.0
